@@ -100,7 +100,7 @@ GoldenRef capture_golden(const sim::Machine& m) {
     return g;
 }
 
-void apply_fault(sim::Machine& m, const FaultTarget& t) {
+bool apply_fault(sim::Machine& m, const FaultTarget& t) {
     switch (t.kind) {
         case FaultTarget::Kind::GPR: m.flip_gpr(t.core, t.reg, t.bit); break;
         case FaultTarget::Kind::FP: m.flip_fp(t.core, t.reg, t.bit); break;
@@ -108,9 +108,9 @@ void apply_fault(sim::Machine& m, const FaultTarget& t) {
         case FaultTarget::Kind::CacheTag:
         case FaultTarget::Kind::CacheData:
         case FaultTarget::Kind::Bus:
-            uncore::inject(m, t);
-            break;
+            return uncore::inject(m, t);
     }
+    return true;
 }
 
 Outcome classify(const sim::Machine& m, const GoldenRef& golden, bool hit_watchdog) {

@@ -85,6 +85,9 @@ GoldenRef capture_golden(const sim::Machine& m);
 /// `hit_watchdog` marks runs stopped by the instruction budget.
 Outcome classify(const sim::Machine& m, const GoldenRef& golden, bool hit_watchdog);
 
-void apply_fault(sim::Machine& m, const FaultTarget& t);
+/// Inject `t` into `m`. Returns whether the strike is live: false only for
+/// an uncore strike that is dead on arrival (see uncore::inject) and so left
+/// `m` untouched. gpr/fp/mem strikes always return true.
+bool apply_fault(sim::Machine& m, const FaultTarget& t);
 
 } // namespace serep::core

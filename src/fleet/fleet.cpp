@@ -254,8 +254,9 @@ FleetResult run_fleet(exp::ExperimentPlan& plan, const FleetOptions& opts,
             ++landed;
             if (telemetry::enabled()) {
                 telemetry::count("fleet.landed");
-                // Fold the worker's final reported totals: approximate (the
-                // last heartbeat precedes exit) but monotone and cheap.
+                // Fold the worker's totals: the poll loop re-parsed the log
+                // tail after exit, so the snapshot is the beacon the worker
+                // writes as it finishes — its complete count.
                 telemetry::count("fleet.worker_steps", lease.snapshot.steps);
                 telemetry::count("fleet.worker_runs", lease.snapshot.runs);
             }

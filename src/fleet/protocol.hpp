@@ -9,9 +9,9 @@
 //           so nothing needs to be staged on the remote host)
 //   stdout  the completed shard database, zstd-framed when --compress —
 //           exactly the bytes that land at <out>_shard<k>.jsonl[.zst]
-//   stderr  progress logs plus one `hb <i>` line per --heartbeat interval;
-//           the controller watches this stream *grow* to tell a slow worker
-//           from a hung one
+//   stderr  progress logs plus one `hb <i>` line per --heartbeat interval
+//           and a final one at exit; the controller watches this stream
+//           *grow* to tell a slow worker from a hung one
 //
 // Both backends reduce to argv construction over this contract —
 // local_spawn() execs the controller's own binary, ssh_spawn() wraps the

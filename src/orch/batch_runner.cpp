@@ -1,6 +1,7 @@
 #include "orch/batch_runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <utility>
 
@@ -28,43 +29,59 @@ void fold_trace_stats(const sim::Machine& m) {
     tm::count(kFalls, ts.fallbacks);
 }
 
-/// Fold one finished machine's engine/cache tallies into the registry.
-/// Golden machines are built fresh (counters start at zero), so absolute
-/// values are per-run deltas. Fault-run clones inherit warm rung caches, so
-/// only `steps` and the copy-reset TraceStats are folded for those — cache
-/// hit/miss rates come from golden runs alone (see docs/telemetry.md).
-void fold_golden_machine(const sim::Machine& m) {
+/// A machine's monotone engine/cache totals: retired steps, then per-core
+/// L1I and L1D hits/misses/credits summed over cores, then L2 hits/misses.
+struct MachineTally {
+    std::uint64_t steps = 0;
+    std::array<std::uint64_t, 8> cache{};
+};
+
+MachineTally machine_tally(const sim::Machine& m) {
+    MachineTally t;
+    t.steps = m.total_retired();
+    for (unsigned c = 0; c < m.cores(); ++c) {
+        t.cache[0] += m.l1i(c).hits();
+        t.cache[1] += m.l1i(c).misses();
+        t.cache[2] += m.l1i(c).credits();
+        t.cache[3] += m.l1d(c).hits();
+        t.cache[4] += m.l1d(c).misses();
+        t.cache[5] += m.l1d(c).credits();
+    }
+    t.cache[6] = m.l2().hits();
+    t.cache[7] = m.l2().misses();
+    return t;
+}
+
+/// Fold the engine/cache work `m` did since `from` into the registry. A
+/// golden machine is built fresh, so it folds against a zero tally; a
+/// fault-run clone inherits its rung's totals, so it folds against the
+/// tally taken right after the clone. TraceStats reset on copy and fold
+/// whole.
+void fold_machine(const sim::Machine& m, const MachineTally& from = {}) {
     if (!tm::enabled()) return;
     static const tm::MetricId kSteps = tm::counter_id("engine.steps");
-    static const tm::MetricId kHitsI = tm::counter_id("cache.l1i.hits");
-    static const tm::MetricId kMissI = tm::counter_id("cache.l1i.misses");
-    static const tm::MetricId kCredI = tm::counter_id("cache.l1i.credits");
-    static const tm::MetricId kHitsD = tm::counter_id("cache.l1d.hits");
-    static const tm::MetricId kMissD = tm::counter_id("cache.l1d.misses");
-    static const tm::MetricId kCredD = tm::counter_id("cache.l1d.credits");
-    static const tm::MetricId kHits2 = tm::counter_id("cache.l2.hits");
-    static const tm::MetricId kMiss2 = tm::counter_id("cache.l2.misses");
-    tm::count(kSteps, m.total_retired());
-    for (unsigned c = 0; c < m.cores(); ++c) {
-        tm::count(kHitsI, m.l1i(c).hits());
-        tm::count(kMissI, m.l1i(c).misses());
-        tm::count(kCredI, m.l1i(c).credits());
-        tm::count(kHitsD, m.l1d(c).hits());
-        tm::count(kMissD, m.l1d(c).misses());
-        tm::count(kCredD, m.l1d(c).credits());
-    }
-    tm::count(kHits2, m.l2().hits());
-    tm::count(kMiss2, m.l2().misses());
+    static const std::array<tm::MetricId, 8> kCache{
+        tm::counter_id("cache.l1i.hits"),   tm::counter_id("cache.l1i.misses"),
+        tm::counter_id("cache.l1i.credits"), tm::counter_id("cache.l1d.hits"),
+        tm::counter_id("cache.l1d.misses"), tm::counter_id("cache.l1d.credits"),
+        tm::counter_id("cache.l2.hits"),    tm::counter_id("cache.l2.misses")};
+    const MachineTally now = machine_tally(m);
+    tm::count(kSteps, now.steps - from.steps);
+    for (std::size_t i = 0; i < kCache.size(); ++i)
+        tm::count(kCache[i], now.cache[i] - from.cache[i]);
     fold_trace_stats(m);
 }
 
 } // namespace
 
 struct BatchRunner::GoldenEntry {
-    GoldenEntry(CheckpointLadder l, core::GoldenRef r)
-        : ladder(std::move(l)), ref(std::move(r)) {}
+    GoldenEntry(CheckpointLadder l, core::GoldenRef r, core::Outcome o)
+        : ladder(std::move(l)), ref(std::move(r)), outcome(o) {}
     CheckpointLadder ladder;
     core::GoldenRef ref;
+    /// The golden machine's own classification: the record of every fault
+    /// run whose strike turns out dead on arrival (see run_wave phase 3).
+    core::Outcome outcome;
     /// Jobs of the current run_all still using this ladder; the last
     /// finisher trims the ladder to its base rung so batch memory is
     /// bounded by ladders-in-flight, not total scenario count.
@@ -199,9 +216,12 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
                         "golden run did not terminate: " + s.name());
             util::check(m.exit_code() == 0, "golden run failed: " + s.name());
             core::GoldenRef ref = core::capture_golden(m);
-            fold_golden_machine(m);
-            built[i] =
-                std::make_unique<GoldenEntry>(std::move(ladder), std::move(ref));
+            const core::Outcome outcome = core::classify(m, ref, false);
+            util::check(outcome == core::Outcome::Vanished,
+                        "golden run does not classify as Vanished: " + s.name());
+            fold_machine(m);
+            built[i] = std::make_unique<GoldenEntry>(std::move(ladder),
+                                                     std::move(ref), outcome);
         });
     }
     for (std::size_t i = 0; i < missing.size(); ++i)
@@ -347,27 +367,35 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
             const std::uint32_t i = tasks[t].second;
             const core::Fault& f = job.faults[i];
             sim::Machine run = job.golden->ladder.clone_nearest(f.at_retired);
-            const std::uint64_t clone_retired = run.total_retired();
-            ff_retired_.fetch_add(f.at_retired - clone_retired,
+            const MachineTally at_clone = machine_tally(run);
+            ff_retired_.fetch_add(f.at_retired - at_clone.steps,
                                   std::memory_order_relaxed);
             run.run_until(f.at_retired);
-            core::apply_fault(run, f.target);
-            run.run_until(job.budget);
-            const bool watchdog = run.status() == sim::RunStatus::Running;
             core::FaultRecord rec;
             rec.fault = f;
-            rec.outcome = core::classify(run, job.golden->ref, watchdog);
-            rec.retired = run.total_retired();
+            const bool live = core::apply_fault(run, f.target);
+            if (live) {
+                run.run_until(job.budget);
+                const bool watchdog = run.status() == sim::RunStatus::Running;
+                rec.outcome = core::classify(run, job.golden->ref, watchdog);
+                rec.retired = run.total_retired();
+            } else {
+                // Dead on arrival: the strike changed nothing, so `run` is
+                // bit-for-bit the golden machine at f.at_retired and, the
+                // engines being deterministic, its continuation is the
+                // golden run. Exact, so the record is not `inferred`.
+                rec.outcome = job.golden->outcome;
+                rec.retired = job.golden->ref.total_retired;
+            }
             job.result.records[i] = rec;
             if (tm::enabled()) {
-                static const tm::MetricId kSteps = tm::counter_id("engine.steps");
                 static const tm::MetricId kRuns =
                     tm::counter_id("batch.fault_runs");
-                // Clone caches carry the rung's warm counts, so only the step
-                // delta and the copy-reset trace stats are per-run facts here.
-                tm::count(kSteps, run.total_retired() - clone_retired);
+                static const tm::MetricId kAnswered =
+                    tm::counter_id("batch.answered_at_injection");
+                fold_machine(run, at_clone);
                 tm::count(kRuns);
-                fold_trace_stats(run);
+                if (!live) tm::count(kAnswered);
             }
             // Pruning: every member of this representative's equivalence class
             // has a bit-identical faulty future, so its record is this one

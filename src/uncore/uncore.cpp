@@ -36,7 +36,9 @@ public:
     explicit Model(const core::FaultTarget& t) : t_(t) {}
 
     /// Mutate `m` per the fault kind; returns true when the model needs to
-    /// keep observing the run (hook worth arming).
+    /// keep observing the run (hook worth arming). A false return means the
+    /// strike is dead on arrival and `m` has not been touched at all —
+    /// uncore::inject's caller relies on that.
     bool arm(sim::Machine& m) {
         switch (t_.kind) {
             case core::FaultTarget::Kind::CacheData: return arm_cache_data(m);
@@ -229,12 +231,14 @@ unsigned tag_bit_count(unsigned level, std::uint64_t phys_size) noexcept {
     return top > low ? top - low : 1;
 }
 
-void inject(sim::Machine& m, const core::FaultTarget& t) {
+bool inject(sim::Machine& m, const core::FaultTarget& t) {
     util::check(core::is_uncore_kind(t.kind),
                 "uncore::inject: not an uncore fault kind");
     count_one("uncore.injected");
     auto model = std::make_shared<Model>(t);
-    if (model->arm(m)) m.set_uncore_hook(std::move(model));
+    if (!model->arm(m)) return false;
+    m.set_uncore_hook(std::move(model));
+    return true;
 }
 
 } // namespace serep::uncore

@@ -40,7 +40,8 @@
 //               through the aliased tag writes back to the *wrong address*
 //               — permanent corruption. Tag bits whose flip would address
 //               past the end of physical memory are masked at injection
-//               (`uncore.masked_no_line` covers the empty-cell case too).
+//               (`uncore.masked_out_of_range`; an empty struck cell counts
+//               as `uncore.masked_no_line`).
 //
 //   bus         Exactly one in-flight transfer is corrupted: the first data
 //               transaction the struck core issues at or after the
@@ -58,6 +59,19 @@
 // therefore charged at the *next data access* — and an access to the watched
 // line that misses (resident_before == false) proves such an eviction
 // already happened, so it settles the watch before the bytes move.
+//
+// Dead on arrival: a strike on an empty cell (`uncore.masked_no_line`) or a
+// tag flip whose alias falls outside physical memory
+// (`uncore.masked_out_of_range`) changes no machine state, and inject()
+// says so by returning false. orch::BatchRunner then closes the record at
+// injection instead of simulating to program end: the machine is
+// bit-for-bit the golden machine at the strike instant and the engines are
+// deterministic, so its continuation IS the golden run — outcome Vanished,
+// retired = the golden total. That is exact, not pruning: the record
+// carries no `inferred` provenance, every output byte is what the full
+// simulation would write, and the prune+uncore rejection does not apply.
+// Such a strike costs one checkpoint restore plus the fast-forward to its
+// instant.
 //
 // Determinism: injection and every subsequent model decision depend only on
 // (machine state, hook event stream), both of which are bit-identical across
@@ -102,8 +116,9 @@ unsigned tag_bit_count(unsigned level, std::uint64_t phys_size) noexcept;
 /// Perform an uncore injection on the fault-run machine `m`: mutate machine
 /// state as the kind dictates and, when the fault stays live, arm a
 /// sim::UncoreHook on `m` that tracks residency/dirtiness until the run
-/// ends. Faults that are dead on arrival (line not resident, alias out of
-/// range) change nothing. `t.kind` must be one of the uncore kinds.
-void inject(sim::Machine& m, const core::FaultTarget& t);
+/// ends, and return true. Faults that are dead on arrival (empty struck
+/// cell, tag alias out of range) change nothing — no memory byte, tag or
+/// hook — and return false. `t.kind` must be one of the uncore kinds.
+bool inject(sim::Machine& m, const core::FaultTarget& t);
 
 } // namespace serep::uncore

@@ -16,12 +16,14 @@
 //  * A real local-proc fleet run (this test execs the serep binary) with a
 //    worker SIGKILLed mid-campaign merges byte-identically to the ordinary
 //    in-process `serep run` — the repo's core invariant extended across
-//    process and (by construction) host boundaries.
+//    process and (by construction) host boundaries. fleet.worker_runs
+//    counts every run even when shards finish inside one heartbeat period.
 //  * The spec's `fleet` block is presentation: spec_hash is blind to it,
 //    so fleet campaigns resume shard DBs produced by non-fleet runs and
 //    vice versa; unknown fleet keys are rejected by name.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -31,6 +33,7 @@
 
 #include "exp/driver.hpp"
 #include "fleet/fleet.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 #include "util/zframe.hpp"
 
@@ -421,6 +424,40 @@ TEST(FleetE2E, KilledWorkerFleetMergesByteIdenticalToDirectRun) {
     EXPECT_EQ(slurp(prefix + "_faults.csv"), slurp(ref + "_faults.csv"));
     EXPECT_EQ(slurp(prefix + "_campaigns.jsonl"),
               slurp(ref + "_campaigns.jsonl"));
+}
+
+TEST(FleetE2E, WorkerRunsCountShardsShorterThanOneHeartbeat) {
+    // Every shard finishes long before its first periodic beat, so only the
+    // beacon a worker writes as it exits can carry its totals.
+    const std::string prefix = tmp_prefix("hbcount");
+    const std::string spec_text = spec_json(prefix);
+    const std::string spec_path = prefix + ".spec.json";
+    spit(spec_path, spec_text);
+
+    exp::ExperimentPlan plan(exp::ExperimentSpec::load(spec_text));
+    fleet::FleetOptions opts = fleet::fleet_options_from_spec(plan.spec());
+    opts.spec_path = spec_path;
+    opts.serep_exe = SEREP_TEST_BIN;
+    opts.workers = 3;
+    opts.heartbeat_interval = 600;
+    opts.heartbeat_timeout = 1200;
+    opts.poll_interval = 0.02;
+    opts.log = nullptr;
+
+    telemetry::reset();
+    telemetry::set_enabled(true);
+    const fleet::FleetResult res = fleet::run_fleet(plan, opts);
+    telemetry::set_enabled(false);
+    ASSERT_TRUE(res.final.merged);
+    EXPECT_EQ(res.launched, 3u);
+
+    // No pruning: every record of the merged database is one simulated run.
+    const std::string csv = slurp(prefix + "_faults.csv");
+    const auto lines = static_cast<std::uint64_t>(
+        std::count(csv.begin(), csv.end(), '\n'));
+    ASSERT_GT(lines, 1u);
+    EXPECT_EQ(telemetry::counter_value("fleet.worker_runs"), lines - 1);
+    EXPECT_GT(telemetry::counter_value("fleet.worker_steps"), 0u);
 }
 #endif
 

@@ -17,6 +17,9 @@
 //    byte-identically to the unsharded run.
 //  * equivalence pruning DECLINES uncore jobs: outcomes equal the unpruned
 //    run, nothing is inferred, and the declined-run counter reports it.
+//  * a dead-on-arrival strike (empty cell, out-of-range tag alias) reports
+//    itself not live and touches nothing, and the batch records closed at
+//    injection equal a full from-reset simulation under every engine.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -25,6 +28,7 @@
 #include "harness.hpp"
 #include "orch/batch_runner.hpp"
 #include "orch/shard.hpp"
+#include "telemetry/telemetry.hpp"
 #include "uncore/uncore.hpp"
 #include "util/zframe.hpp"
 
@@ -86,8 +90,9 @@ void emit_evictions(Assembler& a, std::uint64_t buf_va, unsigned first,
 }
 
 /// One micro program plus the addresses the checks below need. Each test
-/// fills it from inside its assembler body (captured by reference — the
-/// body runs once per engine, re-setting the same values).
+/// fills it from inside its assembler body (captured by raw pointer — the
+/// body runs once per engine, re-setting the same values; it is stored in
+/// the Snippet itself, so capturing the owning shared_ptr would leak).
 struct Snippet {
     std::function<void(Assembler&)> body;
     std::uint64_t buf_va = 0;    ///< kdata buffer VA (phys = VA - kKernBase)
@@ -164,7 +169,7 @@ TEST(UncoreModel, CacheDataCleanEvictionDropsTheCorruption) {
     // line with 5 clean same-set loads; the read-back must see the restored
     // 5 — the strike was masked by the clean eviction.
     auto snip = std::make_shared<Snippet>();
-    snip->body = [snip](Assembler& a) {
+    snip->body = [snip = snip.get()](Assembler& a) {
         a.kdata().align(8);
         snip->buf_va = a.kdata().cursor();
         for (unsigned i = 0; i < 8; ++i) a.kdata().u64v(0);
@@ -201,7 +206,7 @@ TEST(UncoreModel, CacheDataDirtyWritebackCommitsTheCorruption) {
     // before the eviction: the line is dirty, the writeback commits 7, and
     // no restore may happen — the output diverges from golden permanently.
     auto snip = std::make_shared<Snippet>();
-    snip->body = [snip](Assembler& a) {
+    snip->body = [snip = snip.get()](Assembler& a) {
         a.kdata().align(8);
         snip->buf_va = a.kdata().cursor();
         for (unsigned i = 0; i < 8; ++i) a.kdata().u64v(0);
@@ -239,7 +244,7 @@ TEST(UncoreModel, CacheTagAliasHitsServeTheVictimsData) {
     // aliased way and reads the VICTIM's value; a clean eviction restores
     // the alias line's pristine bytes (zero).
     auto snip = std::make_shared<Snippet>();
-    snip->body = [snip](Assembler& a) {
+    snip->body = [snip = snip.get()](Assembler& a) {
         a.kdata().align(8);
         snip->buf_va = a.kdata().cursor();
         for (unsigned i = 0; i < 8; ++i) a.kdata().u64v(0);
@@ -288,7 +293,7 @@ TEST(UncoreModel, CacheTagDirtyEvictionLeavesTheCorruptionCommitted) {
     // must NOT restore the alias line — the wrong-address writeback is
     // permanent.
     auto snip = std::make_shared<Snippet>();
-    snip->body = [snip](Assembler& a) {
+    snip->body = [snip = snip.get()](Assembler& a) {
         a.kdata().align(8);
         snip->buf_va = a.kdata().cursor();
         for (unsigned i = 0; i < 8; ++i) a.kdata().u64v(0);
@@ -328,7 +333,7 @@ TEST(UncoreModel, BusCorruptsExactlyOneLoadTransfer) {
     // value (9 -> 8 with bit 0), the NEXT load reads the intact 9 — memory
     // itself was never wrong.
     auto snip = std::make_shared<Snippet>();
-    snip->body = [snip](Assembler& a) {
+    snip->body = [snip = snip.get()](Assembler& a) {
         a.kdata().align(8);
         snip->buf_va = a.kdata().cursor();
         for (unsigned i = 0; i < 8; ++i) a.kdata().u64v(0);
@@ -369,7 +374,7 @@ TEST(UncoreModel, BusStoreCorruptionLandsPermanently) {
     // and stays flipped (the in-flight corruption was written back). The
     // pending flip settles at the run boundary even with no further access.
     auto snip = std::make_shared<Snippet>();
-    snip->body = [snip](Assembler& a) {
+    snip->body = [snip = snip.get()](Assembler& a) {
         a.kdata().align(8);
         snip->buf_va = a.kdata().cursor();
         for (unsigned i = 0; i < 8; ++i) a.kdata().u64v(0);
@@ -406,7 +411,7 @@ TEST(UncoreModel, StrikeOnAnEmptyCellIsMaskedOutright) {
     // injection lands on an invalid way, mutates nothing, and the run is
     // indistinguishable from golden.
     auto snip = std::make_shared<Snippet>();
-    snip->body = [snip](Assembler& a) {
+    snip->body = [snip = snip.get()](Assembler& a) {
         a.kdata().align(8);
         snip->buf_va = a.kdata().cursor();
         for (unsigned i = 0; i < 8; ++i) a.kdata().u64v(0);
@@ -431,6 +436,93 @@ TEST(UncoreModel, StrikeOnAnEmptyCellIsMaskedOutright) {
             EXPECT_EQ(m.exit_code(), 0);
         }
     }
+}
+
+namespace {
+
+/// Everything a dead-on-arrival strike must leave untouched: registers,
+/// every physical byte, every cache cell of every cache, and the hook.
+struct MachineImage {
+    std::uint64_t arch = 0;
+    std::uint64_t mem = 0;
+    std::vector<std::uint64_t> cells;
+    const sim::UncoreHook* hook = nullptr;
+    bool operator==(const MachineImage& o) const {
+        return arch == o.arch && mem == o.mem && cells == o.cells &&
+               hook == o.hook;
+    }
+};
+
+MachineImage image_of(const sim::Machine& m) {
+    MachineImage img;
+    img.arch = core::arch_state_hash(m);
+    img.mem = m.mem().hash_range(0, m.mem().phys_size());
+    const auto add = [&](const sim::Cache& c) {
+        for (std::uint32_t s = 0; s < c.sets(); ++s)
+            for (std::uint32_t w = 0; w < c.ways(); ++w)
+                img.cells.push_back(c.line_at(s, w));
+    };
+    for (unsigned c = 0; c < m.cores(); ++c) {
+        add(m.l1i(c));
+        add(m.l1d(c));
+    }
+    add(m.l2());
+    img.hook = m.uncore_hook();
+    return img;
+}
+
+} // namespace
+
+TEST(UncoreModel, DeadOnArrivalStrikesReportNotLiveAndTouchNothing) {
+    // Nothing has run, so every cache cell is empty.
+    sim::Machine m = build_snippet([](Assembler& a) { finish(a, 0); });
+    const std::uint64_t phys = 4096;
+    for (const auto kind : {core::FaultTarget::Kind::CacheData,
+                            core::FaultTarget::Kind::CacheTag}) {
+        const MachineImage before = image_of(m);
+        EXPECT_FALSE(core::apply_fault(m, l1d_cell_target(m, kind, phys, 1)))
+            << core::fault_kind_name(kind) << " on an empty cell";
+        EXPECT_TRUE(image_of(m) == before) << core::fault_kind_name(kind);
+    }
+
+    // Out-of-range tag alias: make the last line of physical memory
+    // resident, then strike the first tag bit whose flip addresses past the
+    // end of memory.
+    sim::Cache& l1d = m.l1d_cache(0);
+    const std::uint64_t top = m.mem().phys_size();
+    const std::uint64_t last_line = (top - 64) & ~std::uint64_t{63};
+    l1d.access(last_line);
+    core::FaultTarget t =
+        l1d_cell_target(m, core::FaultTarget::Kind::CacheTag, last_line, 0);
+    ASSERT_EQ(l1d.line_at(static_cast<std::uint32_t>(t.phys / l1d.ways()),
+                          static_cast<std::uint32_t>(t.phys % l1d.ways())),
+              last_line);
+    const unsigned low = l1d.line_shift() + l1d.set_bits();
+    const unsigned tag_bits = uncore::tag_bit_count(uncore::kLevelL1D, top);
+    bool found = false;
+    for (unsigned tb = 0; tb < tag_bits && !found; ++tb) {
+        if ((last_line ^ (std::uint64_t{1} << (low + tb))) + 64 > top) {
+            t.bit = tb;
+            found = true;
+        }
+    }
+    ASSERT_TRUE(found) << "no tag bit aliases past the end of memory";
+    const MachineImage before = image_of(m);
+    EXPECT_FALSE(core::apply_fault(m, t)) << "out-of-range tag alias";
+    EXPECT_TRUE(image_of(m) == before) << "out-of-range tag alias";
+
+    // The architectural kinds are always live.
+    core::FaultTarget arch;
+    arch.kind = core::FaultTarget::Kind::GPR;
+    arch.reg = 3;
+    EXPECT_TRUE(core::apply_fault(m, arch));
+    arch.kind = core::FaultTarget::Kind::FP;
+    EXPECT_TRUE(core::apply_fault(m, arch));
+    arch.kind = core::FaultTarget::Kind::MEM;
+    arch.phys = phys;
+    EXPECT_TRUE(core::apply_fault(m, arch));
+    arch.kind = core::FaultTarget::Kind::Bus;
+    EXPECT_TRUE(core::apply_fault(m, arch)) << "a bus strike always arms";
 }
 
 // ------------------------------------------- campaign determinism + prune
@@ -504,6 +596,61 @@ TEST(UncoreCampaign, ShardsMergeByteIdenticalWithZstdMixedIn) {
     ASSERT_EQ(merged.size(), 2u);
     EXPECT_EQ(csv.str(), ref_csv.str());
     EXPECT_EQ(jsonl.str(), ref_jsonl.str());
+}
+
+TEST(UncoreCampaign, AnsweredAtInjectionRecordsEqualFullSimulation) {
+    // uncore_mini's shape: IS SER and OMP, every uncore kind. BatchRunner
+    // closes dead-on-arrival strikes at injection; each of its records must
+    // equal a from-reset simulation of the same fault run to the end.
+    const npb::Scenario scenarios[] = {
+        {isa::Profile::V8, npb::App::IS, npb::Api::Serial, 1, npb::Klass::Mini},
+        {isa::Profile::V7, npb::App::IS, npb::Api::OMP, 2, npb::Klass::Mini}};
+    const core::FaultTarget::Kind kinds[] = {core::FaultTarget::Kind::CacheTag,
+                                             core::FaultTarget::Kind::CacheData,
+                                             core::FaultTarget::Kind::Bus};
+    for (const sim::Engine e : kAllEngines) {
+        orch::BatchOptions opts;
+        opts.threads = 4;
+        opts.engine = e;
+        orch::BatchRunner runner(opts);
+        for (const npb::Scenario& s : scenarios)
+            for (const auto kind : kinds)
+                runner.add(s, uncore_cfg(kind, 12, 0x5EED));
+        telemetry::reset();
+        telemetry::set_enabled(true);
+        const std::vector<core::CampaignResult> results = runner.run_all();
+        telemetry::set_enabled(false);
+        const std::uint64_t answered =
+            telemetry::counter_value("batch.answered_at_injection");
+        const std::uint64_t masked =
+            telemetry::counter_value("uncore.masked_no_line") +
+            telemetry::counter_value("uncore.masked_out_of_range");
+
+        std::uint64_t dead = 0;
+        for (const core::CampaignResult& r : results) {
+            const std::uint64_t budget =
+                static_cast<std::uint64_t>(
+                    static_cast<double>(r.golden.total_retired) *
+                    core::CampaignConfig{}.watchdog_factor) +
+                200'000;
+            for (const core::FaultRecord& rec : r.records) {
+                sim::Machine m = npb::make_machine(r.scenario, false);
+                m.set_engine(e);
+                m.run_until(rec.fault.at_retired);
+                if (!core::apply_fault(m, rec.fault.target)) ++dead;
+                m.run_until(budget);
+                const bool watchdog = m.status() == sim::RunStatus::Running;
+                EXPECT_EQ(rec.outcome, core::classify(m, r.golden, watchdog))
+                    << r.scenario.name() << " at " << rec.fault.at_retired;
+                EXPECT_EQ(rec.retired, m.total_retired())
+                    << r.scenario.name() << " at " << rec.fault.at_retired;
+                EXPECT_FALSE(rec.inferred);
+            }
+        }
+        EXPECT_GT(dead, 0u) << "no dead-on-arrival strike: the test is vacuous";
+        EXPECT_EQ(answered, dead) << "engine " << static_cast<int>(e);
+        EXPECT_EQ(masked, dead) << "engine " << static_cast<int>(e);
+    }
 }
 
 TEST(UncoreCampaign, PruningDeclinesUncoreJobsButStillSimulatesThem) {

@@ -118,7 +118,10 @@ exp::ExperimentSpec load_spec_operand(const util::Cli& cli,
 /// With telemetry on (worker mode enables it), each beat carries a progress
 /// snapshot — `hb <i> {"elapsed_s":..,"runs":..,...}` — which the fleet
 /// controller parses into its live-progress aggregation and its
-/// kill/quarantine diagnostics (fleet::parse_worker_snapshot).
+/// kill/quarantine diagnostics (fleet::parse_worker_snapshot). One final
+/// beat is written when the beacon stops, so even a shard that finishes
+/// inside its first interval reports its complete totals, which the
+/// controller folds into fleet.worker_runs / fleet.worker_steps on commit.
 class Heartbeat {
 public:
     explicit Heartbeat(double interval) {
@@ -126,15 +129,16 @@ public:
         th_ = std::thread([this, interval] {
             std::unique_lock<std::mutex> lk(m_);
             for (unsigned long long i = 1;; ++i) {
-                if (cv_.wait_for(lk, std::chrono::duration<double>(interval),
-                                 [this] { return stop_; }))
-                    return;
+                const bool last =
+                    cv_.wait_for(lk, std::chrono::duration<double>(interval),
+                                 [this] { return stop_; });
                 if (telemetry::enabled())
                     std::fprintf(stderr, "hb %llu %s\n", i,
                                  telemetry::progress_json().c_str());
                 else
                     std::fprintf(stderr, "hb %llu\n", i);
                 std::fflush(stderr);
+                if (last) return;
             }
         });
     }
