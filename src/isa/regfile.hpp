@@ -55,10 +55,12 @@ public:
         v_[reg] ^= std::uint64_t{1} << bit;
     }
 
-    /// Full architectural-state comparison (ONA detection).
+    /// Full architectural-state comparison: every integer and FP register
+    /// and the flags. The FP file is compared on every profile (a profile
+    /// without FP registers never writes it, so there it differs only if a
+    /// fault struck it).
     bool same_arch_state(const RegFile& o) const noexcept {
-        if (x_ != o.x_ || !(flags_ == o.flags_)) return false;
-        return !info_.has_fp_regs || v_ == o.v_;
+        return x_ == o.x_ && v_ == o.v_ && flags_ == o.flags_;
     }
 
 private:

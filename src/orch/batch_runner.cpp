@@ -80,7 +80,8 @@ struct BatchRunner::GoldenEntry {
     CheckpointLadder ladder;
     core::GoldenRef ref;
     /// The golden machine's own classification: the record of every fault
-    /// run whose strike turns out dead on arrival (see run_wave phase 3).
+    /// run whose machine turns out bit-identical to the golden one, at
+    /// injection or at a rung (see run_wave phase 3).
     core::Outcome outcome;
     /// Jobs of the current run_all still using this ladder; the last
     /// finisher trims the ladder to its base rung so batch memory is
@@ -366,7 +367,8 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
             JobState& job = *tasks[t].first;
             const std::uint32_t i = tasks[t].second;
             const core::Fault& f = job.faults[i];
-            sim::Machine run = job.golden->ladder.clone_nearest(f.at_retired);
+            const CheckpointLadder& ladder = job.golden->ladder;
+            sim::Machine run = ladder.clone_nearest(f.at_retired);
             const MachineTally at_clone = machine_tally(run);
             ff_retired_.fetch_add(f.at_retired - at_clone.steps,
                                   std::memory_order_relaxed);
@@ -374,28 +376,45 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
             core::FaultRecord rec;
             rec.fault = f;
             const bool live = core::apply_fault(run, f.target);
-            if (live) {
+            // A live strike runs rung to rung and stops at the first golden
+            // rung its machine matches. Not while an uncore hook is armed:
+            // its pending corruption lives in the hook, not the machine.
+            bool converged = false;
+            if (live && !run.uncore_hook()) {
+                for (std::uint64_t r = ladder.next_rung_after(f.at_retired);
+                     r != CheckpointLadder::kNoRung && !converged;
+                     r = ladder.next_rung_after(r)) {
+                    run.run_until(r);
+                    if (run.status() != sim::RunStatus::Running) break;
+                    converged = ladder.matches_rung(run);
+                }
+            }
+            if (live && !converged) {
                 run.run_until(job.budget);
                 const bool watchdog = run.status() == sim::RunStatus::Running;
                 rec.outcome = core::classify(run, job.golden->ref, watchdog);
                 rec.retired = run.total_retired();
             } else {
-                // Dead on arrival: the strike changed nothing, so `run` is
-                // bit-for-bit the golden machine at f.at_retired and, the
-                // engines being deterministic, its continuation is the
-                // golden run. Exact, so the record is not `inferred`.
+                // `run` is bit-for-bit the golden machine: at injection (a
+                // dead-on-arrival strike changed nothing) or at a rung. The
+                // engines being deterministic, its continuation is the golden
+                // run. Exact, so the record is not `inferred`.
                 rec.outcome = job.golden->outcome;
                 rec.retired = job.golden->ref.total_retired;
             }
             job.result.records[i] = rec;
+            if (converged) converged_runs_.fetch_add(1, std::memory_order_relaxed);
             if (tm::enabled()) {
                 static const tm::MetricId kRuns =
                     tm::counter_id("batch.fault_runs");
                 static const tm::MetricId kAnswered =
                     tm::counter_id("batch.answered_at_injection");
+                static const tm::MetricId kConverged =
+                    tm::counter_id("batch.converged");
                 fold_machine(run, at_clone);
                 tm::count(kRuns);
                 if (!live) tm::count(kAnswered);
+                if (converged) tm::count(kConverged);
             }
             // Pruning: every member of this representative's equivalence class
             // has a bit-identical faulty future, so its record is this one

@@ -8,6 +8,10 @@
 //     of skewed campaigns keeps all host threads busy,
 //   * injection runs start from the nearest checkpoint-ladder rung instead of
 //     fast-forwarding from reset (see orch/checkpoint.hpp),
+//   * a run is closed with the golden outcome as soon as its machine is
+//     bit-for-bit the golden one: at injection (a dead-on-arrival uncore
+//     strike) or at the first later rung it matches (a fault that stopped
+//     propagating) — exact, so such records are not `inferred`,
 //   * finished campaigns stream to optional CSV / JSONL sinks in job order.
 //
 // Invariant (inherited from the legacy runner and covered by orch_test):
@@ -123,6 +127,11 @@ public:
     /// number of class representatives (the denominator of the >= 3.5x
     /// job-reduction gate in CI).
     std::size_t simulated_runs() const noexcept { return simulated_runs_; }
+    /// Of those, runs closed at a checkpoint rung where their machine was
+    /// bit-for-bit the golden one (see run_wave phase 3).
+    std::size_t converged_runs() const noexcept {
+        return converged_runs_.load(std::memory_order_relaxed);
+    }
     /// Records whose outcome was derived by pruning instead of simulated.
     std::size_t inferred_records() const noexcept { return inferred_records_; }
     /// Fault runs pruning declined to analyze because their job targets an
@@ -167,6 +176,7 @@ private:
     bool csv_header_written_ = false;
     std::atomic<std::uint64_t> ff_retired_{0};
     std::size_t simulated_runs_ = 0;
+    std::atomic<std::size_t> converged_runs_{0};
     std::size_t inferred_records_ = 0;
     std::size_t prune_declined_ = 0;
     std::size_t verified_records_ = 0;

@@ -26,8 +26,10 @@ CheckpointLadder::CheckpointLadder(sim::Machine& m, const LadderOptions& opts)
     : base_(m), delta_mode_(opts.delta_snapshots),
       budget_bytes_(opts.memory_budget_bytes) {
     // From here on, m's dirty set is exactly "written since the base rung" —
-    // what make_machine_delta() diffs against the base.
+    // what make_machine_delta() diffs against the base. The base's own set
+    // is cleared too, so a clone of it tracks the same thing.
     m.mem().clear_dirty();
+    base_->mem().clear_dirty();
     if (delta_mode_) {
         // Delta rungs have data-dependent sizes; the byte budget is enforced
         // dynamically in enforce_budgets() instead of precomputed.
@@ -105,6 +107,23 @@ sim::Machine CheckpointLadder::clone_nearest(std::uint64_t at) const {
     return *base_;
 }
 
+std::uint64_t CheckpointLadder::next_rung_after(std::uint64_t at) const noexcept {
+    for (const sim::MachineDelta& d : deltas_)
+        if (d.retired() > at) return d.retired();
+    for (const sim::Machine& r : full_)
+        if (r.total_retired() > at) return r.total_retired();
+    return kNoRung;
+}
+
+bool CheckpointLadder::matches_rung(const sim::Machine& m) const {
+    const std::uint64_t at = m.total_retired();
+    for (const sim::MachineDelta& d : deltas_)
+        if (d.retired() == at) return sim::matches_snapshot(m, d, *base_);
+    for (const sim::Machine& r : full_)
+        if (r.total_retired() == at) return sim::matches_snapshot(m, r);
+    return false;
+}
+
 std::uint64_t CheckpointLadder::next_boundary() const noexcept {
     if (stride_ == 0) return ~std::uint64_t{0};
     return last_retired() + stride_;
@@ -120,6 +139,7 @@ void CheckpointLadder::reset_base(sim::Machine m) {
     full_.clear();
     deltas_.clear();
     base_.emplace(std::move(m));
+    base_->mem().clear_dirty();
 }
 
 std::size_t CheckpointLadder::footprint_bytes() const noexcept {

@@ -11,6 +11,12 @@
 // outcomes are bit-identical for any stride (including a disabled ladder,
 // which degenerates to from-reset replay).
 //
+// Rungs are also convergence witnesses. A fault run paused at a rung instant
+// after its strike can ask matches_rung() whether its machine is bit-for-bit
+// the golden machine there; if so, its continuation is the golden run and
+// the run can be closed with the golden outcome without simulating the rest.
+// The answer is exact, so it never changes a record.
+//
 // Rung representation: the base rung is a full Machine copy; deeper rungs
 // default to dirty-page delta snapshots against the base (sim/snapshot.hpp)
 // — full non-memory state plus only the memory pages that differ — so a
@@ -58,8 +64,9 @@ struct LadderOptions {
 class CheckpointLadder {
 public:
     /// Captures `m`'s current (pre-run) state as the base rung and clears
-    /// `m`'s dirty-page bitmap so subsequent offers see exactly the pages
-    /// written since this base.
+    /// the dirty-page bitmaps of `m` and of the base copy, so subsequent
+    /// offers, and every clone of any rung, see exactly the pages written
+    /// since this base.
     CheckpointLadder(sim::Machine& m, const LadderOptions& opts);
 
     /// Golden-run callback: consider a paused machine for the next rung.
@@ -73,6 +80,16 @@ public:
     sim::Machine clone_nearest(std::uint64_t at) const;
     /// Retired count of the rung clone_nearest(at) would start from.
     std::uint64_t nearest_retired(std::uint64_t at) const noexcept;
+
+    static constexpr std::uint64_t kNoRung = ~std::uint64_t{0};
+    /// Retired count of the first rung above the base strictly after `at`,
+    /// or kNoRung.
+    std::uint64_t next_rung_after(std::uint64_t at) const noexcept;
+    /// Is `m` bit-for-bit the golden machine at one of this ladder's rungs
+    /// (the one at m.total_retired())? False when no rung sits there. `m`
+    /// must be a clone of this ladder's rungs, run forward; see
+    /// sim::matches_snapshot for what is compared.
+    bool matches_rung(const sim::Machine& m) const;
 
     /// The base rung (pre-run machine); valid while !empty(). Fault-list
     /// generation reads machine geometry from it.
@@ -89,7 +106,8 @@ public:
     /// not worth retaining one Machine copy per cached scenario).
     void release_all();
     bool empty() const noexcept { return !base_.has_value(); }
-    /// Reinstall a freshly built (pre-run) machine as the base rung.
+    /// Reinstall a freshly built (pre-run) machine as the base rung (its
+    /// dirty-page bitmap cleared, as in the constructor).
     void reset_base(sim::Machine m);
 
     std::uint64_t stride() const noexcept { return stride_; }

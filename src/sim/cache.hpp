@@ -83,6 +83,12 @@ public:
     std::uint32_t set_bits() const noexcept { return set_bits_; }
     std::uint32_t line_shift() const noexcept { return line_shift_; }
 
+    /// Same resident lines and LRU ages as `o` (the timing state; the
+    /// hit/miss/credit counters are statistics and are not compared).
+    bool same_lines(const Cache& o) const noexcept {
+        return tags_ == o.tags_ && age_ == o.age_;
+    }
+
     std::uint64_t hits() const noexcept { return hits_; }
     std::uint64_t misses() const noexcept { return misses_; }
     /// Hits that arrived via the MRU credit path (a subset of hits()):

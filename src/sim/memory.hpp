@@ -13,8 +13,9 @@
 // Dirty-page tracking: every mutation path (store, bit flips, and — at image
 // load time — the raw host-side pointers) marks the touched physical page in
 // a per-page dirty bitmap. clear_dirty() resets it; the checkpoint ladder's
-// delta snapshots (sim/snapshot.hpp) use dirty-since-base as the exact set
-// of pages that can differ from the base rung.
+// delta snapshots and its rung comparison (sim/snapshot.hpp) use
+// dirty-since-base as the exact set of pages that can differ from the base
+// rung.
 #pragma once
 
 #include <algorithm>
@@ -60,6 +61,10 @@ public:
     /// Mark user pages [lo, hi) of `proc` as mapped (addresses are user VAs).
     void map_user_range(unsigned proc, std::uint64_t lo, std::uint64_t hi);
     bool user_page_mapped(unsigned proc, std::uint64_t vaddr) const noexcept;
+    /// Same user page maps as `o` (every process).
+    bool same_page_maps(const Memory& o) const noexcept {
+        return page_mapped_ == o.page_mapped_;
+    }
 
     /// Host-side raw access for the loader and the classifier. The mutable
     /// overloads hand out unchecked write access, so they conservatively mark

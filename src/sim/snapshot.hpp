@@ -16,6 +16,12 @@
 // from a designated base snapshot, found via the Memory dirty-page bitmap
 // and confirmed by content comparison. restore_machine_delta() rebuilds a
 // Machine bit-identical to the full copy the delta was made from.
+//
+// The same bitmap makes it cheap to ask the converse question — is a live
+// machine bit-for-bit a snapshot? — without materializing the snapshot:
+// pages clean in both machines since the base are the base's on both sides,
+// so only the union of the two dirty sets needs its bytes compared
+// (matches_snapshot()).
 #pragma once
 
 #include <cstdint>
@@ -55,6 +61,19 @@ MachineDelta make_machine_delta(Machine& cur, const Machine& base);
 /// Rebuild the machine `make_machine_delta` saw, bit-identical: shell state,
 /// base memory payload, delta pages applied on top.
 Machine restore_machine_delta(const MachineDelta& d, const Machine& base);
+
+/// Is `m` bit-for-bit the snapshot machine in every field that can steer its
+/// later execution or its classification (the field list and the exclusions
+/// are documented at the definition)? The snapshot is either a full copy
+/// (`snap`) or a delta `d` over `base`. When it is, `m`'s continuation is
+/// the snapshot's, since every engine is deterministic.
+///
+/// Exact under the Memory dirty-bitmap contract of make_machine_delta: the
+/// dirty sets of `m` and of the snapshot must each cover every page written
+/// since one common base copy (the checkpoint ladder's base rung) — true of
+/// any machine cloned from that ladder's rungs.
+bool matches_snapshot(const Machine& m, const Machine& snap);
+bool matches_snapshot(const Machine& m, const MachineDelta& d, const Machine& base);
 
 /// Run `m` until `stop_at` or a terminal status, pausing at every multiple of
 /// `stride` retired instructions to invoke `on_checkpoint` (stride == 0 runs

@@ -9,6 +9,7 @@
 // stable under any thread interleaving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <sstream>
@@ -19,6 +20,7 @@
 #include "orch/checkpoint.hpp"
 #include "orch/scheduler.hpp"
 #include "orch/shard.hpp"
+#include "sim/snapshot.hpp"
 #include "util/check.hpp"
 
 using namespace serep;
@@ -149,12 +151,145 @@ TEST(CheckpointLadder, DeltaLaddersMatchFullLaddersAndShrinkPeakBytes) {
         << delta.peak_footprint_bytes();
 }
 
+TEST(CheckpointLadder, BaseRungClonesStartWithACleanDirtyBitmap) {
+    // A clone of the base tracks the pages written since the base, like a
+    // clone of any other rung, so a fault run struck before the first rung
+    // compares only the pages it wrote at that rung, not all guest memory.
+    const auto all_clean = [](const sim::Machine& m) {
+        const std::vector<std::uint8_t>& d = m.mem().dirty_pages();
+        return std::all_of(d.begin(), d.end(),
+                           [](std::uint8_t b) { return b == 0; });
+    };
+    sim::Machine m = npb::make_machine(kSmall, false);
+    orch::CheckpointLadder ladder = orch::run_golden_with_ladder(m, {});
+    sim::Machine clone = ladder.clone_nearest(0);
+    EXPECT_TRUE(all_clean(clone));
+
+    // A delta taken from a base clone still restores bit-identically.
+    clone.run_until(ladder.next_rung_after(0) / 2);
+    const sim::MachineDelta d = sim::make_machine_delta(clone, ladder.base());
+    EXPECT_FALSE(d.pages.empty());
+    const sim::Machine back = sim::restore_machine_delta(d, ladder.base());
+    EXPECT_EQ(core::arch_state_hash(back), core::arch_state_hash(clone));
+    EXPECT_EQ(back.mem().hash_range(0, back.mem().phys_size()),
+              clone.mem().hash_range(0, clone.mem().phys_size()));
+    EXPECT_TRUE(sim::matches_snapshot(back, clone));
+
+    // reset_base installs a freshly built base the same way.
+    ladder.release_all();
+    ladder.reset_base(npb::make_machine(kSmall, false));
+    EXPECT_TRUE(all_clean(ladder.clone_nearest(0)));
+}
+
+TEST(CheckpointLadder, RungComparisonSeesSteeringStateAndIgnoresAccelerators) {
+    // Both directions of the convergence test, on delta and full-copy rungs
+    // alike: a clone of a rung matches it; one change to any state that can
+    // steer later execution does not; clearing the MRU filters, which only
+    // moves the credit statistics, does.
+    for (const bool delta : {true, false}) {
+        SCOPED_TRACE(delta ? "delta rungs" : "full-copy rungs");
+        sim::Machine golden = npb::make_machine(kSmallV8, false);
+        orch::LadderOptions opts;
+        opts.max_checkpoints = 8;
+        opts.delta_snapshots = delta;
+        const orch::CheckpointLadder ladder =
+            orch::run_golden_with_ladder(golden, opts);
+        const std::uint64_t r1 = ladder.next_rung_after(0);
+        const std::uint64_t r2 = ladder.next_rung_after(r1);
+        ASSERT_NE(r2, orch::CheckpointLadder::kNoRung);
+        EXPECT_EQ(ladder.nearest_retired(r2 - 1), r1);
+        EXPECT_EQ(ladder.next_rung_after(golden.total_retired()),
+                  orch::CheckpointLadder::kNoRung);
+        EXPECT_TRUE(ladder.matches_rung(ladder.clone_nearest(r2)));
+
+        const auto differs = [&](const char* what, auto&& change) {
+            sim::Machine m = ladder.clone_nearest(r2);
+            change(m);
+            EXPECT_FALSE(ladder.matches_rung(m)) << what;
+        };
+        differs("gpr bit", [](sim::Machine& m) { m.flip_gpr(0, 3, 7); });
+        differs("fp bit", [](sim::Machine& m) { m.flip_fp(0, 2, 51); });
+        differs("nzcv", [](sim::Machine& m) {
+            m.core(0).regs.flags().z = !m.core(0).regs.flags().z;
+        });
+        differs("memory byte", [](sim::Machine& m) {
+            m.mem().flip_phys_bit(m.mem().kern_size() + 8, 0);
+        });
+        differs("text byte", [](sim::Machine& m) {
+            m.mem().flip_phys_bit(m.mem().text_base(), 0); // clean in the rung
+        });
+        differs("memory only the golden run wrote", [&](sim::Machine& m) {
+            // Rung state over base memory, with a clean bitmap: the pages
+            // to compare come from the rung's side alone.
+            m.mem().clear_dirty();
+            m.mem().set_payload(ladder.clone_nearest(0).mem().take_payload());
+        });
+        differs("user page map", [](sim::Machine& m) {
+            namespace layout = isa::layout;
+            for (std::uint64_t va = layout::kUserBase;
+                 va < layout::kUserBase + m.mem().user_size();
+                 va += layout::kPageSize)
+                if (!m.mem().user_page_mapped(0, va)) {
+                    m.mem().map_user_range(0, va, va + layout::kPageSize);
+                    return;
+                }
+            FAIL() << "every user page is mapped";
+        });
+        differs("local_tick", [](sim::Machine& m) { ++m.core(0).local_tick; });
+        differs("retired (INSTRET)", [](sim::Machine& m) { ++m.core(0).retired; });
+        differs("pending_ipi", [](sim::Machine& m) {
+            m.core(0).pending_ipi = !m.core(0).pending_ipi;
+        });
+        differs("l2 retag", [](sim::Machine& m) {
+            sim::Cache& l2 = m.l2_cache();
+            for (std::uint32_t cell = 0; cell < l2.sets() * l2.ways(); ++cell) {
+                const std::uint64_t line =
+                    l2.line_at(cell / l2.ways(), cell % l2.ways());
+                if (line == ~0ULL) continue;
+                const std::uint64_t alias =
+                    line + (std::uint64_t{l2.sets()} << l2.line_shift());
+                ASSERT_TRUE(l2.retag(line, alias));
+                return;
+            }
+            FAIL() << "no resident L2 line";
+        });
+
+        sim::Machine cleared = ladder.clone_nearest(r2);
+        cleared.set_uncore_hook(nullptr); // clears the MRU line filters
+        EXPECT_TRUE(ladder.matches_rung(cleared));
+
+        // The same instructions run with the filters cleared: the replay
+        // looks up what the golden run credited, so the hit totals agree
+        // and only the credit counters differ.
+        sim::Machine replay = ladder.clone_nearest(r1);
+        replay.set_uncore_hook(nullptr);
+        replay.run_until(r2);
+        EXPECT_TRUE(ladder.matches_rung(replay));
+        const sim::Machine rung = ladder.clone_nearest(r2);
+        const auto hits = [](const sim::Machine& m) {
+            return m.l1i(0).hits() + m.l1d(0).hits();
+        };
+        const auto credits = [](const sim::Machine& m) {
+            return m.l1i(0).credits() + m.l1d(0).credits();
+        };
+        EXPECT_EQ(hits(replay), hits(rung));
+        EXPECT_LT(credits(replay), credits(rung));
+
+        // Off a rung instant there is nothing to match.
+        replay.run_until(r2 + 1);
+        EXPECT_FALSE(ladder.matches_rung(replay));
+    }
+}
+
 TEST(BatchRunner, OutcomesIdenticalAcrossThreadCountsStridesSnapshotsAndEngines) {
     // The header's hard invariant: same seed => byte-identical counts and
     // CSV whatever the pool width, checkpoint stride (including disabled and
     // the adaptive auto-stride), snapshot representation (full copies vs
-    // dirty-page deltas), or execution engine (cached dispatch vs legacy
-    // switch).
+    // dirty-page deltas), or execution engine (cached dispatch, legacy
+    // switch, trace superblocks). Every laddered variant closes some runs at
+    // a rung where they converged to the golden machine; the ladder-disabled
+    // variant has no rungs, simulates every run to the end, and so is the
+    // full-simulation oracle the others are compared against.
     struct Variant {
         unsigned threads;
         std::uint64_t stride;
@@ -171,6 +306,8 @@ TEST(BatchRunner, OutcomesIdenticalAcrossThreadCountsStridesSnapshotsAndEngines)
         {2, 0, true, true, false},                       // legacy auto thinning
         {2, 30'000, true, true, true, sim::Engine::Switch}, // legacy engine
         {2, 0, true, true, true, sim::Engine::Switch},
+        {2, 30'000, true, true, true, sim::Engine::Trace},
+        {2, 0, true, true, true, sim::Engine::Trace},
     };
     std::vector<std::array<std::uint64_t, core::kOutcomeCount>> counts;
     std::vector<std::string> csvs, jsons;
@@ -186,6 +323,14 @@ TEST(BatchRunner, OutcomesIdenticalAcrossThreadCountsStridesSnapshotsAndEngines)
         runner.add(kSmall, small_config(40, 0xDAC2018));
         const auto results = runner.run_all();
         ASSERT_EQ(results.size(), 1u);
+        // Runs converge only at rungs. Besides the disabled oracle, the
+        // legacy auto stride has none here: its first rung would lie past
+        // this short golden run.
+        sim::Machine golden = npb::make_machine(kSmall, false);
+        if (orch::run_golden_with_ladder(golden, opts.ladder).checkpoints() > 0)
+            EXPECT_GT(runner.converged_runs(), 0u) << "variant " << counts.size();
+        else
+            EXPECT_EQ(runner.converged_runs(), 0u) << "variant " << counts.size();
         counts.push_back(results[0].counts);
         csvs.push_back(core::campaign_csv(results[0]));
         jsons.push_back(core::campaign_json(results[0]));
