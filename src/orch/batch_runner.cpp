@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <unordered_map>
 #include <utility>
 
 #include "npb/npb.hpp"
@@ -121,6 +122,29 @@ std::string golden_key(const npb::Scenario& s) { return scenario_cache_key(s); }
 
 } // namespace
 
+std::vector<std::vector<std::size_t>> scenario_waves(
+    const std::vector<std::string>& keys, std::size_t max_keys) {
+    // Keys join waves in order of first appearance, max_keys to a wave;
+    // each job follows its key. Equivalent to repeatedly taking the first
+    // max_keys distinct keys among the jobs not yet placed.
+    std::unordered_map<std::string, std::size_t> wave_of;
+    std::vector<std::vector<std::size_t>> waves;
+    std::size_t keys_in_last = 0;
+    for (std::size_t j = 0; j < keys.size(); ++j) {
+        auto [it, fresh] = wave_of.try_emplace(keys[j], 0);
+        if (fresh) {
+            if (waves.empty() || keys_in_last == max_keys) {
+                waves.emplace_back();
+                keys_in_last = 0;
+            }
+            it->second = waves.size() - 1;
+            ++keys_in_last;
+        }
+        waves[it->second].push_back(j);
+    }
+    return waves;
+}
+
 BatchRunner::BatchRunner(BatchOptions opts) : opts_(opts) {
     if (opts_.threads != 0) own_pool_ = std::make_unique<Scheduler>(opts_.threads);
 }
@@ -230,9 +254,9 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
     golden_runs_ += missing.size();
     if (tm::enabled()) tm::count("batch.golden_runs", missing.size());
 
-    // Phase 3 setup: fault lists (deterministic from seed + golden ref).
-    std::vector<std::pair<JobState*, std::uint32_t>> tasks;
-    std::vector<JobState*> to_analyze; // pruning: jobs awaiting the diff walk
+    // Every job of the wave takes its golden reference before any job can
+    // complete, so a job with nothing to inject cannot release a ladder
+    // another job of the wave still needs.
     for (std::size_t j : wave_jobs) {
         JobState& job = *jobs_[j];
         job.golden = golden_for(job.scenario);
@@ -244,6 +268,13 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
             job.golden->ladder.reset_base(std::move(base));
         }
         job.golden->active_jobs.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    // Phase 3 setup: fault lists (deterministic from seed + golden ref).
+    std::vector<std::pair<JobState*, std::uint32_t>> tasks;
+    std::vector<JobState*> to_analyze; // pruning: jobs awaiting the diff walk
+    for (std::size_t j : wave_jobs) {
+        JobState& job = *jobs_[j];
         const sim::Machine& base = job.golden->ladder.base();
         job.result.scenario = job.scenario;
         job.result.golden = job.golden->ref;
@@ -370,25 +401,16 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
             const CheckpointLadder& ladder = job.golden->ladder;
             sim::Machine run = ladder.clone_nearest(f.at_retired);
             const MachineTally at_clone = machine_tally(run);
-            ff_retired_.fetch_add(f.at_retired - at_clone.steps,
-                                  std::memory_order_relaxed);
+            const std::uint64_t ff = f.at_retired - at_clone.steps;
+            ff_retired_.fetch_add(ff, std::memory_order_relaxed);
             run.run_until(f.at_retired);
             core::FaultRecord rec;
             rec.fault = f;
             const bool live = core::apply_fault(run, f.target);
             // A live strike runs rung to rung and stops at the first golden
-            // rung its machine matches. Not while an uncore hook is armed:
-            // its pending corruption lives in the hook, not the machine.
-            bool converged = false;
-            if (live && !run.uncore_hook()) {
-                for (std::uint64_t r = ladder.next_rung_after(f.at_retired);
-                     r != CheckpointLadder::kNoRung && !converged;
-                     r = ladder.next_rung_after(r)) {
-                    run.run_until(r);
-                    if (run.status() != sim::RunStatus::Running) break;
-                    converged = ladder.matches_rung(run);
-                }
-            }
+            // rung its machine matches (an uncore strike only once its hook
+            // has settled).
+            const bool converged = live && ladder.run_to_matching_rung(run);
             if (live && !converged) {
                 run.run_until(job.budget);
                 const bool watchdog = run.status() == sim::RunStatus::Running;
@@ -411,8 +433,11 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
                     tm::counter_id("batch.answered_at_injection");
                 static const tm::MetricId kConverged =
                     tm::counter_id("batch.converged");
+                static const tm::MetricId kFastForward =
+                    tm::counter_id("batch.ff_steps");
                 fold_machine(run, at_clone);
                 tm::count(kRuns);
+                tm::count(kFastForward, ff);
                 if (!live) tm::count(kAnswered);
                 if (converged) tm::count(kConverged);
             }
@@ -510,23 +535,17 @@ std::vector<core::CampaignResult> BatchRunner::run_all() {
     const std::size_t first = next_flush_; // jobs before this already ran
     Scheduler& pool = scheduler();
 
-    // Consecutive pending jobs are grouped into waves spanning at most
+    // Pending jobs run in scenario-complete waves spanning at most
     // kMaxLaddersInFlight distinct scenarios each, so the snapshot memory
-    // budget holds at any batch size (130-scenario full campaigns included).
-    std::size_t cursor = first;
-    while (cursor < jobs_.size()) {
-        std::vector<std::size_t> wave;
-        std::vector<std::string> wave_keys;
-        while (cursor < jobs_.size()) {
-            const std::string key = golden_key(jobs_[cursor]->scenario);
-            bool seen = false;
-            for (const auto& k : wave_keys) seen = seen || k == key;
-            if (!seen) {
-                if (wave_keys.size() == kMaxLaddersInFlight) break;
-                wave_keys.push_back(key);
-            }
-            wave.push_back(cursor++);
-        }
+    // budget holds at any batch size (130-scenario full campaigns included)
+    // and every job of a scenario resumes from, and converges at, the
+    // scenario's full ladder. flush_ready() still streams in job order.
+    std::vector<std::string> keys;
+    for (std::size_t j = first; j < jobs_.size(); ++j)
+        keys.push_back(golden_key(jobs_[j]->scenario));
+    for (std::vector<std::size_t>& wave :
+         scenario_waves(keys, kMaxLaddersInFlight)) {
+        for (std::size_t& j : wave) j += first;
         run_wave(wave, pool);
     }
 

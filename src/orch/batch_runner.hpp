@@ -4,6 +4,10 @@
 // one workload on a single work-stealing pool:
 //   * golden executions are cached per scenario — two jobs on the same
 //     scenario share one golden run and one checkpoint ladder,
+//   * jobs run in scenario-complete waves of at most kMaxLaddersInFlight
+//     scenarios (scenario_waves): every job of a scenario, in whatever order
+//     it was queued (a multi-kind spec queues kind-major), runs in the wave
+//     that holds the scenario's full ladder,
 //   * every job's fault runs are interleaved on the shared pool, so a batch
 //     of skewed campaigns keeps all host threads busy,
 //   * injection runs start from the nearest checkpoint-ladder rung instead of
@@ -11,7 +15,8 @@
 //   * a run is closed with the golden outcome as soon as its machine is
 //     bit-for-bit the golden one: at injection (a dead-on-arrival uncore
 //     strike) or at the first later rung it matches (a fault that stopped
-//     propagating) — exact, so such records are not `inferred`,
+//     propagating; an uncore strike once its hook has settled) — exact, so
+//     such records are not `inferred`,
 //   * finished campaigns stream to optional CSV / JSONL sinks in job order.
 //
 // Invariant (inherited from the legacy runner and covered by orch_test):
@@ -43,6 +48,16 @@ std::string scenario_cache_key(const npb::Scenario& s);
 /// retains ladders across run_all() calls (the stats sizer's chunks) must
 /// bound itself by the same constant or the budget argument breaks.
 inline constexpr std::size_t kMaxLaddersInFlight = 16;
+
+/// Split job indices 0..keys.size()-1 (keys[j]: job j's golden key) into
+/// scenario-complete waves. Each wave takes the first `max_keys` distinct
+/// keys among the jobs not yet placed, plus every job on those keys, in
+/// ascending index order — so all jobs of a scenario share one golden run
+/// and one full ladder whatever order they were queued in (a multi-kind
+/// spec queues them kind-major). When each key's jobs are consecutive (a
+/// single-kind spec), the waves are the consecutive split.
+std::vector<std::vector<std::size_t>> scenario_waves(
+    const std::vector<std::string>& keys, std::size_t max_keys);
 
 struct BatchOptions {
     unsigned threads = 0; ///< pool width; 0 = the shared process-wide pool
@@ -105,8 +120,10 @@ public:
     /// One JSON object per campaign, newline-delimited (JSONL).
     void set_json_sink(std::ostream* os) { json_sink_ = os; }
 
-    /// Run all queued jobs; returns results in add() order. Jobs may be
-    /// queued and run again on the same runner; the golden cache persists.
+    /// Run all queued jobs; returns results in add() order. Jobs run in
+    /// scenario-complete waves (scenario_waves), possibly out of add()
+    /// order; the sinks still stream in add() order. Jobs may be queued and
+    /// run again on the same runner; the golden cache persists.
     std::vector<core::CampaignResult> run_all();
 
     /// Golden executions actually performed (cache-miss counter; test hook
@@ -118,6 +135,7 @@ public:
     /// given seed and ladder config: the ladder's benefit is exactly the
     /// reduction of this number vs the stride-disabled path, which is how
     /// bench_speedup gates the >= 1.5x claim without wall-clock flakiness.
+    /// Telemetry counts the same quantity as `batch.ff_steps`.
     std::uint64_t fast_forward_retired() const noexcept {
         return ff_retired_.load(std::memory_order_relaxed);
     }

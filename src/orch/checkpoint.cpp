@@ -124,6 +124,20 @@ bool CheckpointLadder::matches_rung(const sim::Machine& m) const {
     return false;
 }
 
+bool CheckpointLadder::run_to_matching_rung(sim::Machine& run) const {
+    for (std::uint64_t r = next_rung_after(run.total_retired()); r != kNoRung;
+         r = next_rung_after(r)) {
+        run.run_until(r);
+        if (run.status() != sim::RunStatus::Running) return false;
+        if (const sim::UncoreHook* hook = run.uncore_hook()) {
+            if (!hook->settled()) continue;
+            run.set_uncore_hook(nullptr);
+        }
+        if (matches_rung(run)) return true;
+    }
+    return false;
+}
+
 std::uint64_t CheckpointLadder::next_boundary() const noexcept {
     if (stride_ == 0) return ~std::uint64_t{0};
     return last_retired() + stride_;

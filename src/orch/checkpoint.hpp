@@ -15,7 +15,8 @@
 // after its strike can ask matches_rung() whether its machine is bit-for-bit
 // the golden machine there; if so, its continuation is the golden run and
 // the run can be closed with the golden outcome without simulating the rest.
-// The answer is exact, so it never changes a record.
+// The answer is exact, so it never changes a record. run_to_matching_rung()
+// is that walk, for uncore fault runs too once their hook has settled.
 //
 // Rung representation: the base rung is a full Machine copy; deeper rungs
 // default to dirty-page delta snapshots against the base (sim/snapshot.hpp)
@@ -90,6 +91,16 @@ public:
     /// must be a clone of this ladder's rungs, run forward; see
     /// sim::matches_snapshot for what is compared.
     bool matches_rung(const sim::Machine& m) const;
+    /// Run a struck fault run (a clone of this ladder's rungs, paused at its
+    /// strike instant) rung to rung, and stop at the first later rung it
+    /// matches: true means its continuation is the golden run. An uncore
+    /// hook that has not settled holds fault state outside the machine (an
+    /// armed bus one-shot, a watched line), so such a run is not compared;
+    /// at the first rung where its hook has settled the hook is detached,
+    /// which is observable-neutral, and the machine is compared from then
+    /// on. False — `run` paused at the last rung, or stopped — when no
+    /// rung matches.
+    bool run_to_matching_rung(sim::Machine& run) const;
 
     /// The base rung (pre-run machine); valid while !empty(). Fault-list
     /// generation reads machine geometry from it.

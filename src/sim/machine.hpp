@@ -85,6 +85,10 @@ public:
 ///  * on_run_boundary — when run_until() hands control back, so one-shot
 ///    bus corruption can settle deterministically even if the run ends
 ///    before the next data access.
+/// settled() is true once the hook has nothing left to do: every later
+/// callback would leave the machine untouched, so all of the fault's state
+/// is in the machine and detaching the hook changes no observable. Only
+/// then may a fault run be compared with a golden checkpoint rung.
 class UncoreHook {
 public:
     virtual ~UncoreHook() = default;
@@ -92,6 +96,7 @@ public:
                                 unsigned size, bool write, bool l1_hit,
                                 bool l2_hit, bool cached) = 0;
     virtual void on_run_boundary(Machine& m) = 0;
+    virtual bool settled() const noexcept = 0;
 };
 
 /// Copy the image's initialized data into guest memory and map the pages

@@ -178,21 +178,25 @@ std::vector<AdaptiveJobResult> run_adaptive_campaign(
                 "adaptive campaign: opts.fault_filter is owned by the sizer");
 
     // Retained ladders cost one scenario's snapshots each for the chunk's
-    // whole multi-round lifetime; slice the campaign so at most as many are
-    // resident as a fixed batch's wave would build. A 130-scenario
-    // `--target-ci` campaign therefore peaks at wave memory, not campaign
-    // memory.
-    std::vector<AdaptiveJobResult> out;
-    out.reserve(jobs.size());
-    for (std::size_t begin = 0; begin < jobs.size();
-         begin += orch::kMaxLaddersInFlight) {
-        const std::size_t end =
-            std::min(jobs.size(), begin + orch::kMaxLaddersInFlight);
-        const std::vector<orch::ShardJobSpec> chunk(jobs.begin() + begin,
-                                                    jobs.begin() + end);
+    // whole multi-round lifetime; slice the campaign into the fixed batch's
+    // scenario-complete waves, so at most as many are resident as a wave
+    // would build and each scenario's golden run and ladder serve all of
+    // its jobs. A 130-scenario `--target-ci` campaign therefore peaks at
+    // wave memory, not campaign memory.
+    std::vector<std::string> keys;
+    keys.reserve(jobs.size());
+    for (const orch::ShardJobSpec& j : jobs)
+        keys.push_back(orch::scenario_cache_key(j.scenario));
+    std::vector<AdaptiveJobResult> out(jobs.size());
+    for (const std::vector<std::size_t>& wave :
+         orch::scenario_waves(keys, orch::kMaxLaddersInFlight)) {
+        std::vector<orch::ShardJobSpec> chunk;
+        chunk.reserve(wave.size());
+        for (std::size_t j : wave) chunk.push_back(jobs[j]);
         std::vector<AdaptiveJobResult> part =
             run_adaptive_chunk(chunk, opts, stats);
-        for (AdaptiveJobResult& r : part) out.push_back(std::move(r));
+        for (std::size_t k = 0; k < wave.size(); ++k)
+            out[wave[k]] = std::move(part[k]);
     }
     return out;
 }

@@ -60,6 +60,13 @@ public:
 
     void on_run_boundary(sim::Machine& m) override { settle_pending(m); }
 
+    /// No watched line, no armed bus one-shot, no pending flip or restore:
+    /// on_data_access and on_run_boundary would both do nothing.
+    bool settled() const noexcept override {
+        return !watching_ && !bus_armed_ && !bus_flip_pending_ &&
+               !bus_restore_pending_;
+    }
+
 private:
     sim::Cache& cache(sim::Machine& m) const {
         return level_ == kLevelL1D ? m.l1d_cache(t_.core) : m.l2_cache();

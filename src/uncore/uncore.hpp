@@ -73,6 +73,21 @@
 // Such a strike costs one checkpoint restore plus the fast-forward to its
 // instant.
 //
+// Settled: a live strike's hook settles once it has nothing left to do — the
+// watched line was evicted or written back, or the bus one-shot was spent
+// and its flip or restore applied (UncoreHook::settled()). From then on its
+// callbacks change nothing and all of the fault's state is in the machine,
+// so the same exact argument applies at every later checkpoint rung: the
+// batch runner detaches the hook there and closes the run at the first rung
+// where the machine is bit-for-bit the golden one
+// (orch::CheckpointLadder::run_to_matching_rung). An unsettled hook is never
+// compared: an armed bus one-shot leaves the machine golden until its
+// transfer, so a comparison would close a run whose corruption is still to
+// come. Stopping at a rung settles a pending bus flip at the run boundary
+// rather than at the next data access; nothing reads the byte in between,
+// since every engine settles before a data access moves bytes and guest
+// data addresses never map into text.
+//
 // Determinism: injection and every subsequent model decision depend only on
 // (machine state, hook event stream), both of which are bit-identical across
 // engines, shard layouts, and hosts — uncore campaigns inherit the full
@@ -115,10 +130,10 @@ unsigned tag_bit_count(unsigned level, std::uint64_t phys_size) noexcept;
 
 /// Perform an uncore injection on the fault-run machine `m`: mutate machine
 /// state as the kind dictates and, when the fault stays live, arm a
-/// sim::UncoreHook on `m` that tracks residency/dirtiness until the run
-/// ends, and return true. Faults that are dead on arrival (empty struck
-/// cell, tag alias out of range) change nothing — no memory byte, tag or
-/// hook — and return false. `t.kind` must be one of the uncore kinds.
+/// sim::UncoreHook on `m` that tracks residency/dirtiness until it settles
+/// or the run ends, and return true. Faults that are dead on arrival (empty
+/// struck cell, tag alias out of range) change nothing — no memory byte, tag
+/// or hook — and return false. `t.kind` must be one of the uncore kinds.
 bool inject(sim::Machine& m, const core::FaultTarget& t);
 
 } // namespace serep::uncore

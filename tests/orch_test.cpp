@@ -12,8 +12,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "core/campaign.hpp"
 #include "orch/batch_runner.hpp"
@@ -485,6 +489,166 @@ TEST(BatchRunner, StreamsMergedCsvAndJsonlInJobOrder) {
               std::string::npos);
     EXPECT_NE(jrows[1].find("\"scenario\":\"" + kSmallV8.name() + "\""),
               std::string::npos);
+}
+
+namespace {
+
+/// `kinds` x `scenarios` golden keys, queued kind-major as a spec plan
+/// expands a multi-kind matrix.
+std::vector<std::string> kind_major_keys(unsigned kinds, unsigned scenarios) {
+    std::vector<std::string> keys;
+    for (unsigned k = 0; k < kinds; ++k)
+        for (unsigned s = 0; s < scenarios; ++s)
+            keys.push_back("scenario" + std::to_string(s));
+    return keys;
+}
+
+/// The wave contract: every job index exactly once, at most `max_keys`
+/// distinct keys per wave, all jobs of a key in one wave, indices ascending.
+void expect_scenario_complete(
+    const std::vector<std::string>& keys,
+    const std::vector<std::vector<std::size_t>>& waves, std::size_t max_keys) {
+    std::vector<unsigned> placed(keys.size(), 0);
+    std::map<std::string, std::size_t> wave_of;
+    for (std::size_t w = 0; w < waves.size(); ++w) {
+        std::set<std::string> distinct;
+        for (std::size_t k = 0; k < waves[w].size(); ++k) {
+            const std::size_t j = waves[w][k];
+            ASSERT_LT(j, keys.size());
+            if (k > 0) {
+                EXPECT_LT(waves[w][k - 1], j) << "wave " << w;
+            }
+            ++placed[j];
+            distinct.insert(keys[j]);
+            EXPECT_EQ(wave_of.emplace(keys[j], w).first->second, w)
+                << keys[j] << " is split across waves";
+        }
+        EXPECT_LE(distinct.size(), max_keys) << "wave " << w;
+    }
+    for (std::size_t j = 0; j < keys.size(); ++j)
+        EXPECT_EQ(placed[j], 1u) << "job " << j;
+}
+
+} // namespace
+
+TEST(ScenarioWaves, KindMajorJobsOfAScenarioShareOneWave) {
+    for (const auto& [kinds, scenarios, max_keys] :
+         {std::tuple{2u, 17u, orch::kMaxLaddersInFlight},
+          std::tuple{2u, 40u, orch::kMaxLaddersInFlight},
+          std::tuple{3u, 20u, std::size_t{3}}}) {
+        const std::vector<std::string> keys = kind_major_keys(kinds, scenarios);
+        const auto waves = orch::scenario_waves(keys, max_keys);
+        expect_scenario_complete(keys, waves, max_keys);
+        EXPECT_EQ(waves.size(), (scenarios + max_keys - 1) / max_keys);
+        // The first wave holds the first max_keys scenarios under every kind.
+        EXPECT_EQ(waves[0].size(), kinds * max_keys);
+    }
+    // 2 x 17 at the production width: 16 scenarios' 32 jobs, then the 17th's
+    // two (indices 16 and 33).
+    const auto waves =
+        orch::scenario_waves(kind_major_keys(2, 17), orch::kMaxLaddersInFlight);
+    ASSERT_EQ(waves.size(), 2u);
+    EXPECT_EQ(waves[1], (std::vector<std::size_t>{16, 33}));
+    EXPECT_TRUE(orch::scenario_waves({}, orch::kMaxLaddersInFlight).empty());
+}
+
+TEST(ScenarioWaves, SingleKindListsKeepTheConsecutiveSplit) {
+    // What run_all cut before waves were scenario-complete: consecutive
+    // jobs until a (max_keys + 1)-th distinct key appears.
+    const auto consecutive = [](const std::vector<std::string>& keys,
+                                std::size_t max_keys) {
+        std::vector<std::vector<std::size_t>> waves;
+        std::size_t cursor = 0;
+        while (cursor < keys.size()) {
+            std::vector<std::size_t> wave;
+            std::set<std::string> seen;
+            while (cursor < keys.size()) {
+                if (!seen.count(keys[cursor])) {
+                    if (seen.size() == max_keys) break;
+                    seen.insert(keys[cursor]);
+                }
+                wave.push_back(cursor++);
+            }
+            waves.push_back(wave);
+        }
+        return waves;
+    };
+    // One kind (each scenario once), and a list whose repeated keys are
+    // adjacent (two seeds per scenario).
+    std::vector<std::string> paired;
+    for (unsigned s = 0; s < 37; ++s)
+        for (unsigned seed = 0; seed < 2; ++seed)
+            paired.push_back("scenario" + std::to_string(s));
+    for (const std::vector<std::string>& keys :
+         {kind_major_keys(1, 16), kind_major_keys(1, 40), paired}) {
+        const auto waves =
+            orch::scenario_waves(keys, orch::kMaxLaddersInFlight);
+        EXPECT_EQ(waves, consecutive(keys, orch::kMaxLaddersInFlight));
+        expect_scenario_complete(keys, waves, orch::kMaxLaddersInFlight);
+    }
+}
+
+TEST(BatchRunner, KindMajorBatchGivesEveryJobItsScenariosFullLadder) {
+    // More scenarios than one wave holds, queued kind-major (gpr, then mem)
+    // the way a multi-kind spec plans them. Each scenario's mem job must run
+    // in its gpr job's wave: one golden run per scenario, and fault runs
+    // that resume from the full ladder — the same fast-forward as two
+    // single-kind batches, instead of from reset on a released ladder.
+    std::vector<npb::Scenario> scenarios;
+    for (const npb::Scenario& s : npb::paper_scenarios(npb::Klass::Mini))
+        if (s.api == npb::Api::Serial &&
+            scenarios.size() < orch::kMaxLaddersInFlight + 2)
+            scenarios.push_back(s);
+    ASSERT_GT(scenarios.size(), orch::kMaxLaddersInFlight);
+
+    struct Batch {
+        std::string csv;
+        std::uint64_t ff = 0;
+        std::size_t goldens = 0;
+    };
+    const auto run = [&](const orch::BatchOptions& opts,
+                         std::initializer_list<bool> mem_kinds) {
+        orch::BatchRunner runner(opts);
+        std::ostringstream csv;
+        runner.set_csv_sink(&csv);
+        for (const bool mem : mem_kinds)
+            for (const npb::Scenario& s : scenarios) {
+                core::CampaignConfig cfg = small_config(3, 0x5CA1E);
+                cfg.memory_faults = mem;
+                runner.add(s, cfg);
+            }
+        runner.run_all();
+        return Batch{csv.str(), runner.fast_forward_retired(),
+                     runner.golden_executions()};
+    };
+    orch::BatchOptions opts;
+    opts.threads = 4;
+    const Batch both = run(opts, {false, true});
+    EXPECT_EQ(both.goldens, scenarios.size());
+    const Batch gpr = run(opts, {false});
+    const Batch mem = run(opts, {true});
+    EXPECT_GT(gpr.ff, 0u);
+    EXPECT_EQ(both.ff, gpr.ff + mem.ff);
+
+    orch::BatchOptions oracle = opts;
+    oracle.ladder.enabled = false;
+    EXPECT_EQ(both.csv, run(oracle, {false, true}).csv);
+}
+
+TEST(BatchRunner, AJobWithNothingToInjectKeepsItsScenariosLadder) {
+    // A job whose filter takes no fault completes while its wave is still
+    // being set up; a later job of the wave on the same scenario must still
+    // resume from the full ladder, not from reset.
+    const auto ff_of = [](bool with_empty_job) {
+        orch::BatchRunner runner;
+        if (with_empty_job)
+            runner.add(kSmall, small_config(10, 0xE3),
+                       [](std::uint32_t, const core::Fault&) { return false; });
+        runner.add(kSmall, small_config(10, 0xE3));
+        runner.run_all();
+        return runner.fast_forward_retired();
+    };
+    EXPECT_EQ(ff_of(true), ff_of(false));
 }
 
 namespace {

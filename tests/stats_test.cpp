@@ -25,6 +25,7 @@
 #include "stats/report.hpp"
 #include "stats/sizing.hpp"
 #include "stats/tally.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 
 using namespace serep;
@@ -592,6 +593,56 @@ TEST(Sizing, AdaptiveCampaignMeetsTargetWithFewerFaultsBitIdentically) {
         EXPECT_EQ(got.fault.target.phys, want.fault.target.phys) << i;
         EXPECT_EQ(got.outcome, want.outcome) << i;
         EXPECT_EQ(got.retired, want.retired) << i;
+    }
+}
+
+TEST(Sizing, MultiKindCampaignRunsOneGoldenPerScenarioInJobOrder) {
+    // Kind-major jobs (gpr, then mem) over more scenarios than one ladder
+    // chunk holds: the sizer chunks by scenario-complete waves, so each
+    // scenario's golden run serves both of its jobs, and results still come
+    // back in job order, equal to two single-kind campaigns'.
+    std::vector<npb::Scenario> scenarios;
+    for (const npb::Scenario& s : npb::paper_scenarios(npb::Klass::Mini))
+        if (s.api == npb::Api::Serial &&
+            scenarios.size() <= orch::kMaxLaddersInFlight)
+            scenarios.push_back(s);
+    ASSERT_GT(scenarios.size(), orch::kMaxLaddersInFlight);
+    const auto jobs_of = [&](std::initializer_list<bool> mem_kinds) {
+        std::vector<orch::ShardJobSpec> jobs;
+        for (const bool mem : mem_kinds)
+            for (const npb::Scenario& s : scenarios) {
+                core::CampaignConfig cfg = small_config(40, 0xDAC2018);
+                cfg.memory_faults = mem;
+                jobs.push_back({s, cfg});
+            }
+        return jobs;
+    };
+    stats::StatsOptions sopts;
+    sopts.target_half_width = 0.3;
+    sopts.batch_faults = 8;
+    sopts.min_faults = 8;
+    orch::BatchOptions opts;
+    opts.threads = 4;
+
+    telemetry::reset();
+    telemetry::set_enabled(true);
+    const auto both =
+        stats::run_adaptive_campaign(jobs_of({false, true}), opts, sopts);
+    telemetry::set_enabled(false);
+    EXPECT_EQ(telemetry::counter_value("batch.golden_runs"), scenarios.size());
+
+    const auto gpr =
+        stats::run_adaptive_campaign(jobs_of({false}), opts, sopts);
+    const auto mem = stats::run_adaptive_campaign(jobs_of({true}), opts, sopts);
+    ASSERT_EQ(both.size(), 2 * scenarios.size());
+    for (std::size_t j = 0; j < both.size(); ++j) {
+        const stats::AdaptiveJobResult& want =
+            j < scenarios.size() ? gpr[j] : mem[j - scenarios.size()];
+        EXPECT_EQ(both[j].result.scenario.name(), want.result.scenario.name());
+        EXPECT_EQ(both[j].ordinals, want.ordinals) << "job " << j;
+        EXPECT_EQ(core::campaign_csv(both[j].result),
+                  core::campaign_csv(want.result))
+            << "job " << j;
     }
 }
 
