@@ -41,14 +41,20 @@ struct Opts {
     core::CampaignConfig campaign_config() const {
         core::CampaignConfig c;
         c.n_faults = faults;
-        c.host_threads = threads;
         c.seed = seed;
         return c;
     }
 };
 
+/// One scenario's campaign on its own BatchRunner. Unlike run_fi_batch it
+/// takes any Scenario, including ones a spec cell cannot name
+/// (bench_compilerflags' contract_fma = false ablation).
 inline core::CampaignResult run_fi(const npb::Scenario& s, const Opts& o) {
-    return core::run_campaign(s, o.campaign_config());
+    orch::BatchOptions bopts;
+    bopts.threads = std::max(1u, o.threads);
+    orch::BatchRunner runner(bopts);
+    runner.add(s, o.campaign_config());
+    return std::move(runner.run_all().front());
 }
 
 /// Run many scenarios as one orchestrated batch, phrased as an in-memory

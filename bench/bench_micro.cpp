@@ -61,7 +61,7 @@
 
 #include "core/campaign.hpp"
 #include "npb/npb.hpp"
-#include "orch/shard.hpp"
+#include "orch/batch_runner.hpp"
 #include "sim/cache.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/cli.hpp"
@@ -109,12 +109,21 @@ void BM_CacheAccess(benchmark::State& state) {
     }
 }
 
+/// One single-threaded campaign of kV8 on a fresh BatchRunner (so the
+/// golden run is never cached across calls): wall time == work time.
+core::CampaignResult run_single_threaded(const core::CampaignConfig& cfg) {
+    orch::BatchOptions opts;
+    opts.threads = 1;
+    orch::BatchRunner runner(opts);
+    runner.add(kV8, cfg);
+    return std::move(runner.run_all().front());
+}
+
 void BM_GoldenPlusInjection(benchmark::State& state) {
     core::CampaignConfig cfg;
     cfg.n_faults = 8;
-    cfg.host_threads = 1;
     for (auto _ : state) {
-        auto r = core::run_campaign(kV8, cfg);
+        auto r = run_single_threaded(cfg);
         benchmark::DoNotOptimize(r.total());
     }
 }
@@ -221,7 +230,11 @@ int engine_compare(const util::Cli& cli) {
         return 2;
     }
     const unsigned reps = static_cast<unsigned>(reps_raw);
-    const npb::Klass klass = orch::parse_klass(cli.get("class", "S"));
+    npb::Klass klass = npb::Klass::S;
+    if (!npb::klass_from_name(cli.get("class", "S"), klass)) {
+        std::fprintf(stderr, "--class must be Mini, S or W\n");
+        return 2;
+    }
 
     util::JsonValue baseline;
     const std::string baseline_path = cli.get("baseline", "");
@@ -378,21 +391,20 @@ int telemetry_overhead(const util::Cli& cli) {
     }
     core::CampaignConfig cfg;
     cfg.n_faults = static_cast<std::size_t>(faults_raw);
-    cfg.host_threads = 1; // single-threaded: wall time == work time
 
     // The campaign is deterministic, so its retired-instruction total is a
     // constant — count it once through the registry, then use it to turn
     // both wall times into steps/sec.
     telemetry::reset();
     telemetry::set_enabled(true);
-    core::run_campaign(kV8, cfg);
+    run_single_threaded(cfg);
     const std::uint64_t steps_per_campaign =
         telemetry::counter_value("engine.steps");
     telemetry::set_enabled(false);
 
     const auto timed_run = [&]() {
         const auto t0 = std::chrono::steady_clock::now();
-        auto r = core::run_campaign(kV8, cfg);
+        auto r = run_single_threaded(cfg);
         benchmark::DoNotOptimize(r.total());
         const auto t1 = std::chrono::steady_clock::now();
         return static_cast<double>(steps_per_campaign) /

@@ -76,7 +76,6 @@ int ladder_section(const Opts& o, unsigned threads) {
     core::CampaignConfig cfg;
     cfg.n_faults = o.faults;
     cfg.seed = o.seed;
-    cfg.host_threads = threads;
     std::printf("=== checkpoint ladder vs stride-disabled (from-reset) replay\n"
                 "    %s, %u faults, %u threads\n\n",
                 s.name().c_str(), cfg.n_faults, threads);

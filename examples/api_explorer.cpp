@@ -5,7 +5,7 @@
 //   ./examples/api_explorer [--app MG] [--faults 120] [--cores 4]
 #include <cstdio>
 
-#include "core/campaign.hpp"
+#include "exp/driver.hpp"
 #include "prof/profile.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -21,17 +21,29 @@ int main(int argc, char** argv) {
     const unsigned faults = static_cast<unsigned>(cli.get_int("faults", 120));
     const unsigned cores = static_cast<unsigned>(cli.get_int("cores", 4));
 
-    util::Table t({"variant", "instr", "balance dev%", "kernel%", "api%",
-                   "masked%", "UT%", "Hang%"});
+    // The variants as one in-memory experiment spec (explicit cells, no out
+    // prefix): their campaigns share one pool, results in cell order.
+    exp::ExperimentSpec spec;
+    spec.out.clear();
+    spec.klass = "S";
+    spec.cross_product = false;
     for (npb::Api api : {npb::Api::Serial, npb::Api::OMP, npb::Api::MPI}) {
         if (!npb::app_has_api(app, api)) continue;
         const unsigned c = api == npb::Api::Serial ? 1 : cores;
         if (api == npb::Api::MPI && !npb::mpi_cores_allowed(app, c)) continue;
-        const npb::Scenario s{isa::Profile::V8, app, api, c, npb::Klass::S};
+        spec.cells.push_back({"v8", npb::app_name(app), npb::api_name(api), c});
+    }
+    spec.faults = faults;
+    exp::ExperimentPlan plan(std::move(spec));
+    exp::DriverOptions quiet;
+    quiet.log = nullptr;
+    const exp::DriverResult res = exp::run_experiment(plan, quiet);
+
+    util::Table t({"variant", "instr", "balance dev%", "kernel%", "api%",
+                   "masked%", "UT%", "Hang%"});
+    for (const core::CampaignResult& r : res.results) {
+        const npb::Scenario& s = r.scenario;
         const auto pd = prof::profile_scenario(s);
-        core::CampaignConfig cfg;
-        cfg.n_faults = faults;
-        const auto r = core::run_campaign(s, cfg);
         t.add_row({s.name(), std::to_string(pd.instructions),
                    util::Table::num(pd.balance_dev_pct, 1),
                    util::Table::num(pd.kernel_share, 1),

@@ -6,7 +6,7 @@
 //   ./examples/isa_compare [--app CG] [--faults 120]
 #include <cstdio>
 
-#include "core/campaign.hpp"
+#include "exp/driver.hpp"
 #include "prof/profile.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -21,17 +21,24 @@ int main(int argc, char** argv) {
         if (name == npb::app_name(a)) app = a;
     const unsigned faults = static_cast<unsigned>(cli.get_int("faults", 120));
 
+    // Both ISAs as one in-memory experiment spec (explicit cells, no out
+    // prefix): results come back in cell order, v7 then v8.
+    exp::ExperimentSpec spec;
+    spec.out.clear();
+    spec.klass = "S";
+    spec.cross_product = false;
+    spec.cells = {{"v7", npb::app_name(app), "SER", 1},
+                  {"v8", npb::app_name(app), "SER", 1}};
+    spec.faults = faults;
+    exp::ExperimentPlan plan(std::move(spec));
+    exp::DriverOptions quiet;
+    quiet.log = nullptr;
+    const std::vector<core::CampaignResult> r =
+        exp::run_experiment(plan, quiet).results;
+
     util::Table t({"metric", "ARMv7 (A9-like)", "ARMv8 (A72-like)"});
     prof::ProfileData p[2];
-    core::CampaignResult r[2];
-    for (int i = 0; i < 2; ++i) {
-        const npb::Scenario s{i == 0 ? isa::Profile::V7 : isa::Profile::V8, app,
-                              npb::Api::Serial, 1, npb::Klass::S};
-        p[i] = prof::profile_scenario(s);
-        core::CampaignConfig cfg;
-        cfg.n_faults = faults;
-        r[i] = core::run_campaign(s, cfg);
-    }
+    for (int i = 0; i < 2; ++i) p[i] = prof::profile_scenario(r[i].scenario);
     auto row = [&](const char* m, double a, double b, int prec = 1) {
         t.add_row({m, util::Table::num(a, prec), util::Table::num(b, prec)});
     };

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "exp/driver.hpp"
 #include "mine/mining.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -17,17 +18,25 @@ int main(int argc, char** argv) {
     util::Cli cli(argc, argv);
     const unsigned faults = static_cast<unsigned>(cli.get_int("faults", 80));
 
-    mine::Dataset d;
-    core::CampaignConfig cfg;
-    cfg.n_faults = faults;
+    // The scenarios as one in-memory experiment spec (explicit cells, no
+    // out prefix): one campaign per cell, results in cell order.
+    exp::ExperimentSpec spec;
+    spec.out.clear();
+    spec.klass = "S";
+    spec.cross_product = false;
+    for (const char* isa : {"v7", "v8"})
+        for (const char* app : {"EP", "IS", "CG", "MG", "LU", "DC"})
+            spec.cells.push_back({isa, app, "SER", 1});
+    spec.faults = faults;
+    exp::ExperimentPlan plan(std::move(spec));
+    exp::DriverOptions quiet;
+    quiet.log = nullptr;
     std::printf("building dataset (this runs one campaign per scenario)...\n");
-    for (isa::Profile p : {isa::Profile::V7, isa::Profile::V8}) {
-        for (npb::App app : {npb::App::EP, npb::App::IS, npb::App::CG, npb::App::MG,
-                             npb::App::LU, npb::App::DC}) {
-            const npb::Scenario s{p, app, npb::Api::Serial, 1, npb::Klass::S};
-            d.add(core::run_campaign(s, cfg), prof::profile_scenario(s));
-            std::printf("  %s done\n", s.name().c_str());
-        }
+    const exp::DriverResult res = exp::run_experiment(plan, quiet);
+    mine::Dataset d;
+    for (const core::CampaignResult& r : res.results) {
+        d.add(r, prof::profile_scenario(r.scenario));
+        std::printf("  %s done\n", r.scenario.name().c_str());
     }
 
     const std::string csv_path = cli.get("csv", "");

@@ -4,7 +4,7 @@
 //   ./examples/quickstart [--app EP] [--isa v7|v8] [--faults 100]
 #include <cstdio>
 
-#include "core/campaign.hpp"
+#include "exp/driver.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -34,10 +34,20 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.time_ticks()));
     std::printf("console:\n%s\n", m.output(0).c_str());
 
-    // 2-4. fault campaign
-    core::CampaignConfig cfg;
-    cfg.n_faults = static_cast<unsigned>(cli.get_int("faults", 100));
-    const auto r = core::run_campaign(s, cfg);
+    // 2-4. fault campaign: a one-cell experiment spec with no out prefix
+    // runs in memory and hands the results back.
+    exp::ExperimentSpec spec;
+    spec.out.clear();
+    spec.klass = npb::klass_name(s.klass);
+    spec.cross_product = false;
+    spec.cells = {{isa::profile_short_name(s.isa), npb::app_name(s.app),
+                   npb::api_name(s.api), s.cores}};
+    spec.faults = static_cast<unsigned>(cli.get_int("faults", 100));
+    exp::ExperimentPlan plan(std::move(spec));
+    exp::DriverOptions quiet;
+    quiet.log = nullptr;
+    const core::CampaignResult r =
+        exp::run_experiment(plan, quiet).results.front();
     util::Table t({"outcome", "count", "share"});
     for (unsigned o = 0; o < core::kOutcomeCount; ++o) {
         const auto oc = static_cast<core::Outcome>(o);
@@ -46,6 +56,6 @@ int main(int argc, char** argv) {
     }
     std::printf("%u register bit-flips, uniformly random over the application "
                 "lifespan:\n%s\nmasking rate (Vanished+ONA): %.1f%%\n",
-                cfg.n_faults, t.str().c_str(), r.masked_pct());
+                plan.spec().faults, t.str().c_str(), r.masked_pct());
     return 0;
 }

@@ -3,7 +3,7 @@
 # Usage: cmake -DSEREP_BIN=... -DGOLDEN_DIR=.../tests/golden -P check_help.cmake
 #
 # Regenerating after an intentional help change:
-#   for s in "" run plan fleet campaign shard merge report version; do
+#   for s in "" run plan fleet report version; do
 #     build/serep $s --help > tests/golden/help_${s:-overview}.txt
 #   done
 # (the empty subcommand writes help_overview.txt)
@@ -12,7 +12,7 @@ if(NOT SEREP_BIN OR NOT GOLDEN_DIR)
 endif()
 
 set(failed "")
-foreach(sub overview run plan fleet campaign shard merge report version)
+foreach(sub overview run plan fleet report version)
   if(sub STREQUAL "overview")
     execute_process(COMMAND ${SEREP_BIN} --help
                     OUTPUT_VARIABLE got RESULT_VARIABLE rc)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "orch/batch_runner.hpp"
 #include "uncore/uncore.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
@@ -96,17 +95,6 @@ std::vector<Fault> make_fault_list(const sim::Machine& m, const GoldenRef& golde
         return a.at_retired < b.at_retired;
     });
     return faults;
-}
-
-CampaignResult run_campaign(const npb::Scenario& s, const CampaignConfig& cfg) {
-    // Thin single-job wrapper over the orchestrator: one scenario, its own
-    // pool of cfg.host_threads workers, auto checkpoint stride.
-    orch::BatchOptions opts;
-    opts.threads = std::max(1u, cfg.host_threads);
-    orch::BatchRunner runner(opts);
-    runner.add(s, cfg);
-    auto results = runner.run_all();
-    return std::move(results.front());
 }
 
 std::string campaign_csv(const CampaignResult& r) {

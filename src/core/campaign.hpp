@@ -9,9 +9,11 @@
 // Results are bit-deterministic for a given seed, independent of the host
 // thread count and of the checkpoint stride.
 //
-// run_campaign() is a thin single-job wrapper over orch::BatchRunner; batch
-// drivers (examples/full_campaign, bench/bench_table*) submit many jobs to
-// one runner so golden runs are shared and fault runs interleave.
+// This header holds the campaign's data model: one job's configuration, its
+// fault records and their database exports. Campaigns execute through
+// orch::BatchRunner, which shares golden runs across jobs and interleaves
+// their fault runs on one pool; `serep run` / `serep fleet` drive it from an
+// experiment spec (src/exp/).
 #pragma once
 
 #include <array>
@@ -33,7 +35,6 @@ struct CampaignConfig {
     /// architectural ones; GPR is the "not an uncore campaign" sentinel and
     /// leaves include_fp_regs/memory_faults in charge.
     FaultTarget::Kind uncore_kind = FaultTarget::Kind::GPR;
-    unsigned host_threads = 2;
 };
 
 struct FaultRecord {
@@ -67,9 +68,6 @@ struct CampaignResult {
 std::vector<Fault> make_fault_list(const sim::Machine& golden_machine,
                                    const GoldenRef& golden,
                                    const CampaignConfig& cfg);
-
-/// Run the full campaign for one scenario.
-CampaignResult run_campaign(const npb::Scenario& s, const CampaignConfig& cfg);
 
 /// Append per-fault records as CSV rows (phase 4 database export).
 std::string campaign_csv(const CampaignResult& r);

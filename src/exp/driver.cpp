@@ -174,9 +174,9 @@ ShardDbState classify_shard_db(const std::string& raw,
     }
     util::check_valid(has_hash,
                       label +
-                          " carries no experiment annotation (written by a "
-                          "legacy `serep shard`?) — delete it or move it out "
-                          "of the way");
+                          " carries no experiment annotation (not written by "
+                          "`serep run` or `serep fleet`) — delete it or move "
+                          "it out of the way");
     util::check_valid(
         hash == plan.spec_hash_hex(),
         label + " belongs to a different experiment (spec " + hash +
@@ -234,8 +234,8 @@ ShardDbState probe_shard_db(const ExperimentPlan& plan, unsigned k, unsigned n,
 namespace {
 
 /// Render the spec's requested report files from the merged campaign JSONL
-/// (the same input shape `serep report` consumes, so the rendered bytes are
-/// identical to the legacy report pipeline's).
+/// (the same input `serep report` consumes, so the rendered bytes equal a
+/// `serep report` over that file).
 void render_reports(ExperimentPlan& plan, DriverResult& res, std::FILE* log) {
     const ExperimentSpec& spec = plan.spec();
     if (spec.report_md.empty() && spec.report_csv.empty() &&
@@ -340,7 +340,7 @@ DriverResult run_adaptive(ExperimentPlan& plan, const DriverOptions& opts) {
                       "pruning classifies a fixed list up front");
     DriverResult res;
     res.fault_space = plan.jobs().size() * spec.faults;
-    if (opts.resume && state_matches(plan)) {
+    if (state_matches(plan)) {
         logf(opts.log, "[skip] experiment complete (state %s matches spec %s)\n",
              plan.state_path().c_str(), plan.spec_hash_hex().c_str());
         res.shards_skipped = 1;
@@ -397,10 +397,7 @@ DriverResult run_adaptive(ExperimentPlan& plan, const DriverOptions& opts) {
          "sizing target-ci=%.3f: injected %zu of %zu faults -> %s, %s\n",
          spec.target_ci, res.injected, space, plan.csv_path().c_str(),
          plan.jsonl_path().c_str());
-    // The completion sidecar exists only for the resume machinery; the
-    // legacy shim (resume off) must not leave artifacts the old
-    // `serep campaign --target-ci` never produced.
-    if (opts.resume) write_state(plan);
+    write_state(plan);
     res.results.reserve(adaptive.size());
     for (const stats::AdaptiveJobResult& a : adaptive)
         res.results.push_back(a.result);
@@ -408,6 +405,8 @@ DriverResult run_adaptive(ExperimentPlan& plan, const DriverOptions& opts) {
     return res;
 }
 
+/// In-memory experiment (spec.out empty): one BatchRunner pass, results
+/// returned, nothing written.
 DriverResult run_direct(ExperimentPlan& plan, const DriverOptions& opts) {
     const ExperimentSpec& spec = plan.spec();
     DriverResult res;
@@ -416,17 +415,6 @@ DriverResult run_direct(ExperimentPlan& plan, const DriverOptions& opts) {
     const orch::BatchOptions bopts = resolved_batch_options(spec, opts);
     orch::BatchRunner runner(bopts);
     for (const PlannedJob& j : plan.jobs()) runner.add(j.scenario, j.cfg);
-
-    std::ofstream csv, jsonl;
-    if (!spec.out.empty()) {
-        csv.open(plan.csv_path());
-        jsonl.open(plan.jsonl_path());
-        util::check(csv.good(), "cannot open output file " + plan.csv_path());
-        util::check(jsonl.good(),
-                    "cannot open output file " + plan.jsonl_path());
-        runner.set_csv_sink(&csv);
-        runner.set_json_sink(&jsonl);
-    }
     res.results = runner.run_all();
     for (std::size_t i = 0; i < res.results.size(); ++i) {
         res.injected += res.results[i].records.size();
@@ -438,18 +426,6 @@ DriverResult run_direct(ExperimentPlan& plan, const DriverOptions& opts) {
     res.inferred = runner.inferred_records();
     log_prune(runner, bopts, opts.log);
     res.shards_run = 1;
-    if (!spec.out.empty()) {
-        // Close before rendering: render_reports re-reads the JSONL from
-        // disk and must see the buffered tail.
-        csv.close();
-        jsonl.close();
-        util::check(!csv.fail() && !jsonl.fail(),
-                    "error writing campaign databases");
-        res.merged = true;
-        logf(opts.log, "campaign: %zu jobs -> %s, %s\n", plan.jobs().size(),
-             plan.csv_path().c_str(), plan.jsonl_path().c_str());
-        render_reports(plan, res, opts.log);
-    }
     return res;
 }
 
@@ -502,23 +478,21 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
 
     const auto run_one = [&](unsigned k, const std::string& path) {
         telemetry::Span span("shard:" + std::to_string(k));
-        if (k < n) db_paths[k] = path;
-        if (opts.resume) {
-            std::string found;
-            const ShardDbState state = probe_shard_db(plan, k, n, &found);
-            if (state == ShardDbState::Match) {
-                logf(opts.log, "[skip] shard %u/%u: %s matches spec %s\n", k,
-                     n, found.c_str(), plan.spec_hash_hex().c_str());
-                if (k < n) db_paths[k] = found;
-                ++res.shards_skipped;
-                return;
-            }
-            if (state == ShardDbState::Incomplete)
-                logf(opts.log,
-                     "shard %u/%u: %s is truncated (interrupted worker?) — "
-                     "re-running\n",
-                     k, n, found.c_str());
+        db_paths[k] = path;
+        std::string found;
+        const ShardDbState state = probe_shard_db(plan, k, n, &found);
+        if (state == ShardDbState::Match) {
+            logf(opts.log, "[skip] shard %u/%u: %s matches spec %s\n", k, n,
+                 found.c_str(), plan.spec_hash_hex().c_str());
+            db_paths[k] = found;
+            ++res.shards_skipped;
+            return;
         }
+        if (state == ShardDbState::Incomplete)
+            logf(opts.log,
+                 "shard %u/%u: %s is truncated (interrupted worker?) — "
+                 "re-running\n",
+                 k, n, found.c_str());
         std::ofstream os(path, std::ios::binary);
         util::check(os.good(), "cannot open output file " + path);
         const orch::ShardRunStats st = run_into(k, os, path);
@@ -568,7 +542,7 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
             res.fault_space = st.fault_space;
             return res;
         }
-        run_one(k, opts.shard_out.empty() ? shard_path(k) : opts.shard_out);
+        run_one(k, shard_path(k));
         return res;
     }
 
@@ -634,9 +608,10 @@ DriverResult run_experiment(ExperimentPlan& plan, const DriverOptions& opts) {
                               "shards");
             return run_adaptive(plan, opts);
         }
-        if (opts.direct || spec.out.empty()) {
+        if (spec.out.empty()) {
             util::check_usage(opts.only_shard < 0,
-                              "only_shard requires the sharded execution path");
+                              "only_shard needs spec.out (an in-memory "
+                              "experiment writes no shard databases)");
             return run_direct(plan, opts);
         }
         return run_sharded(plan, opts);

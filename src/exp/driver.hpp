@@ -1,24 +1,26 @@
 // exp::Driver (layer 3 of src/exp/): execute a planned experiment end to
-// end — golden runs, shard/fault runs, merge, report — with resume.
+// end — golden runs, shard/fault runs, merge, report — with resume. It is
+// the one campaign front door: `serep run`, `serep fleet` (whose final
+// merge is one resume run of this driver), examples/full_campaign and the
+// bench drivers all go through run_experiment().
 //
 // Three execution paths, chosen by the spec:
 //
 //  * adaptive (fault.target_ci > 0): the stats sizer's sequential stopping
-//    rule, single process; CSV/JSONL outputs byte-identical to the legacy
-//    `serep campaign --target-ci` path. Completion is recorded in a small
+//    rule, single process, writing `<out>_faults.csv` /
+//    `<out>_campaigns.jsonl` directly. Completion is recorded in a small
 //    `<out>.exp.json` sidecar carrying the spec hash (the CSV itself
-//    cannot carry one without changing bytes).
-//  * direct (DriverOptions::direct, or spec.out empty): one BatchRunner
-//    pass streaming CSV/JSONL exactly like the legacy `serep campaign` /
-//    `full_campaign` code — the compatibility shim path. No resume, no
-//    intermediate files. With spec.out empty nothing is written at all and
-//    the results come back in memory (the bench drivers).
-//  * sharded (default for `serep run`, any shard count >= 1): each shard k
-//    runs to `<out>_shard<k>.jsonl` — its manifest annotated with the spec
-//    hash — then the shards merge into the canonical `<out>_faults.csv` /
-//    `<out>_campaigns.jsonl`, byte-identical to the single-process run
-//    (the PR-2 invariant), and the requested reports are rendered from the
-//    merged database.
+//    cannot carry one without changing bytes); a re-run whose sidecar
+//    matches skips the sizing and only re-renders the reports.
+//  * in-memory (spec.out empty): one BatchRunner pass, nothing written —
+//    the results come back in DriverResult::results (the bench drivers and
+//    the examples).
+//  * sharded (every spec with an out prefix, any shard count >= 1): each
+//    shard k runs to `<out>_shard<k>.jsonl` — its manifest annotated with
+//    the spec hash — then the shards merge into the canonical
+//    `<out>_faults.csv` / `<out>_campaigns.jsonl`, byte-identical for every
+//    shard count and partition, and the requested reports are rendered
+//    from the merged database.
 //
 // Resume: a shard database already on disk whose manifest carries this
 // spec's hash is skipped (its bytes ARE the job's output — determinism
@@ -51,18 +53,9 @@ enum class PruneMode : std::uint8_t {
 };
 
 struct DriverOptions {
-    /// Skip shard databases whose manifests match the spec hash; refuse
-    /// mismatches. Off = always re-run, overwrite (legacy shim semantics).
-    bool resume = true;
     /// >= 0: run only this shard index, write its database, stop (no merge,
     /// no report).
     int only_shard = -1;
-    /// Override the shard database path when only_shard >= 0 (the legacy
-    /// `serep shard --out=FILE` spelling). Empty = plan.shard_db_path(k).
-    std::string shard_out;
-    /// Force the direct single-pass path regardless of spec.shards (legacy
-    /// `serep campaign` / `full_campaign` compatibility).
-    bool direct = false;
     /// Equivalence-pruning override; Spec = whatever spec.prune says.
     PruneMode prune = PruneMode::Spec;
     /// Write shard databases zstd-framed to `<shard path>.zst` (store codec

@@ -10,13 +10,6 @@ namespace serep::exp {
 
 namespace {
 
-npb::Klass klass_from_spec(const std::string& name) {
-    for (npb::Klass k : {npb::Klass::Mini, npb::Klass::S, npb::Klass::W})
-        if (name == npb::klass_name(k)) return k;
-    util::fail_usage("spec: unknown problem class '" + name +
-                     "' (expected Mini, S, or W)");
-}
-
 const char* isa_str(const npb::Scenario& s) noexcept {
     return isa::profile_short_name(s.isa);
 }
@@ -38,12 +31,12 @@ ExperimentPlan::ExperimentPlan(ExperimentSpec spec) : spec_(std::move(spec)) {
     spec_hash_ = spec_.spec_hash();
     hash_hex_ = spec_.spec_hash_hex();
 
-    const npb::Klass klass = klass_from_spec(spec_.klass);
+    npb::Klass klass = npb::Klass::S;
+    npb::klass_from_name(spec_.klass, klass); // validate() vetted the name
     core::CampaignConfig base;
     base.n_faults = spec_.faults;
     base.seed = spec_.seed;
     base.watchdog_factor = spec_.watchdog;
-    base.host_threads = spec_.threads;
 
     const std::vector<npb::Scenario> all = npb::paper_scenarios(klass);
 

@@ -6,13 +6,14 @@
 // kinds[0], then for kinds[1], ... — so a single-kind spec's job list (and
 // ordering) is exactly what it was before fault.kind grew a list form.
 //
-// Canonical job order is the paper_scenarios() order PR 1's filter_scenarios
-// has always produced (so a spec-driven run is byte-identical to the legacy
-// flag-driven one), with one extension: explicit matrix.cells come first, in
-// the order the spec lists them, and the cross-product matches follow minus
-// any duplicates. Each job gets a stable human-readable id
-// ("ARMv7-EP-SER-1-Mini-gpr") and the whole plan carries the spec hash that
-// flows into shard manifests, resume checks, and report provenance.
+// Canonical job order is the paper_scenarios() order, filtered by the
+// matrix selectors (tests/golden/plan_paper_mini.txt pins it: every
+// database's job order rests on it), with one extension: explicit
+// matrix.cells come first, in the order the spec lists them, and the
+// cross-product matches follow minus any duplicates. Each job gets a stable
+// human-readable id ("ARMv7-EP-SER-1-Mini-gpr") and the whole plan carries
+// the spec hash that flows into shard manifests, resume checks, and report
+// provenance.
 //
 // The plan also owns the weighted-partition probe: weights are probed at
 // most ONCE per plan (or taken verbatim from spec.shard.weights) and the

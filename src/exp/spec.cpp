@@ -8,6 +8,7 @@
 
 #include "core/fault.hpp"
 #include "npb/npb.hpp"
+#include "orch/shard.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
 
@@ -157,7 +158,8 @@ bool valid_api(const std::string& s) {
 }
 
 bool valid_klass(const std::string& s) {
-    return s == "Mini" || s == "S" || s == "W";
+    npb::Klass k = npb::Klass::S;
+    return npb::klass_from_name(s, k);
 }
 
 bool valid_kind(const std::string& s) {
@@ -474,8 +476,9 @@ void ExperimentSpec::validate() const {
         "spec: engine.engine '" + engine + "' (cached | switch | trace)");
     util::check_usage(threads >= 1, "spec: engine.threads must be >= 1");
 
-    util::check_usage(shards >= 1 && shards <= 4096,
-                      "spec: shard.count must be in [1, 4096]");
+    util::check_usage(shards >= 1 && shards <= orch::kMaxShardCount,
+                      "spec: shard.count must be in [1, " +
+                          std::to_string(orch::kMaxShardCount) + "]");
     util::check_usage(partition == "uniform" || partition == "weighted",
                       "spec: shard.partition '" + partition +
                           "' (uniform | weighted)");
@@ -619,63 +622,6 @@ std::string ExperimentSpec::spec_hash_hex() const {
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(spec_hash()));
     return buf;
-}
-
-std::vector<std::string> legacy_cli_flags() {
-    return {"isa",    "api",         "app",
-            "class",  "kind",        "faults",
-            "seed",   "threads",     "engine",
-            "stride", "no-adaptive", "no-checkpoints",
-            "no-delta", "out"};
-}
-
-ExperimentSpec spec_from_legacy_cli(const util::Cli& cli) {
-    ExperimentSpec s;
-    s.name = "legacy-flags";
-    s.out = cli.get("out", "campaign");
-    s.klass = cli.get("class", "S");
-    const auto one = [](const std::string& v) {
-        return v.empty() ? std::vector<std::string>{}
-                         : std::vector<std::string>{v};
-    };
-    s.isas = one(cli.get("isa", ""));
-    s.apps = one(cli.get("app", ""));
-    s.apis = one(cli.get("api", ""));
-
-    s.kinds = {cli.get("kind", "gpr")};
-    // Range-check before the unsigned narrowing: --faults=-3 or a > 2^32
-    // value must be a usage error, not a silent wrap into a different
-    // campaign (the JSON path's get_uint guards the same field).
-    const std::int64_t faults = cli.get_int("faults", 100);
-    util::check_usage(faults >= 1 && faults <= 0xFFFFFFFFll,
-                      "--faults must be in [1, 4294967295]");
-    s.faults = static_cast<unsigned>(faults);
-    s.seed = static_cast<std::uint64_t>(cli.get_int("seed", 0xDAC2018));
-    const std::int64_t threads = cli.get_int("threads", 2);
-    s.threads = threads < 1 ? 1 : static_cast<unsigned>(threads);
-    s.engine = cli.get("engine", "cached");
-    s.stride = static_cast<std::uint64_t>(cli.get_int("stride", 0));
-    s.checkpoints = !cli.has("no-checkpoints");
-    s.delta = !cli.has("no-delta");
-    s.adaptive = !cli.has("no-adaptive");
-
-    if (cli.has("target-ci")) {
-        s.target_ci = cli.get_double("target-ci", 0.05);
-        s.ci_confidence = cli.get_double("confidence", 0.95);
-        const std::int64_t batch = cli.get_int("ci-batch", 50);
-        const std::int64_t min_faults = cli.get_int("ci-min", 20);
-        // Range-check before the unsigned narrowing below, so a negative
-        // value cannot wrap into an absurd-but-positive batch size.
-        util::check_usage(batch > 0 && batch <= 1'000'000,
-                          "--ci-batch must be in [1, 1000000]");
-        util::check_usage(min_faults >= 0 && min_faults <= 1'000'000,
-                          "--ci-min must be in [0, 1000000]");
-        s.ci_batch = static_cast<unsigned>(batch);
-        s.ci_min = static_cast<unsigned>(min_faults);
-    }
-
-    s.validate();
-    return s;
 }
 
 } // namespace serep::exp

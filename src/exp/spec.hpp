@@ -9,7 +9,7 @@
 //   * the scenario matrix (ISA / app / API / cores sets, cross-product
 //     and/or explicit cells),
 //   * the fault model (gpr | fp | mem | cache-tag | cache-data | bus — one
-//     kind or a list, fixed count or --target-ci sizing),
+//     kind or a list, fixed count or fault.target_ci sizing),
 //   * engine and checkpoint knobs,
 //   * shard partitioning (uniform or weighted, shard count, baked weights),
 //   * report outputs (markdown / CSV / figure-JSON paths).
@@ -40,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "util/cli.hpp"
 #include "util/json.hpp"
 
 namespace serep::exp {
@@ -57,8 +56,9 @@ struct ExperimentSpec {
     // ---- identity / outputs -------------------------------------------
     std::string name = "experiment";
     /// Output file prefix: <out>_faults.csv, <out>_campaigns.jsonl,
-    /// <out>_shard<k>.jsonl. Empty = in-memory experiment (no files; only
-    /// the direct single-process path supports this — the bench drivers).
+    /// <out>_shard<k>.jsonl. Empty = in-memory experiment (no files, the
+    /// results come back from exp::run_experiment — the bench drivers and
+    /// examples).
     std::string out = "campaign";
 
     // ---- scenario matrix ----------------------------------------------
@@ -168,19 +168,5 @@ struct ExperimentSpec {
     /// for uncore faults.
     void validate() const;
 };
-
-/// Synthesize a spec from the legacy serep/full_campaign flag set
-/// (--isa/--api/--app/--class/--kind/--faults/--seed/--threads/--engine/
-/// --stride/--no-checkpoints/--no-delta/--no-adaptive/--target-ci/
-/// --confidence/--ci-batch/--ci-min/--out). This is the compatibility shim
-/// the legacy subcommands run through — the old per-subcommand CLI->options
-/// plumbing lives nowhere else anymore.
-ExperimentSpec spec_from_legacy_cli(const util::Cli& cli);
-
-/// The filter/config flags spec_from_legacy_cli understands (without the
-/// campaign-only --target-ci family) — the one list every legacy front end
-/// (serep shims, full_campaign) passes to Cli::require_known, so the audit
-/// can never drift from the parser.
-std::vector<std::string> legacy_cli_flags();
 
 } // namespace serep::exp

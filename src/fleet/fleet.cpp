@@ -446,7 +446,6 @@ FleetResult run_fleet(exp::ExperimentPlan& plan, const FleetOptions& opts,
     // Every shard probes as Match, so merge + report reuse the exact
     // single-process machinery — byte-identity is inherited, not re-proven.
     exp::DriverOptions dopts;
-    dopts.resume = true;
     dopts.compress_shards = opts.compress;
     dopts.log = opts.log;
     res.final = exp::run_experiment(plan, dopts);

@@ -46,6 +46,16 @@ const char* klass_name(Klass k) noexcept {
     return "??";
 }
 
+bool klass_from_name(const std::string& name, Klass& out) noexcept {
+    for (Klass k : {Klass::Mini, Klass::S, Klass::W}) {
+        if (name == klass_name(k)) {
+            out = k;
+            return true;
+        }
+    }
+    return false;
+}
+
 bool app_has_api(App app, Api api) noexcept {
     if (api == Api::MPI) return app != App::DC && app != App::UA;
     if (api == Api::OMP) return app != App::DT;

@@ -33,6 +33,8 @@ inline constexpr App kAllApps[] = {App::BT, App::CG, App::DC, App::DT,
 const char* app_name(App a) noexcept;
 const char* api_name(Api a) noexcept;
 const char* klass_name(Klass k) noexcept;
+/// Strict inverse of klass_name ("Mini" / "S" / "W"); false on anything else.
+bool klass_from_name(const std::string& name, Klass& out) noexcept;
 
 /// Does this (app, api) combination exist (paper §3.3.2)?
 bool app_has_api(App app, Api api) noexcept;

@@ -17,13 +17,12 @@ namespace {
 using util::fnv1a_str;
 using util::fnv1a_u64;
 
-using npb::klass_name;
-
 npb::Klass klass_from_name(const std::string& s) {
-    for (npb::Klass k : {npb::Klass::Mini, npb::Klass::S, npb::Klass::W})
-        if (s == klass_name(k)) return k;
-    throw util::ValidationError("unknown problem class '" + s +
-                                "' (expected Mini, S, or W)");
+    npb::Klass k = npb::Klass::S;
+    if (!npb::klass_from_name(s, k))
+        throw util::ValidationError("unknown problem class '" + s +
+                                    "' (expected Mini, S, or W)");
+    return k;
 }
 
 isa::Profile profile_from_name(const std::string& s) {
@@ -67,24 +66,13 @@ std::uint64_t fault_id(const core::Fault& f) noexcept {
     return h;
 }
 
-std::vector<npb::Scenario> filter_scenarios(const CampaignFilter& f) {
-    std::vector<npb::Scenario> out;
-    for (const npb::Scenario& s : npb::paper_scenarios(f.klass)) {
-        if (!f.isa.empty() && f.isa != isa::profile_short_name(s.isa))
-            continue;
-        if (!f.api.empty() && f.api != npb::api_name(s.api)) continue;
-        if (!f.app.empty() && f.app != npb::app_name(s.app)) continue;
-        out.push_back(s);
-    }
-    return out;
-}
-
-npb::Klass parse_klass(const std::string& name) {
-    for (npb::Klass k : {npb::Klass::Mini, npb::Klass::S, npb::Klass::W})
-        if (name == klass_name(k)) return k;
-    // CLI path: a typo is a usage error, not a data-validation one.
-    util::fail_usage("unknown problem class '" + name +
-                     "' (expected Mini, S, or W)");
+void check_shard_slot(std::uint64_t count, std::uint64_t index,
+                      const std::string& who) {
+    util::check_valid(count >= 1 && count <= kMaxShardCount,
+                      who + ": shard count " + std::to_string(count) +
+                          " is outside [1, " +
+                          std::to_string(kMaxShardCount) + "]");
+    util::check_valid(index < count, who + ": bad shard index");
 }
 
 std::uint64_t campaign_config_hash(const std::vector<ShardJobSpec>& jobs) {
@@ -162,7 +150,7 @@ ShardRunStats write_shard_db(const std::vector<ShardJobSpec>& jobs,
             w.key("app").value(npb::app_name(spec.scenario.app));
             w.key("api").value(npb::api_name(spec.scenario.api));
             w.key("cores").value(spec.scenario.cores);
-            w.key("class").value(klass_name(spec.scenario.klass));
+            w.key("class").value(npb::klass_name(spec.scenario.klass));
             w.key("fma").value(spec.scenario.contract_fma);
             w.key("n_faults").value(spec.cfg.n_faults);
             w.key("seed").value(spec.cfg.seed);
@@ -457,17 +445,17 @@ std::vector<core::CampaignResult> merge_shards(
                     "shard merge: not a serep shard database");
         util::check_valid(manifest.at("version").as_u64() == kVersion,
                     "shard merge: unsupported shard database version");
-        const unsigned count = static_cast<unsigned>(manifest.at("count").as_u64());
-        const unsigned index = static_cast<unsigned>(manifest.at("shard").as_u64());
+        const std::uint64_t count = manifest.at("count").as_u64();
+        const std::uint64_t index = manifest.at("shard").as_u64();
+        check_shard_slot(count, index, "shard merge");
         const std::string hash = manifest.at("config_hash").as_string();
         // Pre-PR-4 databases carry no partition id; they were all uniform.
         const util::JsonValue* part = manifest.find("partition");
         const std::string partition = part ? part->as_string() : "uniform";
-        util::check_valid(count >= 1 && index < count, "shard merge: bad shard index");
 
         if (first_db) {
             first_db = false;
-            shard_count = count;
+            shard_count = static_cast<unsigned>(count);
             config_hash = hash;
             partition_id = partition;
             seen_shards.assign(count, 0);

@@ -21,7 +21,10 @@
 //    orch_test and CI assert.
 //
 // Shards can run in separate processes or on separate hosts; the database
-// files are plain text and order-independent under merge.
+// files are plain text and order-independent under merge. The exp::Driver
+// is the front end to both halves: `serep run spec.json --shard=k/n` (or a
+// `serep fleet` worker) writes shard k, and a plain `serep run spec.json`
+// merges the pieces once they have all landed.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +35,18 @@
 #include "orch/batch_runner.hpp"
 
 namespace serep::orch {
+
+/// Most shards one campaign may be cut into. Specs are validated against it
+/// (shard.count), and readers check a database manifest's count against it
+/// before narrowing or sizing anything by it, so a forged count can neither
+/// wrap into a different shard layout nor drive a huge allocation.
+constexpr unsigned kMaxShardCount = 4096;
+
+/// Check a shard manifest's u64 "count" and "shard" fields before they are
+/// narrowed: count in [1, kMaxShardCount], index below it. Throws
+/// util::ValidationError prefixed with `who`.
+void check_shard_slot(std::uint64_t count, std::uint64_t index,
+                      const std::string& who);
 
 /// Stable content id of a fault: depends only on the strike instant and the
 /// target, never on list order or shard count.
@@ -96,19 +111,6 @@ struct ShardJobSpec {
 /// length (one throwaway probe execution per distinct scenario, the same
 /// probe the adaptive checkpoint stride runs) x the job's fault count.
 std::vector<double> probe_job_weights(const std::vector<ShardJobSpec>& jobs);
-
-/// Scenario subset selection shared by full_campaign and the serep tool.
-/// Empty strings match everything; names follow the CLI convention:
-/// isa "v7"/"v8", npb::api_name ("SER"/"OMP"/"MPI"), npb::app_name ("EP", ...).
-struct CampaignFilter {
-    std::string isa, api, app;
-    npb::Klass klass = npb::Klass::S;
-};
-std::vector<npb::Scenario> filter_scenarios(const CampaignFilter& f);
-
-/// Strict problem-class parse ("Mini" / "S" / "W"); throws util::Error on
-/// anything else, so a typo cannot silently select a different campaign.
-npb::Klass parse_klass(const std::string& name);
 
 /// Hash over the exact job list (scenarios + campaign configs). Two shard
 /// databases merge only if their hashes match: same jobs, same seeds, same

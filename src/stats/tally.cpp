@@ -2,6 +2,7 @@
 
 #include <tuple>
 
+#include "orch/shard.hpp"
 #include "uncore/uncore.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
@@ -213,11 +214,13 @@ void OutcomeTally::add_shard_db(const std::string& contents,
     // one campaign overlap and leave gaps — blending them would silently
     // double-count some faults and drop others), and no shard twice.
     const std::string hash = manifest.at("config_hash").as_string();
-    const unsigned count = static_cast<unsigned>(manifest.at("count").as_u64());
-    const unsigned index = static_cast<unsigned>(manifest.at("shard").as_u64());
+    const std::uint64_t count64 = manifest.at("count").as_u64();
+    const std::uint64_t index64 = manifest.at("shard").as_u64();
+    orch::check_shard_slot(count64, index64, label);
+    const unsigned count = static_cast<unsigned>(count64);
+    const unsigned index = static_cast<unsigned>(index64);
     const util::JsonValue* part = manifest.find("partition");
     const std::string partition = part ? part->as_string() : "uniform";
-    util::check_valid(count >= 1 && index < count, label + ": bad shard index");
     if (shard_hash_.empty()) {
         shard_hash_ = hash;
         shard_count_ = count;

@@ -49,27 +49,23 @@ double Cli::get_double(const std::string& key, double dflt) const {
     return it == kv_.end() ? dflt : std::strtod(it->second.c_str(), nullptr);
 }
 
-void Cli::require_known(const std::vector<std::string>& known) const {
+void Cli::require_known(std::initializer_list<const char*> known) const {
     std::string offenders;
     for (const auto& kv : kv_) {
         if (kv.first == "help") continue;
         bool ok = false;
-        for (const std::string& k : known) ok = ok || kv.first == k;
+        for (const char* k : known) ok = ok || kv.first == k;
         if (!ok) offenders += (offenders.empty() ? "--" : ", --") + kv.first;
     }
     if (offenders.empty()) return;
-    if (known.empty())
+    if (known.size() == 0)
         fail_usage("unknown flag " + offenders +
                    " (this command takes no --flags)");
     std::string expected;
-    for (const std::string& k : known)
-        expected += (expected.empty() ? "--" : ", --") + k;
+    for (const char* k : known)
+        expected += (expected.empty() ? "--" : ", --") + std::string(k);
     fail_usage("unknown flag " + offenders + " (known flags here: " +
                expected + ")");
-}
-
-void Cli::require_known(std::initializer_list<const char*> known) const {
-    require_known(std::vector<std::string>(known.begin(), known.end()));
 }
 
 } // namespace serep::util

@@ -35,12 +35,9 @@ public:
 
     /// The unknown-flag audit: throw util::UsageError naming every parsed
     /// --flag outside `known` ("--help" is always allowed). A mistyped flag
-    /// must never be silently ignored — before this audit, `serep campaign
-    /// --fault=500` happily ran 100 faults.
+    /// must never be silently ignored (`--fault=500` for `--faults=500`
+    /// would otherwise run the default fault count).
     void require_known(std::initializer_list<const char*> known) const;
-    /// Same audit over a runtime-assembled list (shared flag sets like
-    /// exp::legacy_cli_flags()).
-    void require_known(const std::vector<std::string>& known) const;
 
 private:
     std::map<std::string, std::string> kv_;

@@ -7,6 +7,7 @@
 
 #include "core/campaign.hpp"
 #include "mine/mining.hpp"
+#include "orch/batch_runner.hpp"
 #include "prof/profile.hpp"
 
 using namespace serep;
@@ -20,6 +21,17 @@ using npb::Scenario;
 namespace {
 
 const Scenario kSmall{isa::Profile::V8, App::EP, Api::Serial, 1, Klass::Mini};
+
+/// One campaign on a BatchRunner `threads` wide (the runner's width is the
+/// only thread knob; results must not depend on it).
+core::CampaignResult run_one(const Scenario& s, const CampaignConfig& cfg,
+                             unsigned threads = 2) {
+    orch::BatchOptions opts;
+    opts.threads = threads;
+    orch::BatchRunner runner(opts);
+    runner.add(s, cfg);
+    return std::move(runner.run_all().front());
+}
 
 sim::Machine golden_of(const Scenario& s) {
     sim::Machine m = npb::make_machine(s, false);
@@ -126,16 +138,14 @@ TEST(Campaign, TargetSpaceMatchesProfile) {
 TEST(Campaign, CountsSumToTotalAndDeterministic) {
     CampaignConfig cfg;
     cfg.n_faults = 40;
-    cfg.host_threads = 2;
-    const auto r1 = core::run_campaign(kSmall, cfg);
+    const auto r1 = run_one(kSmall, cfg, 2);
     EXPECT_EQ(r1.total(), 40u);
     double pct_sum = 0;
     for (unsigned o = 0; o < core::kOutcomeCount; ++o)
         pct_sum += r1.pct(static_cast<Outcome>(o));
     EXPECT_NEAR(pct_sum, 100.0, 1e-9);
 
-    cfg.host_threads = 1; // thread count must not change results
-    const auto r2 = core::run_campaign(kSmall, cfg);
+    const auto r2 = run_one(kSmall, cfg, 1); // thread count must not matter
     EXPECT_EQ(r1.counts, r2.counts);
     for (std::size_t i = 0; i < r1.records.size(); ++i)
         EXPECT_EQ(r1.records[i].outcome, r2.records[i].outcome) << i;
@@ -144,7 +154,7 @@ TEST(Campaign, CountsSumToTotalAndDeterministic) {
 TEST(Campaign, SomeFaultsAreMaskedSomeAreNot) {
     CampaignConfig cfg;
     cfg.n_faults = 120;
-    const auto r = core::run_campaign(kSmall, cfg);
+    const auto r = run_one(kSmall, cfg);
     // uniform random register strikes: a healthy fraction must vanish and
     // at least some must do damage (very weak bounds by design)
     EXPECT_GT(r.counts[0] + r.counts[1], 20u); // Vanished+ONA
@@ -154,7 +164,7 @@ TEST(Campaign, SomeFaultsAreMaskedSomeAreNot) {
 TEST(Campaign, CsvExportHasHeaderAndRows) {
     CampaignConfig cfg;
     cfg.n_faults = 10;
-    const auto r = core::run_campaign(kSmall, cfg);
+    const auto r = run_one(kSmall, cfg);
     const auto csv = core::campaign_csv(r);
     EXPECT_NE(csv.find("scenario,at,kind"), std::string::npos);
     EXPECT_EQ(static_cast<std::size_t>(std::count(csv.begin(), csv.end(), '\n')),
@@ -207,9 +217,9 @@ TEST(Mining, StatsBasics) {
 TEST(Mining, MismatchIsSymmetricAndZeroOnSelf) {
     CampaignConfig cfg;
     cfg.n_faults = 30;
-    const auto a = core::run_campaign(kSmall, cfg);
+    const auto a = run_one(kSmall, cfg);
     cfg.seed = 999;
-    const auto b = core::run_campaign(kSmall, cfg);
+    const auto b = run_one(kSmall, cfg);
     EXPECT_DOUBLE_EQ(mine::mismatch(a, a), 0.0);
     EXPECT_DOUBLE_EQ(mine::mismatch(a, b), mine::mismatch(b, a));
 }
@@ -220,7 +230,7 @@ TEST(Mining, DatasetJoinAndCorrelation) {
     cfg.n_faults = 25;
     for (App app : {App::EP, App::IS}) {
         const Scenario s{isa::Profile::V8, app, Api::Serial, 1, Klass::Mini};
-        d.add(core::run_campaign(s, cfg), prof::profile_scenario(s));
+        d.add(run_one(s, cfg), prof::profile_scenario(s));
     }
     EXPECT_EQ(d.rows().size(), 2u);
     EXPECT_EQ(d.column("pct_Vanished").size(), 2u);

@@ -5,6 +5,7 @@
 #include "core/campaign.hpp"
 #include "isa/disasm.hpp"
 #include "npb/npb.hpp"
+#include "orch/batch_runner.hpp"
 #include "prof/profile.hpp"
 
 using namespace serep;
@@ -12,6 +13,19 @@ using npb::Api;
 using npb::App;
 using npb::Klass;
 using npb::Scenario;
+
+namespace {
+
+core::CampaignResult run_one(const Scenario& s,
+                             const core::CampaignConfig& cfg) {
+    orch::BatchOptions opts;
+    opts.threads = 2;
+    orch::BatchRunner runner(opts);
+    runner.add(s, cfg);
+    return std::move(runner.run_all().front());
+}
+
+} // namespace
 
 TEST(CompilerFlags, NoFmaStillVerifiesAndCostsMore) {
     Scenario fused{isa::Profile::V8, App::CG, Api::Serial, 1, Klass::Mini};
@@ -44,7 +58,7 @@ TEST(FaultTargets, MemoryCampaignRunsAndMasksHeavily) {
     core::CampaignConfig cfg;
     cfg.n_faults = 60;
     cfg.memory_faults = true;
-    const auto r = core::run_campaign(s, cfg);
+    const auto r = run_one(s, cfg);
     EXPECT_EQ(r.total(), 60u);
     for (const auto& rec : r.records)
         EXPECT_EQ(rec.fault.target.kind, core::FaultTarget::Kind::MEM);
@@ -152,9 +166,9 @@ TEST(Determinism, CampaignIdenticalAcrossSeedsOnlyWhenSeedMatches) {
     a.n_faults = 25;
     core::CampaignConfig b = a;
     b.seed = a.seed + 1;
-    const auto ra = core::run_campaign(s, a);
-    const auto rb = core::run_campaign(s, b);
-    const auto ra2 = core::run_campaign(s, a);
+    const auto ra = run_one(s, a);
+    const auto rb = run_one(s, b);
+    const auto ra2 = run_one(s, a);
     EXPECT_EQ(ra.counts, ra2.counts);
     bool any_diff = false;
     for (std::size_t i = 0; i < ra.records.size(); ++i)
@@ -167,7 +181,7 @@ TEST(FaultTargets, FpRegisterCampaignRunsEndToEnd) {
     core::CampaignConfig cfg;
     cfg.n_faults = 50;
     cfg.include_fp_regs = true;
-    const auto r = core::run_campaign(s, cfg);
+    const auto r = run_one(s, cfg);
     EXPECT_EQ(r.total(), 50u);
     bool any_fp = false;
     for (const auto& rec : r.records)

@@ -18,38 +18,22 @@
 // reports. `plan` probes golden lengths once for weighted partitions and
 // prints the weight vector so it can be baked into the spec.
 //
-// The legacy imperative subcommands remain as thin shims that synthesize a
-// spec from their flags (exp::spec_from_legacy_cli) and run the same
-// driver — their output bytes are unchanged:
-//
-//   serep campaign [filters] --out=ref          one-process run, merged DB
-//   serep campaign --target-ci=0.05 [filters]   confidence-driven sizing
-//   serep shard --shard=1 --shards=3 [filters] --out=shard1.jsonl
-//   serep shard --weighted ...                  work-weighted fault split
-//   serep merge --out=merged shard0.jsonl shard1.jsonl shard2.jsonl
+//   serep fleet spec.json               fan the shards out to worker
+//                                       processes or ssh hosts, then merge
 //   serep report [--format=md|csv|json] db1 [db2 ...]
-//
-// Filters / config (campaign and shard modes, defaults in brackets):
-//   --class=S|Mini [S]   --isa=v7|v8   --api=SER|OMP|MPI   --app=EP|CG|...
-//   --kind=gpr|fp|mem|cache-tag|cache-data|bus [gpr]
-//     (fault target space; fp implies --isa=v8; cache-*/bus strike the
-//      uncore — see src/uncore/)
-//   --faults=N [100]  --seed=S [0xDAC2018]  --threads=T [2]
-//   --engine=cached|switch|trace [cached]  --stride=R [auto]  --no-adaptive
-//   --no-checkpoints  --no-delta (full-copy rungs)
-// campaign sizing: --target-ci=W (0<W<0.5) --confidence=C [0.95]
-//   --ci-batch=N [50] --ci-min=N [20]
+//   serep version                       build provenance
 //
 // Every subcommand audits its flags: an unknown --flag is a usage error
-// (exit 2) naming the offender, never a silent no-op.
+// (exit 2) naming the offender, never a silent no-op; an unknown
+// subcommand is named the same way.
 //
 // Prefer --key=value forms for value-carrying flags: a bare `--key value`
-// greedily eats the next token, which matters once positional spec/shard-file
-// operands follow. Value-less flags (--partial, --weighted, --no-*) are
+// greedily eats the next token, which matters once positional spec/database
+// operands follow. Value-less flags (--partial, --compress, ...) are
 // declared to the parser and never consume the following operand.
 //
 // Exit codes (also in --help): 0 success; 2 usage error (bad flags or spec,
-// unknown subcommand, filters matching nothing); 3 validation failure
+// unknown subcommand, a matrix that selects nothing); 3 validation failure
 // (shard databases that do not belong together, resume spec-hash mismatch,
 // corrupt or incomplete databases); 4 runtime error (I/O, internal failure).
 #include <chrono>
@@ -77,15 +61,6 @@ constexpr int kExitOk = 0;
 constexpr int kExitUsage = 2;
 constexpr int kExitValidation = 3;
 constexpr int kExitRuntime = 4;
-
-/// exp::legacy_cli_flags() plus the subcommand's own extras — the audit
-/// list always tracks the shared legacy parser.
-std::vector<std::string> legacy_flags_plus(
-    std::initializer_list<const char*> extra) {
-    std::vector<std::string> flags = exp::legacy_cli_flags();
-    flags.insert(flags.end(), extra.begin(), extra.end());
-    return flags;
-}
 
 /// Load a spec file named as the single positional operand after the
 /// subcommand. The operand `-` reads the spec from stdin — that is how
@@ -223,7 +198,8 @@ int cmd_run(const util::Cli& cli) {
         opts.log = stderr;
     }
     const double hb = cli.get_double("heartbeat", 0.0);
-    util::check_usage(hb >= 0, "--heartbeat must be > 0 seconds");
+    util::check_usage(hb >= 0,
+                      "--heartbeat must be >= 0 seconds (0 turns it off)");
     // A heartbeating worker turns telemetry on so its beacon carries
     // progress snapshots for the controller — out of band by construction
     // (stderr only; the shard payload bytes never change).
@@ -329,88 +305,6 @@ int cmd_plan(const util::Cli& cli) {
     return kExitOk;
 }
 
-int cmd_campaign(const util::Cli& cli) {
-    cli.require_known(legacy_flags_plus({"target-ci", "confidence", "ci-batch",
-                                         "ci-min", "metrics-out",
-                                         "trace-out"}));
-    exp::ExperimentPlan plan(exp::spec_from_legacy_cli(cli));
-    // Legacy semantics: always a fresh single-process run, outputs
-    // overwritten, no resume — and byte-identical CSV/JSONL to every serep
-    // release since PR 2 (the spec pipeline's direct path is the same
-    // BatchRunner streaming).
-    exp::DriverOptions opts;
-    opts.resume = false;
-    opts.direct = true;
-    opts.metrics_out = cli.get("metrics-out", "");
-    opts.trace_out = cli.get("trace-out", "");
-    exp::run_experiment(plan, opts);
-    return kExitOk;
-}
-
-int cmd_shard(const util::Cli& cli) {
-    cli.require_known(
-        legacy_flags_plus({"shard", "shards", "weighted", "weights"}));
-    const std::int64_t index = cli.get_int("shard", 0);
-    const std::int64_t count = cli.get_int("shards", 1);
-    util::check_usage(count >= 1 && index >= 0 && index < count,
-                      "run_shard: shard index out of range");
-
-    exp::ExperimentSpec spec = exp::spec_from_legacy_cli(cli);
-    spec.shards = static_cast<unsigned>(count);
-    if (cli.has("weighted")) {
-        spec.partition = "weighted";
-        // --weights=w0,w1,...: reuse a previously printed probe vector so
-        // probing happens once per campaign, not once per shard process.
-        const std::string wspec = cli.get("weights", "");
-        std::size_t pos = 0;
-        while (!wspec.empty() && pos <= wspec.size()) {
-            const std::size_t comma = wspec.find(',', pos);
-            const std::string tok =
-                wspec.substr(pos, comma == std::string::npos
-                                      ? std::string::npos
-                                      : comma - pos);
-            try {
-                std::size_t used = 0;
-                spec.weights.push_back(std::stod(tok, &used));
-                util::check_usage(used == tok.size() && !tok.empty(),
-                                  "--weights: bad number '" + tok + "'");
-            } catch (const util::UsageError&) {
-                throw;
-            } catch (const std::exception&) {
-                throw util::UsageError("--weights: bad number '" + tok + "'");
-            }
-            if (comma == std::string::npos) break;
-            pos = comma + 1;
-        }
-    } else {
-        util::check_usage(!cli.has("weights"),
-                          "--weights only applies with --weighted");
-    }
-
-    exp::ExperimentPlan plan(std::move(spec));
-    if (cli.has("weighted") && !cli.has("weights")) {
-        // Probe and print BEFORE running, so the operator can launch the
-        // other N-1 shards with --weights=... while this one executes;
-        // the driver below reuses the cached vector (one probe total).
-        std::string joined;
-        for (double w : plan.weights()) {
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "%.0f", w);
-            joined += (joined.empty() ? "" : ",") + std::string(buf);
-        }
-        std::printf("probed weights (pass --weights=%s to the other shards "
-                    "to skip probing)\n",
-                    joined.c_str());
-    }
-    exp::DriverOptions opts;
-    opts.resume = false; // legacy semantics: always run, overwrite
-    opts.only_shard = static_cast<int>(index);
-    opts.shard_out =
-        cli.get("out", "shard" + std::to_string(index) + ".jsonl");
-    exp::run_experiment(plan, opts);
-    return kExitOk;
-}
-
 int cmd_report(const util::Cli& cli) {
     cli.require_known(
         {"format", "confidence", "top-regs", "out", "partial", "no-inferred"});
@@ -493,39 +387,6 @@ int cmd_report(const util::Cli& cli) {
                     static_cast<unsigned long long>(tally.total_records()),
                     out.c_str());
     }
-    return kExitOk;
-}
-
-int cmd_merge(const util::Cli& cli) {
-    cli.require_known({"out"});
-    const std::string out = cli.get("out", "merged");
-    const auto& files = cli.positional();
-    util::check_usage(files.size() >= 2,
-                      "merge: give the shard database files "
-                      "(after the 'merge' subcommand)");
-    std::vector<std::string> dbs;
-    for (std::size_t i = 1; i < files.size(); ++i) { // files[0] == "merge"
-        std::ifstream in(files[i]);
-        util::check(in.good(), "cannot read shard database " + files[i]);
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        dbs.push_back(ss.str());
-    }
-    std::ofstream csv(out + "_faults.csv");
-    std::ofstream jsonl(out + "_campaigns.jsonl");
-    std::vector<core::CampaignResult> results;
-    try {
-        results = orch::merge_shards(dbs, &csv, &jsonl);
-    } catch (const util::ValidationError&) {
-        throw;
-    } catch (const util::Error& e) {
-        // Anything merge_shards trips over (unparsable JSON included) means
-        // the inputs are not a consistent shard set.
-        throw util::ValidationError(e.what());
-    }
-    std::printf("merge: %zu shard databases, %zu jobs -> %s_faults.csv, "
-                "%s_campaigns.jsonl\n",
-                dbs.size(), results.size(), out.c_str(), out.c_str());
     return kExitOk;
 }
 
@@ -619,49 +480,6 @@ int help_for(const std::string& mode) {
          "                     counters + aggregated worker snapshots)\n"
          "  --trace-out=FILE   write Chrome trace-event JSON of the\n"
          "                     controller's phase spans (Perfetto)\n"},
-        {"campaign",
-         "usage: serep campaign [filters] [--out=PREFIX]\n"
-         "\n"
-         "Legacy shim: run the (filtered) campaign in one process, outputs\n"
-         "overwritten, no resume — synthesizes a spec and drives the same\n"
-         "pipeline as `serep run`, byte-identical outputs.\n"
-         "\n"
-         "filters / config (defaults in brackets):\n"
-         "  --class=S|Mini|W [S]   --isa=v7|v8   --api=SER|OMP|MPI   --app=EP|...\n"
-         "  --kind=gpr|fp|mem|cache-tag|cache-data|bus [gpr]\n"
-         "                     fault targets (fp implies --isa=v8; cache-*/\n"
-         "                     bus strike the uncore and cannot be pruned)\n"
-         "  --faults=N [100]  --seed=S [0xDAC2018]  --threads=T [2]\n"
-         "  --engine=cached|switch|trace [cached]  --stride=R [auto]\n"
-         "  --no-adaptive  --no-checkpoints  --no-delta\n"
-         "sizing:\n"
-         "  --target-ci=W      stop each scenario once every outcome rate's\n"
-         "                     CI half-width <= W (0 < W < 0.5)\n"
-         "  --confidence=C [0.95]  --ci-batch=N [50]  --ci-min=N [20]\n"
-         "telemetry:\n"
-         "  --metrics-out=FILE  --trace-out=FILE   as in `serep run --help`\n"},
-        {"shard",
-         "usage: serep shard --shard=I --shards=N [filters] --out=FILE\n"
-         "\n"
-         "Legacy shim: run one 1-of-N slice to a shard database. Accepts the\n"
-         "same filters/config as `serep campaign` (see `serep campaign\n"
-         "--help`), plus:\n"
-         "\n"
-         "flags:\n"
-         "  --shard=I --shards=N   which slice [0/1]\n"
-         "  --weighted         equal-work split by golden-run length\n"
-         "  --weights=w0,w1,...    reuse a printed probe vector (skip probing)\n"
-         "  --out=FILE         shard database path [shardI.jsonl]\n"},
-        {"merge",
-         "usage: serep merge --out=PREFIX DB1 DB2 [...]\n"
-         "\n"
-         "Merge shard databases into the unsharded PREFIX_faults.csv and\n"
-         "PREFIX_campaigns.jsonl. Inputs are config-hash + partition checked\n"
-         "against each other; every fault must appear in exactly one input.\n"
-         "Plain .jsonl and zstd-framed .jsonl.zst inputs may be mixed.\n"
-         "\n"
-         "flags:\n"
-         "  --out=PREFIX       output prefix [merged]\n"},
         {"report",
          "usage: serep report [flags] DB1 [DB2 ...]\n"
          "\n"
@@ -700,8 +518,7 @@ int help_for(const std::string& mode) {
 int usage(std::FILE* to) {
     std::fprintf(
         to,
-        "usage: serep run|plan|fleet|campaign|shard|merge|report|version "
-        "[--key=value ...]\n"
+        "usage: serep run|plan|fleet|report|version [--key=value ...]\n"
         "  run SPEC.json       execute the whole experiment the spec declares\n"
         "                      (golden -> shard/run -> merge -> report), with\n"
         "                      resume: finished shard DBs matching the spec\n"
@@ -722,42 +539,15 @@ int usage(std::FILE* to) {
         "                      stream shard DBs back zstd-framed, retry dead\n"
         "                      workers, merge + report byte-identically to\n"
         "                      `serep run` — see `serep fleet --help`\n"
-        "  campaign  run the (filtered) campaign in-process (legacy shim)\n"
-        "  shard     run one 1-of-N slice to a shard database (legacy shim)\n"
-        "  merge     merge shard databases into the unsharded CSV/JSONL\n"
         "  report    outcome-rate tables + confidence intervals from DBs\n"
         "  version   build provenance (compiler, build type, libzstd)\n"
         "\n"
-        "telemetry (run / campaign / fleet): --metrics-out=FILE writes a\n"
-        "  metrics.json sidecar (counters, phase timings, provenance) and\n"
-        "  --trace-out=FILE a Perfetto-loadable Chrome trace of the phase\n"
-        "  spans — both strictly out of band: outcome databases and reports\n"
-        "  are byte-identical with or without them (see docs/telemetry.md)\n"
+        "telemetry (run / fleet): --metrics-out=FILE writes a metrics.json\n"
+        "  sidecar (counters, phase timings, provenance) and --trace-out=FILE\n"
+        "  a Perfetto-loadable Chrome trace of the phase spans — both\n"
+        "  strictly out of band: outcome databases and reports are byte-\n"
+        "  identical with or without them (see docs/telemetry.md)\n"
         "\n"
-        "campaign / shard options (defaults in brackets):\n"
-        "  --class=S|Mini|W [S]   --isa=v7|v8   --api=SER|OMP|MPI   --app=EP|...\n"
-        "  --kind=gpr|fp|mem|cache-tag|cache-data|bus [gpr]\n"
-        "                           fault targets: integer registers, FP\n"
-        "                           registers (v8 only), data memory\n"
-        "                           including the guest text mirror, or the\n"
-        "                           uncore spaces — cache tag arrays, cache\n"
-        "                           data arrays, core<->memory bus transfers\n"
-        "                           (uncore kinds cannot be pruned)\n"
-        "  --faults=N [100]  --seed=S [0xDAC2018]  --threads=T [2]\n"
-        "  --engine=cached|switch|trace [cached]  execution engine (bit-\n"
-        "                           identical outcomes; switch is the legacy\n"
-        "                           reference, trace the superblock engine)\n"
-        "  --stride=R [auto]  --no-adaptive  --no-checkpoints  --no-delta\n"
-        "campaign sizing: --target-ci=W  stop each scenario once every\n"
-        "                           outcome rate's CI half-width <= W; the\n"
-        "                           injected set is a stable content-id\n"
-        "                           prefix of the fixed --faults campaign\n"
-        "  --confidence=C [0.95]  --ci-batch=N [50]  --ci-min=N [20]\n"
-        "shard options: --shard=I --shards=N [0/1]\n"
-        "  --weighted  equal-work split by golden-run length: each shard\n"
-        "              runs goldens/ladders only for the scenarios it owns\n"
-        "  --weights=w0,w1,...  reuse a printed probe vector (skip probing)\n"
-        "merge options: --out=PREFIX, then the shard database files\n"
         "report options: --format=md|csv|json [md]  --confidence=C [0.95]\n"
         "  --top-regs=N [8]  --out=FILE [stdout]  --partial (allow an\n"
         "  incomplete shard cover)  --no-inferred (tally only simulated\n"
@@ -776,8 +566,8 @@ int usage(std::FILE* to) {
         "\n"
         "exit codes:\n"
         "  0  success\n"
-        "  2  usage error (bad flags or spec, unknown subcommand, filters\n"
-        "     match nothing)\n"
+        "  2  usage error (bad flags or spec, unknown subcommand, a matrix\n"
+        "     that selects nothing)\n"
         "  3  validation failure (incompatible or corrupt databases, resume\n"
         "     spec-hash mismatch)\n"
         "  4  runtime error (I/O or internal failure)\n");
@@ -790,14 +580,15 @@ int main(int argc, char** argv) {
     // Declaring the value-less flags up front keeps a bare `--partial` (etc.)
     // from greedily eating the next positional operand — see util::Cli.
     util::Cli cli(argc, argv,
-                  {"help", "partial", "weighted", "no-adaptive",
-                   "no-checkpoints", "no-delta", "no-inferred",
-                   "shard-stdout", "compress", "no-compress", "version"});
+                  {"help", "partial", "no-inferred", "shard-stdout",
+                   "compress", "no-compress", "version"});
     const std::string mode =
         cli.positional().empty() ? "" : cli.positional().front();
     if (cli.has("help")) {
         const int paged = help_for(mode);
-        return paged >= 0 ? paged : usage(stdout);
+        if (paged >= 0) return paged;
+        if (mode.empty()) return usage(stdout);
+        // An unknown subcommand with --help is still unknown (below).
     }
     try {
         if (mode == "version" || (mode.empty() && cli.has("version")))
@@ -805,9 +596,6 @@ int main(int argc, char** argv) {
         if (mode == "run") return cmd_run(cli);
         if (mode == "plan") return cmd_plan(cli);
         if (mode == "fleet") return cmd_fleet(cli);
-        if (mode == "campaign") return cmd_campaign(cli);
-        if (mode == "shard") return cmd_shard(cli);
-        if (mode == "merge") return cmd_merge(cli);
         if (mode == "report") return cmd_report(cli);
     } catch (const util::UsageError& e) {
         std::fprintf(stderr, "serep %s: %s\n", mode.c_str(), e.what());
@@ -822,5 +610,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "serep %s: %s\n", mode.c_str(), e.what());
         return kExitRuntime;
     }
+    if (!mode.empty())
+        std::fprintf(stderr, "serep: unknown subcommand '%s'\n", mode.c_str());
     return usage(stderr);
 }
