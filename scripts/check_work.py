@@ -11,10 +11,11 @@ baseline value.
 
 A baseline holds only counters that depend on the spec alone, not on the
 engine or the thread count: engine.steps, the batch.* and checkpoint.*
-counters, cache.*.hits / cache.*.misses and the uncore.* counters. So one
-baseline serves every engine. cache.*.credits and engine.trace.* vary by
-engine and stay out. A change that lowers a counter updates the baseline,
-so the gate then holds the gain.
+counters, cache.*.hits / cache.*.misses, the uncore.* counters and, for a
+pruned spec, the prune.* counters. So one baseline serves every engine.
+cache.*.credits and engine.trace.* vary by engine and stay out. A change
+that lowers a counter updates the baseline, so the gate then holds the
+gain.
 
 Stdlib only; exit 0 on success, 1 when a counter rose or is missing, 2 on
 usage.

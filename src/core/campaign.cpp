@@ -160,4 +160,13 @@ std::string campaign_json(const CampaignResult& r) {
     return os.str();
 }
 
+void write_campaign_streams(const CampaignResult& r, std::ostream* csv,
+                            std::ostream* jsonl, bool header) {
+    if (csv) {
+        const std::string rows = campaign_csv(r);
+        *csv << (header ? rows : rows.substr(rows.find('\n') + 1));
+    }
+    if (jsonl) *jsonl << campaign_json(r) << '\n';
+}
+
 } // namespace serep::core

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <array>
+#include <ostream>
 #include <vector>
 
 #include "core/fault.hpp"
@@ -75,5 +76,11 @@ std::string campaign_csv(const CampaignResult& r);
 /// One campaign as a compact JSON object (the CSV database's JSON sibling):
 /// scenario, golden reference, outcome counts/percentages, per-fault records.
 std::string campaign_json(const CampaignResult& r);
+
+/// Append `r` to the merged campaign streams every writer shares: its
+/// campaign_csv rows (the header only when `header`) and its campaign_json
+/// line. Null sinks are skipped.
+void write_campaign_streams(const CampaignResult& r, std::ostream* csv,
+                            std::ostream* jsonl, bool header);
 
 } // namespace serep::core

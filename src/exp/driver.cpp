@@ -2,6 +2,7 @@
 
 #include <cstdarg>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "stats/report.hpp"
@@ -112,96 +113,35 @@ void log_prune(const orch::BatchRunner& runner, const orch::BatchOptions& b,
 } // namespace
 
 /// Resume probe for one shard database's bytes: Missing (run it), Match
-/// (skip it), Incomplete (THIS spec's shard, but record lines were
-/// truncated by a killed worker — safe to re-run and overwrite), or a
-/// ValidationError — anything that is not THIS spec's shard k-of-n output
-/// must never be silently blended or overwritten.
+/// (skip it), Incomplete (a writer was killed — safe to re-run and
+/// overwrite), or a ValidationError — anything that is not THIS spec's
+/// shard k-of-n output must never be silently blended or overwritten.
 ShardDbState classify_shard_db(const std::string& raw,
                                const std::string& label,
                                const ExperimentPlan& plan, unsigned k,
                                unsigned n) {
     if (raw.empty()) return ShardDbState::Missing;
-    // Fleet workers stream (and land) shard DBs zstd-framed; a framed
-    // container that fails to decode is a worker killed mid-stream, not a
-    // foreign artifact — re-run, don't refuse.
-    std::string decoded;
-    const std::string* body = &raw;
-    if (util::zframe_is(raw)) {
-        try {
-            decoded = util::zframe_decompress(raw);
-        } catch (const util::ValidationError&) {
-            return ShardDbState::Incomplete;
-        }
-        if (decoded.empty()) return ShardDbState::Incomplete;
-        body = &decoded;
-    }
-    const std::string& contents = *body;
-    const std::size_t eol = contents.find('\n');
-    util::JsonValue manifest;
+    orch::ShardDb db;
     try {
-        manifest = util::json_parse(
-            contents.substr(0, eol == std::string::npos ? contents.size() : eol));
-        util::check_valid(manifest.find("magic") &&
-                              manifest.at("magic").as_string() == "serep-shard",
-                          "not a serep shard database");
-    } catch (const util::Error&) {
-        throw util::ValidationError(
-            label +
-            " exists but is not a serep shard database — delete it or move "
-            "it out of the way");
+        db = orch::read_shard_db(raw, label);
+    } catch (const util::ValidationError& e) {
+        throw util::ValidationError(std::string(e.what()) +
+                                    " — delete it or move it out of the way");
     }
-    // Field extraction can trip on a truncated manifest; that is a corrupt
-    // artifact (exit 3 + a delete-or-move hint), not an internal error.
-    bool has_hash = false;
-    std::string hash;
-    std::uint64_t got_shard = 0, got_count = 0, want_records = 0;
-    bool has_records = false;
-    try {
-        if (const util::JsonValue* h = manifest.find("spec_hash")) {
-            hash = h->as_string();
-            has_hash = true;
-        }
-        if (const util::JsonValue* r = manifest.find("records")) {
-            want_records = r->as_u64();
-            has_records = true;
-        }
-        got_shard = manifest.at("shard").as_u64();
-        got_count = manifest.at("count").as_u64();
-    } catch (const util::Error& e) {
-        throw util::ValidationError(label + ": corrupt shard manifest (" +
-                                    std::string(e.what()) +
-                                    ") — delete it or move it out of the way");
-    }
-    util::check_valid(has_hash,
-                      label +
-                          " carries no experiment annotation (not written by "
-                          "`serep run` or `serep fleet`) — delete it or move "
-                          "it out of the way");
+    // An SRZF payload cut or empty (a killed worker) has no spec to check.
+    if (db.jobs.empty()) return ShardDbState::Incomplete;
     util::check_valid(
-        hash == plan.spec_hash_hex(),
-        label + " belongs to a different experiment (spec " + hash +
-            ", this spec is " + plan.spec_hash_hex() +
+        db.spec_hash == plan.spec_hash_hex(),
+        label + " belongs to a different experiment (spec " +
+            (db.spec_hash.empty() ? "none" : db.spec_hash) + ", this spec is " +
+            plan.spec_hash_hex() +
             ") — refusing to blend; delete the file or restore the "
             "original spec");
-    util::check_valid(got_shard == k && got_count == n,
-                      label + " is shard " + std::to_string(got_shard) +
-                          " of " + std::to_string(got_count) + ", expected " +
+    util::check_valid(db.shard == k && db.count == n,
+                      label + " is shard " + std::to_string(db.shard) +
+                          " of " + std::to_string(db.count) + ", expected " +
                           std::to_string(k) + " of " + std::to_string(n));
-    // The manifest belongs to this spec — now make sure the record lines
-    // behind it are all there. A worker killed mid-write leaves a database
-    // that must be RE-RUN, not skipped (and then blamed by the merge).
-    if (contents.back() != '\n') return ShardDbState::Incomplete; // torn line
-    if (eol == std::string::npos) return ShardDbState::Incomplete;
-    std::uint64_t lines = 0;
-    std::size_t pos = eol + 1;
-    while (pos < contents.size()) {
-        std::size_t next = contents.find('\n', pos);
-        if (next == std::string::npos) next = contents.size();
-        if (next > pos) ++lines; // skip blank lines, count records
-        pos = next + 1;
-    }
-    if (has_records && lines != want_records) return ShardDbState::Incomplete;
-    return ShardDbState::Match;
+    return db.complete() ? ShardDbState::Match : ShardDbState::Incomplete;
 }
 
 ShardDbState probe_shard_db(const ExperimentPlan& plan, unsigned k, unsigned n,
@@ -367,13 +307,7 @@ DriverResult run_adaptive(ExperimentPlan& plan, const DriverOptions& opts) {
     std::size_t space = 0;
     for (std::size_t i = 0; i < adaptive.size(); ++i) {
         const stats::AdaptiveJobResult& a = adaptive[i];
-        if (i == 0) {
-            csv << core::campaign_csv(a.result);
-        } else {
-            const std::string rows = core::campaign_csv(a.result);
-            csv << rows.substr(rows.find('\n') + 1);
-        }
-        jsonl << core::campaign_json(a.result) << '\n';
+        core::write_campaign_streams(a.result, &csv, &jsonl, i == 0);
         res.injected += a.result.records.size();
         space += a.fault_space;
         logf(opts.log,
@@ -446,7 +380,8 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
     // shard may sit at either the plain or the compressed path.
     std::vector<std::string> db_paths(n);
 
-    // Run shard k into `os` (plain or zstd-framed per opts.compress_shards).
+    // Run shard k into `os` (plain or zstd-framed per opts.compress_shards)
+    // and count it into res.
     const auto run_into = [&](unsigned k, std::ostream& os,
                               const std::string& what) {
         // The weighted cut probes golden lengths at most once per plan; say
@@ -456,23 +391,20 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
             logf(opts.log,
                  "probing golden lengths for the weighted cut (bake the "
                  "weights the plan prints into shard.weights to skip this)\n");
-        orch::ShardRunStats st;
-        if (opts.compress_shards) {
-            util::ZstdFrameWriter zw(os);
-            st = plan.weighted()
-                     ? orch::run_shard(jobs, plan.weighted_plan(k), bopts,
-                                       zw.stream(), &note)
-                     : orch::run_shard(jobs, orch::ShardPlan{k, n}, bopts,
-                                       zw.stream(), &note);
-            zw.finish();
-        } else {
-            st = plan.weighted()
-                     ? orch::run_shard(jobs, plan.weighted_plan(k), bopts, os,
-                                       &note)
-                     : orch::run_shard(jobs, orch::ShardPlan{k, n}, bopts, os,
-                                       &note);
-        }
+        std::optional<util::ZstdFrameWriter> zw;
+        if (opts.compress_shards) zw.emplace(os);
+        std::ostream& out = zw ? zw->stream() : os;
+        const orch::ShardRunStats st =
+            plan.weighted()
+                ? orch::run_shard(jobs, plan.weighted_plan(k), bopts, out, &note)
+                : orch::run_shard(jobs, orch::ShardPlan{k, n}, bopts, out, &note);
+        if (zw) zw->finish();
         util::check(os.good(), "error writing shard database " + what);
+        ++res.shards_run;
+        res.injected += st.owned;
+        res.simulated += st.owned - st.inferred;
+        res.inferred += st.inferred;
+        res.fault_space = st.fault_space;
         return st;
     };
 
@@ -507,11 +439,6 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
             logf(opts.log, "shard %u/%u%s: injected %zu of %zu faults -> %s\n",
                  k, n, plan.weighted() ? " (weighted)" : "", st.owned,
                  st.fault_space, path.c_str());
-        ++res.shards_run;
-        res.injected += st.owned;
-        res.simulated += st.owned - st.inferred;
-        res.inferred += st.inferred;
-        res.fault_space = st.fault_space;
     };
 
     // Canonical write path for shard k under the requested encoding.
@@ -535,11 +462,6 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
                  "<stream>\n",
                  k, n, plan.weighted() ? " (weighted)" : "", st.owned,
                  st.fault_space);
-            ++res.shards_run;
-            res.injected += st.owned;
-            res.simulated += st.owned - st.inferred;
-            res.inferred += st.inferred;
-            res.fault_space = st.fault_space;
             return res;
         }
         run_one(k, shard_path(k));
@@ -550,7 +472,7 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
 
     // Merge — a cheap pure function of the shard databases; always re-run
     // so the canonical CSV/JSONL and reports exist even when every shard
-    // resumed. merge_shards decompresses zstd-framed databases itself.
+    // resumed. merge_shards reads zstd-framed databases itself.
     {
         telemetry::Span merge_span("merge");
         std::vector<std::string> dbs(n);
@@ -562,15 +484,7 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
         util::check(csv.good(), "cannot open output file " + plan.csv_path());
         util::check(jsonl.good(),
                     "cannot open output file " + plan.jsonl_path());
-        try {
-            res.results = orch::merge_shards(dbs, &csv, &jsonl);
-        } catch (const util::ValidationError&) {
-            throw;
-        } catch (const util::Error& e) {
-            // Anything merge_shards trips over means the shard databases are
-            // not a consistent set.
-            throw util::ValidationError(e.what());
-        }
+        res.results = orch::merge_shards(dbs, &csv, &jsonl);
         // Close before rendering: render_reports re-reads the JSONL from
         // disk, and a small experiment's tail can otherwise still sit in the
         // filebuf.

@@ -22,14 +22,14 @@
 //    shard count and partition, and the requested reports are rendered
 //    from the merged database.
 //
-// Resume: a shard database already on disk whose manifest carries this
-// spec's hash is skipped (its bytes ARE the job's output — determinism
-// makes re-running it pointless); a database at that path with a different
-// or missing spec hash is REFUSED (util::ValidationError, serep exit 3) —
-// stale artifacts never silently blend into a fresh experiment. Merge and
-// report are cheap pure functions of the shard databases and re-run every
-// time. DriverOptions::only_shard runs exactly one shard and stops before
-// the merge — the remote-worker unit (`serep run spec.json --shard=k/n`);
+// Resume: a complete shard database on disk whose manifest carries this
+// spec's hash is skipped (its bytes ARE the job's output); one cut short by
+// a killed writer is re-run; any other database at that path — a different
+// or missing spec hash, or bytes the shard reader refuses — is REFUSED
+// (util::ValidationError, serep exit 3) and left in place. Merge and report
+// are cheap pure functions of the shard databases and re-run every time.
+// DriverOptions::only_shard runs exactly one shard and stops before the
+// merge — the remote-worker unit (`serep run spec.json --shard=k/n`);
 // gathering the files and re-running `serep run spec.json` merges them.
 #pragma once
 
@@ -106,12 +106,12 @@ enum class ShardDbState {
     Incomplete, ///< this spec's shard, but truncated (killed worker) — re-run
 };
 
-/// Classify shard-database bytes against shard k of n of `plan`. Accepts
-/// plain and zstd-framed contents; a framed payload that fails to decode is
-/// Incomplete (a worker died mid-stream). Throws util::ValidationError —
-/// naming `label` — for anything that is NOT this spec's shard k/n output:
-/// foreign files, spec-hash mismatches, wrong shard indices. The fleet uses
-/// this to vet streamed worker payloads before committing them.
+/// Classify shard-database bytes (plain or zstd-framed, read by
+/// orch::read_shard_db) against shard k of n of `plan`: empty is Missing,
+/// a cut the reader reports is Incomplete (a worker died mid-stream).
+/// Throws util::ValidationError naming `label` for anything that is NOT
+/// this spec's shard k/n output: bytes the reader refuses, spec-hash
+/// mismatches, wrong shard indices. The fleet vets payloads with it.
 ShardDbState classify_shard_db(const std::string& contents,
                                const std::string& label,
                                const ExperimentPlan& plan, unsigned k,

@@ -93,7 +93,7 @@ struct BatchRunner::GoldenEntry {
 struct BatchRunner::JobState {
     npb::Scenario scenario;
     core::CampaignConfig cfg;
-    JobFaultFilter filter; ///< overrides opts_.fault_filter when set
+    JobFaultFilter filter; ///< null: inject the whole fault list
     GoldenEntry* golden = nullptr;
     std::vector<core::Fault> faults;     ///< faults actually injected
     std::vector<std::uint32_t> ordinals; ///< full-list position per fault (sharding)
@@ -195,16 +195,9 @@ void BatchRunner::flush_ready() {
            jobs_[next_flush_]->done.load(std::memory_order_acquire)) {
         JobState& job = *jobs_[next_flush_];
         if (!job.flushed) {
-            if (csv_sink_) {
-                const std::string csv = core::campaign_csv(job.result);
-                if (csv_header_written_) {
-                    *csv_sink_ << csv.substr(csv.find('\n') + 1);
-                } else {
-                    *csv_sink_ << csv;
-                    csv_header_written_ = true;
-                }
-            }
-            if (json_sink_) *json_sink_ << core::campaign_json(job.result) << '\n';
+            core::write_campaign_streams(job.result, csv_sink_, json_sink_,
+                                         !csv_header_written_);
+            csv_header_written_ = csv_header_written_ || csv_sink_ != nullptr;
             job.flushed = true;
         }
         ++next_flush_;
@@ -281,13 +274,11 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
         std::vector<core::Fault> full =
             core::make_fault_list(base, job.golden->ref, job.cfg);
         job.fault_space = static_cast<std::uint32_t>(full.size());
-        if (job.filter || opts_.fault_filter) {
+        if (job.filter) {
             job.faults.clear();
             job.ordinals.clear();
             for (std::uint32_t i = 0; i < full.size(); ++i) {
-                const bool take = job.filter ? job.filter(i, full[i])
-                                             : opts_.fault_filter(full[i]);
-                if (!take) continue;
+                if (!job.filter(i, full[i])) continue;
                 job.faults.push_back(full[i]);
                 job.ordinals.push_back(i);
             }

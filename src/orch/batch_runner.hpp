@@ -71,13 +71,6 @@ struct BatchOptions {
     /// ExecCache is built with the golden machine and shared by every clone
     /// the checkpoint ladder materializes.
     sim::Engine engine = sim::Engine::Cached;
-    /// Fault-space sharding hook: when set, each job still generates its
-    /// full deterministic fault list (phase 2), but only the faults the
-    /// filter accepts are injected; their positions in the full list are
-    /// kept as per-job ordinals (job_ordinals) so a merger can reassemble
-    /// the unsharded record array. Golden runs are unaffected. A per-job
-    /// filter passed to add() takes precedence over this batch-wide one.
-    std::function<bool(const core::Fault&)> fault_filter;
     /// Keep each scenario's checkpoint ladder alive after its last job of a
     /// run_all() completes, so a later batch on the same runner resumes from
     /// real rungs instead of a from-reset base. Used by the sequential
@@ -104,14 +97,16 @@ public:
     /// Per-job fault filter: receives each fault's full-list ordinal plus
     /// the fault itself, so callers can select exact list positions (the
     /// sequential sizer's content-id prefixes) as well as content-keyed
-    /// subsets (weighted shard ranges).
+    /// subsets (shard plans).
     using JobFaultFilter = std::function<bool(std::uint32_t, const core::Fault&)>;
 
     explicit BatchRunner(BatchOptions opts = {});
     ~BatchRunner();
 
     /// Queue one campaign; returns its job index (also its result index).
-    /// A non-null `filter` overrides BatchOptions::fault_filter for this job.
+    /// A `filter` injects only the faults of the full fault list it accepts;
+    /// their positions are kept (job_ordinals) so a merger can reassemble
+    /// the unsharded record array. Golden runs are unaffected.
     std::size_t add(const npb::Scenario& s, const core::CampaignConfig& cfg,
                     JobFaultFilter filter = nullptr);
 
@@ -161,11 +156,11 @@ public:
     std::size_t verified_records() const noexcept { return verified_records_; }
 
     /// Size of job j's full (pre-filter) fault list. Equals the record count
-    /// unless a fault_filter is installed. Valid after run_all().
+    /// unless the job has a filter. Valid after run_all().
     std::uint32_t job_fault_space(std::size_t j) const;
     /// Global fault-list ordinal of each record of job j (ordinals[i] is the
-    /// position record i held in the full list). Empty when no filter is
-    /// installed (identity mapping). Valid after run_all().
+    /// position record i held in the full list). Empty when the job has no
+    /// filter (identity mapping). Valid after run_all().
     const std::vector<std::uint32_t>& job_ordinals(std::size_t j) const;
 
     Scheduler& scheduler() noexcept {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <set>
+#include <string_view>
 
 #include "npb/npb.hpp"
 #include "util/check.hpp"
@@ -25,22 +27,13 @@ npb::Klass klass_from_name(const std::string& s) {
     return k;
 }
 
-isa::Profile profile_from_name(const std::string& s) {
-    for (isa::Profile p : {isa::Profile::V7, isa::Profile::V8})
-        if (s == isa::profile_name(p)) return p;
-    throw util::ValidationError("shard: unknown ISA profile '" + s + "'");
-}
-
-npb::App app_from_name(const std::string& s) {
-    for (npb::App a : npb::kAllApps)
-        if (s == npb::app_name(a)) return a;
-    throw util::ValidationError("shard: unknown application '" + s + "'");
-}
-
-npb::Api api_from_name(const std::string& s) {
-    for (npb::Api a : {npb::Api::Serial, npb::Api::OMP, npb::Api::MPI})
-        if (s == npb::api_name(a)) return a;
-    throw util::ValidationError("shard: unknown API '" + s + "'");
+/// The value among `all` that `name` spells `s`; refused otherwise.
+template <typename E, std::size_t N, typename Name>
+E from_name(const E (&all)[N], Name name, const std::string& s,
+            const char* what) {
+    for (E e : all)
+        if (s == name(e)) return e;
+    throw util::ValidationError(std::string("unknown ") + what + " '" + s + "'");
 }
 
 std::string hash_hex(std::uint64_t h) {
@@ -64,15 +57,6 @@ std::uint64_t fault_id(const core::Fault& f) noexcept {
     fnv1a_u64(h, f.target.bit);
     fnv1a_u64(h, f.target.phys);
     return h;
-}
-
-void check_shard_slot(std::uint64_t count, std::uint64_t index,
-                      const std::string& who) {
-    util::check_valid(count >= 1 && count <= kMaxShardCount,
-                      who + ": shard count " + std::to_string(count) +
-                          " is outside [1, " +
-                          std::to_string(kMaxShardCount) + "]");
-    util::check_valid(index < count, who + ": bad shard index");
 }
 
 std::uint64_t campaign_config_hash(const std::vector<ShardJobSpec>& jobs) {
@@ -210,14 +194,16 @@ ShardRunStats write_shard_db(const std::vector<ShardJobSpec>& jobs,
 } // namespace
 
 ShardRunStats run_shard(const std::vector<ShardJobSpec>& jobs, const ShardPlan& plan,
-                        BatchOptions opts, std::ostream& os,
+                        const BatchOptions& opts, std::ostream& os,
                         const ShardDbAnnotation* note) {
     util::check_usage(plan.count >= 1 && plan.index < plan.count,
                       "run_shard: shard index out of range");
     util::check_usage(!jobs.empty(), "run_shard: empty job list");
-    opts.fault_filter = [plan](const core::Fault& f) { return plan.owns(f); };
     BatchRunner runner(opts);
-    for (const ShardJobSpec& j : jobs) runner.add(j.scenario, j.cfg);
+    for (const ShardJobSpec& j : jobs)
+        runner.add(j.scenario, j.cfg, [plan](std::uint32_t, const core::Fault& f) {
+            return plan.owns(f);
+        });
     const std::vector<core::CampaignResult> results = runner.run_all();
     std::vector<ShardJobOutput> outputs(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j)
@@ -228,14 +214,13 @@ ShardRunStats run_shard(const std::vector<ShardJobSpec>& jobs, const ShardPlan& 
 }
 
 ShardRunStats run_shard(const std::vector<ShardJobSpec>& jobs,
-                        const WeightedShardPlan& plan, BatchOptions opts,
+                        const WeightedShardPlan& plan, const BatchOptions& opts,
                         std::ostream& os, const ShardDbAnnotation* note) {
     util::check_usage(plan.count >= 1 && plan.index < plan.count,
                       "run_shard: shard index out of range");
     util::check_usage(!jobs.empty(), "run_shard: empty job list");
     util::check_usage(plan.job_ranges.size() == jobs.size(),
                       "run_shard: weighted plan covers a different job list");
-    opts.fault_filter = nullptr; // ownership is per job below
     BatchRunner runner(opts);
     // Only jobs with a non-empty id range run here — that is the weighted
     // plan's payoff: this shard pays golden-run and ladder cost for its own
@@ -362,57 +347,178 @@ std::vector<double> probe_job_weights(const std::vector<ShardJobSpec>& jobs) {
 
 namespace {
 
-struct JobShape {
-    npb::Scenario scenario;
-    std::uint32_t fault_space = 0;
-    /// Scalar golden fields only (outputs/hashes are not in the DB). A
-    /// weighted shard that does not own a job writes "golden": null; at
-    /// least one shard must provide the reference.
-    bool has_golden = false;
-    core::GoldenRef golden;
-};
+/// Narrow a u64 member to 32 bits; a forged 2^32 + k must never alias k.
+std::uint32_t u32_member(const util::JsonValue& v, const char* key) {
+    const std::uint64_t x = v.at(key).as_u64();
+    util::check_valid(x <= UINT32_MAX,
+                      std::string("'") + key + "' does not fit 32 bits");
+    return static_cast<std::uint32_t>(x);
+}
 
-JobShape parse_job(const util::JsonValue& v) {
-    JobShape s;
-    s.scenario.isa = profile_from_name(v.at("isa").as_string());
-    s.scenario.app = app_from_name(v.at("app").as_string());
-    s.scenario.api = api_from_name(v.at("api").as_string());
-    s.scenario.cores = static_cast<unsigned>(v.at("cores").as_u64());
+ShardDb::Job parse_job(const util::JsonValue& v) {
+    ShardDb::Job s;
+    s.scenario.isa = from_name({isa::Profile::V7, isa::Profile::V8},
+                               isa::profile_name, v.at("isa").as_string(), "ISA");
+    s.scenario.app = from_name(npb::kAllApps, npb::app_name,
+                               v.at("app").as_string(), "application");
+    s.scenario.api = from_name({npb::Api::Serial, npb::Api::OMP, npb::Api::MPI},
+                               npb::api_name, v.at("api").as_string(), "API");
+    s.scenario.cores = u32_member(v, "cores");
     s.scenario.klass = klass_from_name(v.at("class").as_string());
     s.scenario.contract_fma = v.at("fma").as_bool();
-    s.fault_space = static_cast<std::uint32_t>(v.at("fault_space").as_u64());
+    // make_fault_list draws exactly n_faults faults for every job.
+    s.fault_space = u32_member(v, "fault_space");
+    util::check_valid(s.fault_space == u32_member(v, "n_faults"),
+                      "job fault_space " + std::to_string(s.fault_space) +
+                          " differs from its n_faults");
     const util::JsonValue& g = v.at("golden");
-    if (g.type != util::JsonValue::Type::Null) {
-        s.has_golden = true;
-        s.golden.total_retired = g.at("total_retired").as_u64();
-        s.golden.ticks = g.at("ticks").as_u64();
-        s.golden.app_start = g.at("app_start").as_u64();
-        s.golden.exit_code = static_cast<int>(g.at("exit_code").as_double());
-    }
+    if (g.type == util::JsonValue::Type::Null) return s;
+    s.golden.emplace();
+    s.golden->total_retired = g.at("total_retired").as_u64();
+    s.golden->ticks = g.at("ticks").as_u64();
+    s.golden->app_start = g.at("app_start").as_u64();
+    s.golden->exit_code = static_cast<int>(g.at("exit_code").as_double());
     return s;
 }
 
+/// Fill db's manifest fields; returns the annotated record-line count.
+std::optional<std::uint64_t> parse_manifest(const util::JsonValue& m,
+                                            ShardDb& db) {
+    util::check_valid(m.find("magic") && m.at("magic").as_string() == kMagic,
+                      "not a serep shard database");
+    const std::uint64_t version = m.at("version").as_u64();
+    util::check_valid(version == kVersion,
+                      "unsupported shard database version " +
+                          std::to_string(version));
+    // Checked before narrowing: a forged 2^32 + 1 must not wrap to 1.
+    const std::uint64_t count = m.at("count").as_u64();
+    const std::uint64_t index = m.at("shard").as_u64();
+    util::check_valid(count >= 1 && count <= kMaxShardCount,
+                      "shard count " + std::to_string(count) +
+                          " is outside [1, " + std::to_string(kMaxShardCount) +
+                          "]");
+    util::check_valid(index < count, "bad shard index");
+    db.count = static_cast<unsigned>(count);
+    db.shard = static_cast<unsigned>(index);
+    db.config_hash = m.at("config_hash").as_string();
+    const util::JsonValue* part = m.find("partition");
+    db.partition = part ? part->as_string() : "uniform";
+    for (const util::JsonValue& jv : m.at("jobs").arr)
+        db.jobs.push_back(parse_job(jv));
+    util::check_valid(!db.jobs.empty(), "empty job list");
+    // The driver's annotation comes as one block (write_shard_db).
+    const util::JsonValue* h = m.find("spec_hash");
+    if (!h) return std::nullopt;
+    db.spec_hash = h->as_string();
+    return m.at("records").as_u64();
+}
+
+ShardDb::Record parse_record(const util::JsonValue& v,
+                             const std::vector<ShardDb::Job>& jobs) {
+    ShardDb::Record r;
+    r.job = u32_member(v, "job");
+    r.ord = u32_member(v, "ord");
+    util::check_valid(r.job < jobs.size() && r.ord < jobs[r.job].fault_space,
+                      "record (job " + std::to_string(r.job) + ", ord " +
+                          std::to_string(r.ord) + ") is out of range");
+    core::FaultRecord& rec = r.rec;
+    rec.fault.at_retired = v.at("at").as_u64();
+    const std::string& kind = v.at("kind").as_string();
+    util::check_valid(core::fault_kind_from_name(kind, rec.fault.target.kind),
+                      "unknown fault kind '" + kind + "'");
+    rec.fault.target.core = u32_member(v, "core");
+    rec.fault.target.reg = u32_member(v, "reg");
+    rec.fault.target.bit = u32_member(v, "bit");
+    rec.fault.target.phys = v.at("phys").as_u64();
+    const std::string& outcome = v.at("outcome").as_string();
+    util::check_valid(core::outcome_from_name(outcome, rec.outcome),
+                      "unknown outcome '" + outcome + "'");
+    rec.retired = v.at("retired").as_u64();
+    // Provenance flag from pruned campaigns (absent = simulated).
+    if (const util::JsonValue* inf = v.find("inferred"))
+        rec.inferred = inf->as_bool();
+    return r;
+}
+
+} // namespace
+
+ShardDb read_shard_db(const std::string& bytes, const std::string& label) {
+    ShardDb db;
+    std::string decoded;
+    if (util::zframe_is(bytes)) {
+        try {
+            decoded = util::zframe_decompress(bytes);
+        } catch (const util::ValidationError& e) {
+            db.incomplete = e.what();
+            return db;
+        }
+    }
+    const std::string& text = util::zframe_is(bytes) ? decoded : bytes;
+    // Only whole lines are read: bytes past the last '\n' are a line the
+    // writer never finished (npos + 1 wraps to 0). Without one whole line
+    // there is no manifest to tell a cut shard DB from a foreign file.
+    const std::size_t end = text.rfind('\n') + 1;
+    util::check_valid(end > 0 || text.empty(),
+                      label + " line 1: no manifest line");
+    if (end < text.size()) db.incomplete = "torn final line";
+    if (text.empty()) db.incomplete = "empty";
+    std::optional<std::uint64_t> records; // the manifest's count, if annotated
+    std::set<std::uint64_t> seen;         // job << 32 | ord
+    std::size_t line_no = 0;
+    for (std::size_t pos = 0, eol; pos < end; pos = eol + 1) {
+        eol = text.find('\n', pos);
+        if (++line_no > 1 && eol == pos) continue; // blank line
+        // Plain util::Error (a missing member, a wrong type) is damage too.
+        try {
+            const util::JsonValue v = util::json_parse(text.substr(pos, eol - pos));
+            if (line_no == 1) {
+                records = parse_manifest(v, db);
+                continue;
+            }
+            if (records && db.records.size() == *records)
+                throw util::ValidationError("more than the manifest's " +
+                                            std::to_string(*records) + " records");
+            const ShardDb::Record& r =
+                db.records.emplace_back(parse_record(v, db.jobs));
+            util::check_valid(seen.insert(std::uint64_t{r.job} << 32 | r.ord).second,
+                              "job " + std::to_string(r.job) + " ordinal " +
+                                  std::to_string(r.ord) + " recorded twice");
+        } catch (const util::Error& e) {
+            throw util::ValidationError(label + " line " + std::to_string(line_no) +
+                                        ": " + e.what());
+        }
+    }
+    if (db.complete() && records && db.records.size() < *records)
+        db.incomplete = std::to_string(db.records.size()) + " of " +
+                        std::to_string(*records) + " record lines";
+    return db;
+}
+
+bool is_shard_db(const std::string& text) noexcept {
+    return std::string_view(text).substr(0, text.find('\n')).find(
+               "\"magic\":\"serep-shard\"") != std::string_view::npos;
+}
+
+namespace {
+
 /// Validate shard `b`'s view of job j against the accumulated shape `a`,
-/// adopting b's golden reference when a has none yet. Returns true when the
-/// accumulated golden changed (callers refresh the result's copy).
-bool merge_job_shape(JobShape& a, const JobShape& b, std::size_t j) {
+/// adopting b's golden reference when a has none yet.
+void merge_job_shape(ShardDb::Job& a, const ShardDb::Job& b, std::size_t j) {
     const std::string ctx = "shard merge: job " + std::to_string(j);
     util::check_valid(a.scenario.name() == b.scenario.name() &&
-                    a.fault_space == b.fault_space,
-                ctx + ": job lists differ across shards");
-    if (!b.has_golden) return false;
-    if (!a.has_golden) {
-        a.has_golden = true;
+                          a.fault_space == b.fault_space,
+                      ctx + ": job lists differ across shards");
+    if (!b.golden) return;
+    if (!a.golden) {
         a.golden = b.golden;
-        return true;
+        return;
     }
-    util::check_valid(a.golden.total_retired == b.golden.total_retired &&
-                    a.golden.ticks == b.golden.ticks &&
-                    a.golden.app_start == b.golden.app_start &&
-                    a.golden.exit_code == b.golden.exit_code,
-                ctx + ": golden references diverge across shards "
-                      "(nondeterministic golden run or config drift)");
-    return false;
+    util::check_valid(a.golden->total_retired == b.golden->total_retired &&
+                          a.golden->ticks == b.golden->ticks &&
+                          a.golden->app_start == b.golden->app_start &&
+                          a.golden->exit_code == b.golden->exit_code,
+                      ctx + ": golden references diverge across shards "
+                            "(nondeterministic golden run or config drift)");
 }
 
 } // namespace
@@ -422,142 +528,79 @@ std::vector<core::CampaignResult> merge_shards(
     std::ostream* jsonl_sink) {
     util::check_valid(!shard_dbs.empty(), "shard merge: no shard databases given");
 
-    std::vector<JobShape> shape;
-    std::vector<core::CampaignResult> results;
-    std::vector<std::vector<std::uint8_t>> filled;
-    std::string config_hash;
-    std::string partition_id;
-    unsigned shard_count = 0;
-    std::vector<std::uint8_t> seen_shards;
-    bool first_db = true; // explicit: an empty jobs array must not re-arm it
-
-    for (const std::string& raw_db : shard_dbs) {
-        // Fleet workers stream shard DBs back zstd-framed; accept them
-        // everywhere a plain one is by decompressing transparently.
-        std::string decoded;
-        if (util::zframe_is(raw_db)) decoded = util::zframe_decompress(raw_db);
-        const std::string& db = util::zframe_is(raw_db) ? decoded : raw_db;
-        std::size_t pos = db.find('\n');
-        util::check_valid(pos != std::string::npos, "shard merge: missing manifest line");
-        const util::JsonValue manifest = util::json_parse(db.substr(0, pos));
-        util::check_valid(manifest.find("magic") &&
-                        manifest.at("magic").as_string() == kMagic,
-                    "shard merge: not a serep shard database");
-        util::check_valid(manifest.at("version").as_u64() == kVersion,
-                    "shard merge: unsupported shard database version");
-        const std::uint64_t count = manifest.at("count").as_u64();
-        const std::uint64_t index = manifest.at("shard").as_u64();
-        check_shard_slot(count, index, "shard merge");
-        const std::string hash = manifest.at("config_hash").as_string();
-        // Pre-PR-4 databases carry no partition id; they were all uniform.
-        const util::JsonValue* part = manifest.find("partition");
-        const std::string partition = part ? part->as_string() : "uniform";
-
-        if (first_db) {
-            first_db = false;
-            shard_count = static_cast<unsigned>(count);
-            config_hash = hash;
-            partition_id = partition;
-            seen_shards.assign(count, 0);
-            util::check_valid(!manifest.at("jobs").arr.empty(),
-                        "shard merge: shard database has an empty job list");
-            for (const util::JsonValue& jv : manifest.at("jobs").arr) {
-                shape.push_back(parse_job(jv));
-                core::CampaignResult r;
-                r.scenario = shape.back().scenario;
-                r.golden = shape.back().golden;
-                r.records.resize(shape.back().fault_space);
-                results.push_back(std::move(r));
-                filled.emplace_back(shape.back().fault_space, 0);
-            }
-        } else {
-            util::check_valid(count == shard_count,
-                        "shard merge: shard counts differ across databases");
-            util::check_valid(hash == config_hash,
-                        "shard merge: config hash mismatch — the databases "
-                        "come from different campaigns");
-            util::check_valid(partition == partition_id,
-                        "shard merge: partition scheme mismatch — uniform and "
-                        "weighted (or differently weighted) shards of a "
-                        "campaign do not tile the fault space together");
-            const auto& jobs = manifest.at("jobs").arr;
-            util::check_valid(jobs.size() == shape.size(),
-                        "shard merge: job lists differ across shards");
-            for (std::size_t j = 0; j < jobs.size(); ++j)
-                if (merge_job_shape(shape[j], parse_job(jobs[j]), j))
-                    results[j].golden = shape[j].golden;
-        }
-        util::check_valid(!seen_shards[index],
-                    "shard merge: shard " + std::to_string(index) +
-                        " appears more than once");
-        seen_shards[index] = 1;
-
-        // Record lines.
-        while (pos < db.size()) {
-            const std::size_t eol = db.find('\n', pos + 1);
-            const std::string line =
-                db.substr(pos + 1, eol == std::string::npos ? std::string::npos
-                                                            : eol - pos - 1);
-            pos = eol == std::string::npos ? db.size() : eol;
-            if (line.empty()) continue;
-            const util::JsonValue rv = util::json_parse(line);
-            const std::size_t j = rv.at("job").as_u64();
-            util::check_valid(j < shape.size(), "shard merge: record for unknown job");
-            const std::uint32_t ord =
-                static_cast<std::uint32_t>(rv.at("ord").as_u64());
-            util::check_valid(ord < shape[j].fault_space,
-                        "shard merge: record ordinal out of range");
-            util::check_valid(!filled[j][ord],
-                        "shard merge: fault covered by more than one shard");
-            filled[j][ord] = 1;
-            core::FaultRecord& rec = results[j].records[ord];
-            rec.fault.at_retired = rv.at("at").as_u64();
-            util::check_valid(core::fault_kind_from_name(rv.at("kind").as_string(),
-                                                   rec.fault.target.kind),
-                        "shard merge: unknown fault kind");
-            rec.fault.target.core = static_cast<unsigned>(rv.at("core").as_u64());
-            rec.fault.target.reg = static_cast<unsigned>(rv.at("reg").as_u64());
-            rec.fault.target.bit = static_cast<unsigned>(rv.at("bit").as_u64());
-            rec.fault.target.phys = rv.at("phys").as_u64();
-            core::Outcome o;
-            util::check_valid(core::outcome_from_name(rv.at("outcome").as_string(), o),
-                        "shard merge: unknown outcome");
-            rec.outcome = o;
-            rec.retired = rv.at("retired").as_u64();
-            // Provenance flag from pruned campaigns (absent = simulated).
-            if (const util::JsonValue* inf = rv.find("inferred"))
-                rec.inferred = inf->as_bool();
-        }
+    // Read every database before sizing anything by its manifests.
+    std::vector<ShardDb> dbs;
+    for (const std::string& bytes : shard_dbs) {
+        const std::string label =
+            "shard merge: database " + std::to_string(dbs.size());
+        const ShardDb& db = dbs.emplace_back(read_shard_db(bytes, label));
+        util::check_valid(db.complete(),
+                          label + " is incomplete (" + db.incomplete + ")");
     }
 
-    for (unsigned s = 0; s < shard_count; ++s)
+    const ShardDb& first = dbs.front();
+    std::vector<ShardDb::Job> shape = first.jobs;
+    std::vector<std::uint8_t> seen_shards(first.count, 0);
+    std::uint64_t records = 0;
+    for (const ShardDb& db : dbs) {
+        util::check_valid(db.count == first.count,
+                          "shard merge: shard counts differ across databases");
+        util::check_valid(db.config_hash == first.config_hash,
+                          "shard merge: config hash mismatch — the databases "
+                          "come from different campaigns");
+        util::check_valid(db.partition == first.partition,
+                          "shard merge: partition scheme mismatch — uniform and "
+                          "weighted (or differently weighted) shards of a "
+                          "campaign do not tile the fault space together");
+        util::check_valid(db.jobs.size() == shape.size(),
+                          "shard merge: job lists differ across shards");
+        for (std::size_t j = 0; j < shape.size(); ++j)
+            merge_job_shape(shape[j], db.jobs[j], j);
+        util::check_valid(!seen_shards[db.shard],
+                          "shard merge: shard " + std::to_string(db.shard) +
+                              " appears more than once");
+        seen_shards[db.shard] = 1;
+        records += db.records.size();
+    }
+    for (unsigned s = 0; s < first.count; ++s)
         util::check_valid(seen_shards[s],
-                    "shard merge: shard " + std::to_string(s) + " of " +
-                        std::to_string(shard_count) + " is missing");
+                          "shard merge: shard " + std::to_string(s) + " of " +
+                              std::to_string(first.count) + " is missing");
+    std::uint64_t fault_space = 0;
+    for (const ShardDb::Job& job : shape) fault_space += job.fault_space;
+    // Fewer records than faults leave some uncovered; with at least as
+    // many, only a fault filled twice (refused below) can miss one.
+    util::check_valid(records >= fault_space,
+                      "shard merge: " + std::to_string(fault_space - records) +
+                          " of " + std::to_string(fault_space) +
+                          " faults are not covered by any shard");
+
+    std::vector<core::CampaignResult> results(shape.size());
+    std::vector<std::vector<std::uint8_t>> filled(shape.size());
     for (std::size_t j = 0; j < shape.size(); ++j) {
-        util::check_valid(shape[j].has_golden,
-                    "shard merge: job " + std::to_string(j) +
-                        " has no golden reference in any shard");
-        for (std::uint32_t o = 0; o < shape[j].fault_space; ++o)
-            util::check_valid(filled[j][o], "shard merge: job " + std::to_string(j) +
-                                          " fault " + std::to_string(o) +
-                                          " not covered by any shard");
+        util::check_valid(shape[j].golden.has_value(),
+                          "shard merge: job " + std::to_string(j) +
+                              " has no golden reference in any shard");
+        results[j].scenario = shape[j].scenario;
+        results[j].golden = *shape[j].golden;
+        results[j].records.resize(shape[j].fault_space);
+        filled[j].assign(shape[j].fault_space, 0);
+    }
+    for (const ShardDb& db : dbs) {
+        for (const ShardDb::Record& r : db.records) {
+            util::check_valid(!filled[r.job][r.ord],
+                              "shard merge: job " + std::to_string(r.job) +
+                                  " fault " + std::to_string(r.ord) +
+                                  " covered by more than one shard");
+            filled[r.job][r.ord] = 1;
+            results[r.job].records[r.ord] = r.rec;
+        }
     }
 
     // Phase 4: counts + the exact streams BatchRunner emits unsharded.
-    bool header_written = false;
-    for (core::CampaignResult& r : results) {
-        r.recount();
-        if (csv_sink) {
-            const std::string csv = core::campaign_csv(r);
-            if (header_written) {
-                *csv_sink << csv.substr(csv.find('\n') + 1);
-            } else {
-                *csv_sink << csv;
-                header_written = true;
-            }
-        }
-        if (jsonl_sink) *jsonl_sink << core::campaign_json(r) << '\n';
+    for (std::size_t j = 0; j < results.size(); ++j) {
+        results[j].recount();
+        core::write_campaign_streams(results[j], csv_sink, jsonl_sink, j == 0);
     }
     return results;
 }

@@ -9,11 +9,14 @@
 //    and target), not by fault-list position — so re-partitioning the same
 //    campaign into a different N never changes which run a fault gets or
 //    its classification, only where it executes.
-//  * run_shard() executes one shard of a job list against a BatchRunner
-//    fault filter and writes a self-contained outcome database: one JSONL
-//    manifest line (magic, shard index/count, a config hash over the exact
-//    job list, and each job's golden reference) followed by one record line
-//    per injected fault carrying its full-fault-list ordinal.
+//  * run_shard() executes one shard of a job list on a BatchRunner and
+//    writes a self-contained outcome database: one JSONL manifest line
+//    (magic, shard index/count, a config hash over the exact job list, and
+//    each job's golden reference) followed by one record line per injected
+//    fault carrying its full-fault-list ordinal.
+//  * read_shard_db() is the format's one reader: merge, `serep report`,
+//    resume and the fleet's landing check give the same bytes the same
+//    verdict — complete, incomplete (a killed writer), or refused by name.
 //  * merge_shards() validates the manifests (same config hash, complete and
 //    disjoint shard cover, identical golden references), reassembles each
 //    job's record array by ordinal, and emits the same merged CSV / JSONL
@@ -28,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -41,12 +45,6 @@ namespace serep::orch {
 /// before narrowing or sizing anything by it, so a forged count can neither
 /// wrap into a different shard layout nor drive a huge allocation.
 constexpr unsigned kMaxShardCount = 4096;
-
-/// Check a shard manifest's u64 "count" and "shard" fields before they are
-/// narrowed: count in [1, kMaxShardCount], index below it. Throws
-/// util::ValidationError prefixed with `who`.
-void check_shard_slot(std::uint64_t count, std::uint64_t index,
-                      const std::string& who);
 
 /// Stable content id of a fault: depends only on the strike instant and the
 /// target, never on list order or shard count.
@@ -136,11 +134,10 @@ struct ShardDbAnnotation {
     std::string spec_hash;  ///< ExperimentSpec::spec_hash_hex()
 };
 
-/// Run shard `plan` of `jobs` on a BatchRunner configured from `opts`
-/// (opts.fault_filter is overwritten with the plan) and write the shard's
-/// outcome database to `os`.
+/// Run shard `plan` of `jobs` on a BatchRunner configured from `opts` and
+/// write the shard's outcome database to `os`.
 ShardRunStats run_shard(const std::vector<ShardJobSpec>& jobs, const ShardPlan& plan,
-                        BatchOptions opts, std::ostream& os,
+                        const BatchOptions& opts, std::ostream& os,
                         const ShardDbAnnotation* note = nullptr);
 
 /// Weighted variant: same database format, same merge path — only the
@@ -148,17 +145,58 @@ ShardRunStats run_shard(const std::vector<ShardJobSpec>& jobs, const ShardPlan& 
 /// weighted shard databases of one campaign merge byte-identically to the
 /// unsharded run, exactly like uniform shards.
 ShardRunStats run_shard(const std::vector<ShardJobSpec>& jobs,
-                        const WeightedShardPlan& plan, BatchOptions opts,
+                        const WeightedShardPlan& plan, const BatchOptions& opts,
                         std::ostream& os,
                         const ShardDbAnnotation* note = nullptr);
 
-/// Merge shard databases (file *contents*, any order). Validates manifests
-/// and record cover, returns the per-job results in job order, and — when
-/// sinks are given — streams the merged per-fault CSV and per-campaign
-/// JSONL exactly as BatchRunner does for an unsharded run. Throws
-/// util::Error on any inconsistency (config-hash mismatch, missing or
-/// duplicate shard, golden-reference divergence, uncovered or
-/// double-covered fault ordinals).
+/// A shard database as read_shard_db() reads it back.
+struct ShardDb {
+    struct Job {
+        npb::Scenario scenario;
+        std::uint32_t fault_space = 0;
+        /// Scalar fields only; none where a weighted shard ran none of the
+        /// job's faults ("golden": null) — another shard has the reference.
+        std::optional<core::GoldenRef> golden;
+    };
+    struct Record {
+        std::uint32_t job = 0;
+        std::uint32_t ord = 0; ///< position in the job's full fault list
+        core::FaultRecord rec;
+    };
+    unsigned shard = 0;
+    unsigned count = 1;
+    std::string partition; ///< "uniform" when the manifest predates the field
+    std::string config_hash;
+    std::string spec_hash; ///< ShardDbAnnotation; empty when unannotated
+    std::vector<Job> jobs; ///< empty when not even the manifest line is whole
+    std::vector<Record> records;
+    std::string incomplete; ///< why the writer did not finish; "" if it did
+
+    bool complete() const noexcept { return incomplete.empty(); }
+};
+
+/// Read shard-database bytes, plain or SRZF; `label` names them in errors.
+/// Incomplete (returned): an SRZF frame that does not decode, a torn final
+/// line, or fewer record lines than the manifest's "records"; the whole
+/// lines before the cut are validated. Refused (util::ValidationError
+/// naming `label` and the line): a missing member, bad magic, version,
+/// shard slot or empty job list; an unknown name; a fault_space other than
+/// n_faults; a record out of range or whose u64 field would be narrowed; a
+/// (job, ord) twice; more record lines than "records". Nothing is sized
+/// from a manifest field. Unannotated databases (no "records") are
+/// accepted but cannot show a cut at a line boundary.
+ShardDb read_shard_db(const std::string& bytes, const std::string& label);
+
+/// True when decoded `text` starts with a shard-database manifest line.
+bool is_shard_db(const std::string& text) noexcept;
+
+/// Merge shard databases (file *contents*, any order), each read by
+/// read_shard_db() and refused if incomplete. Validates the set (config
+/// hash, shard count, partition, job lists, golden references, each shard
+/// once, exact record cover), returns the per-job results in job order,
+/// and — when sinks are given — streams the merged per-fault CSV and
+/// per-campaign JSONL exactly as BatchRunner does for an unsharded run.
+/// Throws util::ValidationError on any inconsistency.
 std::vector<core::CampaignResult> merge_shards(
     const std::vector<std::string>& shard_dbs, std::ostream* csv_sink = nullptr,
     std::ostream* jsonl_sink = nullptr);

@@ -174,8 +174,6 @@ std::vector<AdaptiveJobResult> run_adaptive_campaign(
                       "adaptive campaign: confidence must be in (0, 1)");
     util::check_usage(stats.batch_faults > 0,
                       "adaptive campaign: batch size must be positive");
-    util::check(!opts.fault_filter,
-                "adaptive campaign: opts.fault_filter is owned by the sizer");
 
     // Retained ladders cost one scenario's snapshots each for the chunk's
     // whole multi-round lifetime; slice the campaign into the fixed batch's

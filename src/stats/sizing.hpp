@@ -60,9 +60,8 @@ struct AdaptiveJobResult {
 /// partitions by.
 std::vector<std::uint32_t> content_id_order(const std::vector<core::Fault>& faults);
 
-/// Run every job under the sequential stopping rule. `opts.fault_filter`
-/// must be unset (the sizer owns the per-job filters); opts.retain_ladders
-/// is forced on for the runner's lifetime. Results come back in job order.
+/// Run every job under the sequential stopping rule (opts.retain_ladders is
+/// forced on for the runner's lifetime); results come back in job order.
 std::vector<AdaptiveJobResult> run_adaptive_campaign(
     const std::vector<orch::ShardJobSpec>& jobs, orch::BatchOptions opts,
     const StatsOptions& stats);

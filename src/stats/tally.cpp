@@ -1,5 +1,6 @@
 #include "stats/tally.hpp"
 
+#include <algorithm>
 #include <tuple>
 
 #include "orch/shard.hpp"
@@ -26,20 +27,6 @@ core::FaultTarget::Kind kind_or_throw(const std::string& name,
     util::check_valid(core::fault_kind_from_name(name, k),
                       ctx + ": unknown fault kind '" + name + "'");
     return k;
-}
-
-/// Iterate the '\n'-separated lines of a database body, starting at byte
-/// `start` — offset-based so skipping a manifest line never copies the
-/// (potentially huge) body.
-template <typename Fn>
-void for_lines(const std::string& text, std::size_t start, Fn&& fn) {
-    std::size_t pos = start;
-    while (pos < text.size()) {
-        std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos) eol = text.size();
-        if (eol > pos) fn(text.substr(pos, eol - pos));
-        pos = eol + 1;
-    }
 }
 
 } // namespace
@@ -115,12 +102,6 @@ GroupKey parse_scenario_name(const std::string& name) {
     return key;
 }
 
-void OutcomeTally::add_record(const GroupKey& key, core::Outcome outcome,
-                              bool has_reg, unsigned reg, bool inferred) {
-    add_record_from(key, outcome, has_reg, reg, inferred, Source::Plain,
-                    "add_record");
-}
-
 void OutcomeTally::add_record_from(const GroupKey& key, core::Outcome outcome,
                                    bool has_reg, unsigned reg, bool inferred,
                                    Source src, const std::string& label) {
@@ -157,14 +138,19 @@ void OutcomeTally::add_record_from(const GroupKey& key, core::Outcome outcome,
 }
 
 void OutcomeTally::add_result(const core::CampaignResult& r) {
-    GroupKey base = parse_scenario_name(r.scenario.name());
-    for (const core::FaultRecord& rec : r.records) {
-        GroupKey key = base;
-        key.kind = core::fault_kind_name(rec.fault.target.kind);
-        const bool has_reg = core::fault_kind_has_reg(rec.fault.target.kind);
-        add_record(key, rec.outcome, has_reg, rec.fault.target.reg,
-                   rec.inferred);
-    }
+    const GroupKey base = parse_scenario_name(r.scenario.name());
+    for (const core::FaultRecord& rec : r.records)
+        add_fault_record(base, rec, Source::Plain, "add_result");
+}
+
+void OutcomeTally::add_fault_record(const GroupKey& scenario,
+                                    const core::FaultRecord& rec, Source src,
+                                    const std::string& label) {
+    GroupKey key = scenario;
+    key.kind = core::fault_kind_name(rec.fault.target.kind);
+    add_record_from(key, rec.outcome,
+                    core::fault_kind_has_reg(rec.fault.target.kind),
+                    rec.fault.target.reg, rec.inferred, src, label);
 }
 
 void OutcomeTally::add_database(const std::string& contents,
@@ -173,21 +159,21 @@ void OutcomeTally::add_database(const std::string& contents,
     if (util::zframe_is(contents)) {
         // zstd-framed (fleet-streamed) databases: decompress, then sniff the
         // plaintext as usual. Recursion is bounded: frames never nest.
-        add_database(util::zframe_decompress(contents), label);
+        std::string plain;
+        try {
+            plain = util::zframe_decompress(contents);
+        } catch (const util::ValidationError& e) {
+            throw util::ValidationError(label + ": " + e.what());
+        }
+        add_database(plain, label);
         return;
     }
     if (contents.rfind("scenario,", 0) == 0) {
         add_csv(contents, label);
+    } else if (orch::is_shard_db(contents)) {
+        add_shard_db(contents, label);
     } else if (contents.front() == '{') {
-        // Shard DBs and campaign JSONL both start with '{'; only shard DBs
-        // carry the manifest magic in their first line.
-        const std::size_t eol = contents.find('\n');
-        const std::string first =
-            contents.substr(0, eol == std::string::npos ? contents.size() : eol);
-        if (first.find("\"magic\":\"serep-shard\"") != std::string::npos)
-            add_shard_db(contents, label);
-        else
-            add_campaign_jsonl(contents, label);
+        add_campaign_jsonl(contents, label);
     } else {
         throw util::ValidationError(
             "unrecognized database format (expected a serep shard DB, "
@@ -199,113 +185,76 @@ void OutcomeTally::add_database(const std::string& contents,
 
 void OutcomeTally::add_shard_db(const std::string& contents,
                                 const std::string& label) {
-    const std::size_t eol = contents.find('\n');
-    util::check_valid(eol != std::string::npos, label + ": missing manifest line");
-    util::JsonValue manifest;
-    try {
-        manifest = util::json_parse(contents.substr(0, eol));
-    } catch (const util::Error& e) {
-        throw util::ValidationError(label + ": bad manifest: " + e.what());
-    }
+    const orch::ShardDb db = orch::read_shard_db(contents, label);
+    // Records are written job by job, so a cut database lacks its last jobs
+    // entirely: a biased sample, refused even under a partial shard cover.
+    util::check_valid(db.complete(),
+                      label + " is incomplete (" + db.incomplete + ")");
 
     // Config-hash + partition cross-validation: every shard DB folded into
     // one tally must come from the same campaign *and* the same
     // fault-to-shard assignment scheme (a uniform and a weighted shard of
     // one campaign overlap and leave gaps — blending them would silently
     // double-count some faults and drop others), and no shard twice.
-    const std::string hash = manifest.at("config_hash").as_string();
-    const std::uint64_t count64 = manifest.at("count").as_u64();
-    const std::uint64_t index64 = manifest.at("shard").as_u64();
-    orch::check_shard_slot(count64, index64, label);
-    const unsigned count = static_cast<unsigned>(count64);
-    const unsigned index = static_cast<unsigned>(index64);
-    const util::JsonValue* part = manifest.find("partition");
-    const std::string partition = part ? part->as_string() : "uniform";
-    if (shard_hash_.empty()) {
-        shard_hash_ = hash;
-        shard_count_ = count;
-        shard_partition_ = partition;
-    } else {
-        util::check_valid(hash == shard_hash_,
-                          label + ": config hash mismatch — this shard "
-                                  "database comes from a different campaign");
-        util::check_valid(count == shard_count_,
-                          label + ": shard count differs from earlier databases");
-        util::check_valid(partition == shard_partition_,
-                          label + ": partition scheme mismatch — this shard "
-                                  "was cut by a different assignment than "
-                                  "earlier databases");
+    if (shard_count_ == 0) {
+        shard_hash_ = db.config_hash;
+        shard_count_ = db.count;
+        shard_partition_ = db.partition;
     }
-    util::check_valid(shard_seen_.insert(index).second,
-                      label + ": shard " + std::to_string(index) +
+    util::check_valid(db.config_hash == shard_hash_,
+                      label + ": config hash mismatch — this shard "
+                              "database comes from a different campaign");
+    util::check_valid(db.count == shard_count_,
+                      label + ": shard count differs from earlier databases");
+    util::check_valid(db.partition == shard_partition_,
+                      label + ": partition scheme mismatch — this shard was "
+                              "cut by a different assignment than earlier "
+                              "databases");
+    util::check_valid(shard_seen_.insert(db.shard).second,
+                      label + ": shard " + std::to_string(db.shard) +
                           " already folded into this tally");
 
-    // Jobs array gives each record's scenario via its "job" index.
     std::vector<GroupKey> job_keys;
-    for (const util::JsonValue& jv : manifest.at("jobs").arr) {
-        GroupKey key;
-        key.isa = jv.at("isa").as_string();
-        key.app = jv.at("app").as_string();
-        key.api = jv.at("api").as_string();
-        key.cores = static_cast<unsigned>(jv.at("cores").as_u64());
-        job_keys.push_back(std::move(key));
-    }
-    util::check_valid(!job_keys.empty(), label + ": empty job list");
-
-    std::size_t line_no = 1;
-    for_lines(contents, eol + 1, [&](const std::string& line) {
-        ++line_no;
-        util::JsonValue rv;
-        try {
-            rv = util::json_parse(line);
-        } catch (const util::Error& e) {
-            throw util::ValidationError(label + " line " +
-                                        std::to_string(line_no) + ": " +
-                                        e.what());
-        }
-        const std::size_t job = rv.at("job").as_u64();
-        util::check_valid(job < job_keys.size(),
-                          label + ": record for unknown job");
-        GroupKey key = job_keys[job];
-        const core::FaultTarget::Kind kind =
-            kind_or_throw(rv.at("kind").as_string(), label);
-        key.kind = core::fault_kind_name(kind);
-        const util::JsonValue* inf = rv.find("inferred");
-        add_record_from(key,
-                        outcome_or_throw(rv.at("outcome").as_string(), label),
-                        core::fault_kind_has_reg(kind),
-                        static_cast<unsigned>(rv.at("reg").as_u64()),
-                        inf && inf->as_bool(), Source::Shard, label);
-    });
+    for (const orch::ShardDb::Job& job : db.jobs)
+        job_keys.push_back(parse_scenario_name(job.scenario.name()));
+    for (const orch::ShardDb::Record& r : db.records)
+        add_fault_record(job_keys[r.job], r.rec, Source::Shard, label);
 }
 
 void OutcomeTally::add_campaign_jsonl(const std::string& contents,
                                       const std::string& label) {
     std::size_t line_no = 0;
-    for_lines(contents, 0, [&](const std::string& line) {
+    for (std::size_t pos = 0, eol; pos < contents.size(); pos = eol + 1) {
+        eol = std::min(contents.find('\n', pos), contents.size());
         ++line_no;
-        util::JsonValue cv;
+        if (eol == pos) continue; // blank line
+        // A missing member or a wrong type is damaged input too (exit 3),
+        // named by line like a parse error.
         try {
-            cv = util::json_parse(line);
+            const util::JsonValue cv =
+                util::json_parse(contents.substr(pos, eol - pos));
+            const GroupKey base =
+                parse_scenario_name(cv.at("scenario").as_string());
+            for (const util::JsonValue& rv : cv.at("records").arr) {
+                GroupKey key = base;
+                const core::FaultTarget::Kind kind =
+                    kind_or_throw(rv.at("kind").as_string(), label);
+                key.kind = core::fault_kind_name(kind);
+                const util::JsonValue* inf = rv.find("inferred");
+                add_record_from(
+                    key, outcome_or_throw(rv.at("outcome").as_string(), label),
+                    core::fault_kind_has_reg(kind),
+                    static_cast<unsigned>(rv.at("reg").as_u64()),
+                    inf && inf->as_bool(), Source::Plain, label);
+            }
+        } catch (const util::ValidationError&) {
+            throw;
         } catch (const util::Error& e) {
             throw util::ValidationError(label + " line " +
                                         std::to_string(line_no) + ": " +
                                         e.what());
         }
-        const GroupKey base = parse_scenario_name(cv.at("scenario").as_string());
-        for (const util::JsonValue& rv : cv.at("records").arr) {
-            GroupKey key = base;
-            const core::FaultTarget::Kind kind =
-                kind_or_throw(rv.at("kind").as_string(), label);
-            key.kind = core::fault_kind_name(kind);
-            const util::JsonValue* inf = rv.find("inferred");
-            add_record_from(
-                key, outcome_or_throw(rv.at("outcome").as_string(), label),
-                core::fault_kind_has_reg(kind),
-                static_cast<unsigned>(rv.at("reg").as_u64()),
-                inf && inf->as_bool(), Source::Plain, label);
-        }
-    });
+    }
 }
 
 void OutcomeTally::add_csv(const std::string& contents,

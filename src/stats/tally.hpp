@@ -12,9 +12,9 @@
 // add), so a report rendered from N unmerged shard databases is
 // byte-identical to one rendered from the merged database — asserted in
 // tests/stats_test.cpp and by the stats-report-golden CI job. Shard
-// databases are cross-validated with the PR-2 config-hash machinery: DBs
-// from different campaigns, or the same shard twice, throw
-// util::ValidationError instead of silently blending.
+// databases are read by orch::read_shard_db and cross-validated by config
+// hash: DBs from different campaigns, the same shard twice, a cut DB or one
+// holding a record twice throw util::ValidationError, even under --partial.
 #pragma once
 
 #include <array>
@@ -84,15 +84,9 @@ public:
     /// manifest line), a campaign JSONL stream (core::campaign_json lines),
     /// or a merged per-fault CSV (campaign_csv header). `label` names the
     /// input in error messages (usually the file name). Throws
-    /// util::ValidationError on malformed input or shard DBs that do not
-    /// belong to the same campaign as previously ingested ones.
+    /// util::ValidationError on malformed or incomplete input or shard DBs
+    /// that do not belong to the same campaign as previously ingested ones.
     void add_database(const std::string& contents, const std::string& label);
-
-    /// Direct single-record fold (used by every ingestion path; exposed so
-    /// drivers with custom record sources can reuse the tally).
-    /// `inferred` marks a pruning-derived outcome (FaultRecord::inferred).
-    void add_record(const GroupKey& key, core::Outcome outcome, bool has_reg,
-                    unsigned reg, bool inferred = false);
 
     /// When false, pruning-derived records (the "inferred" provenance flag)
     /// are counted by inferred_records() but excluded from every group and
@@ -138,14 +132,17 @@ private:
     void add_shard_db(const std::string& contents, const std::string& label);
     void add_campaign_jsonl(const std::string& contents, const std::string& label);
     void add_csv(const std::string& contents, const std::string& label);
-    /// add_record with provenance: a group fed by both a shard DB and a
-    /// merged/plain database is almost certainly the same campaign counted
-    /// twice (the merged DB *contains* the shards' records), which would
-    /// silently double n and shrink every CI — refused instead.
+    /// One record's fold, with provenance: a group fed by both a shard DB
+    /// and a merged/plain database is almost certainly the same campaign
+    /// counted twice (the merged DB *contains* the shards' records), which
+    /// would silently double n and shrink every CI — refused instead.
     enum class Source : std::uint8_t { Plain = 1, Shard = 2 };
     void add_record_from(const GroupKey& key, core::Outcome outcome,
                          bool has_reg, unsigned reg, bool inferred, Source src,
                          const std::string& label);
+    /// add_record_from for one record of `scenario` (kind left empty).
+    void add_fault_record(const GroupKey& scenario, const core::FaultRecord& rec,
+                          Source src, const std::string& label);
 
     std::map<GroupKey, GroupCounts> groups_;
     std::map<GroupKey, std::uint8_t> group_sources_;

@@ -21,8 +21,8 @@
 // available; a zstd file on a store-only build is refused with a named
 // error instead of garbage. Writers default to the best codec available.
 //
-// Consumers never deal with any of this: orch::merge_shards,
-// stats::OutcomeTally and the exp::Driver's resume probe all sniff
+// Consumers never deal with any of this: orch::read_shard_db (behind merge,
+// resume and the fleet's landing check) and stats::OutcomeTally sniff
 // zframe_is() and decompress transparently, so a `.jsonl.zst` database is
 // accepted everywhere a plain `.jsonl` one is.
 #pragma once

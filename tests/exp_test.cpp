@@ -17,6 +17,9 @@
 //    shard count, annotates shard manifests with the spec hash, skips
 //    finished shards on re-run (resume), and REFUSES a shard database
 //    whose spec hash does not match instead of blending it.
+//  * The three shard-database readers — the resume probe, the merger and
+//    the report tally — give one verdict for the same bytes: whole, cut
+//    by a killed writer, or refused by name.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -26,8 +29,10 @@
 #include <sstream>
 
 #include "exp/driver.hpp"
+#include "stats/tally.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
+#include "util/zframe.hpp"
 
 using namespace serep;
 
@@ -56,6 +61,22 @@ std::string tmp_prefix(const std::string& tag) {
           std::string("_shard1.jsonl"), std::string("_shard2.jsonl")})
         std::remove((prefix + suffix).c_str());
     return prefix;
+}
+
+/// `text` with the first `"key":value,` member removed.
+std::string drop_member(std::string text, const std::string& key) {
+    const std::size_t at = text.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key;
+    return text.erase(at, text.find(',', at) + 1 - at);
+}
+
+/// `text` with the value of its first `"key":value,` member set to `value`.
+std::string set_member(std::string text, const std::string& key,
+                       const std::string& value) {
+    const std::size_t at = text.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t from = at + key.size() + 3;
+    return text.replace(from, text.find(',', from) - from, value);
 }
 
 /// Loading `json` must throw util::UsageError whose message contains
@@ -409,4 +430,136 @@ TEST(Driver, InMemoryExperimentReturnsResultsWithoutFiles) {
     ASSERT_EQ(res.results.size(), 1u);
     EXPECT_EQ(res.results[0].records.size(), 16u);
     EXPECT_EQ(res.results[0].scenario.name(), "ARMv7-EP-SER-1");
+}
+
+// ------------------------------------------------ shard-database verdicts
+
+TEST(ShardDbReaders, GiveOneVerdictForTheSameBytes) {
+    // An annotated 2-shard set, then forged copies of shard 0. The resume
+    // probe (also the fleet's landing check) answers Match, Incomplete or a
+    // ValidationError naming the file; merge and report accept only what
+    // the probe calls Match.
+    exp::ExperimentSpec spec;
+    spec.name = "reader-verdicts";
+    spec.out = tmp_prefix("verdicts");
+    spec.klass = "Mini";
+    spec.apps = {"EP"};
+    spec.apis = {"SER"};
+    spec.faults = 24;
+    spec.seed = 0x5EED;
+    spec.threads = 2;
+    spec.shards = 2;
+    exp::DriverOptions quiet;
+    quiet.log = nullptr;
+    exp::ExperimentPlan plan(spec);
+    exp::run_experiment(plan, quiet);
+    const std::string db0 = slurp(plan.shard_db_path(0));
+    const std::string db1 = slurp(plan.shard_db_path(1));
+
+    const std::size_t eol = db0.find('\n');
+    const std::string manifest = db0.substr(0, eol);
+    std::vector<std::string> recs;
+    for (std::size_t pos = eol + 1; pos < db0.size();) {
+        const std::size_t next = db0.find('\n', pos);
+        recs.push_back(db0.substr(pos, next - pos));
+        pos = next + 1;
+    }
+    ASSERT_GE(recs.size(), 4u);
+    const auto with_first_record = [&](const std::string& rec) {
+        std::string out = manifest + "\n" + rec + "\n";
+        for (std::size_t i = 1; i < recs.size(); ++i) out += recs[i] + "\n";
+        return out;
+    };
+    const std::uint64_t ord0 = util::json_parse(recs[0]).at("ord").as_u64();
+    std::string cut = manifest + "\n";
+    for (std::size_t i = 0; i < recs.size() / 2; ++i) cut += recs[i] + "\n";
+    std::string no_manifest;
+    for (const std::string& r : recs) no_manifest += r + "\n";
+    const std::string framed = util::zframe_compress(db0);
+
+    enum class Verdict { Match, Incomplete, Refused };
+    const struct {
+        const char* what;
+        std::string bytes;
+        Verdict verdict;
+    } rows[] = {
+        {"intact", db0, Verdict::Match},
+        {"intact, zstd-framed", framed, Verdict::Match},
+        {"cut at a line boundary", cut, Verdict::Incomplete},
+        {"torn final line", db0.substr(0, db0.size() - 5), Verdict::Incomplete},
+        {"cut SRZF frame", framed.substr(0, framed.size() / 2),
+         Verdict::Incomplete},
+        {"first record line appended again", db0 + recs[0] + "\n",
+         Verdict::Refused},
+        {"manifest version 2", set_member(db0, "version", "2"),
+         Verdict::Refused},
+        {"job 0 fault_space 4000000000",
+         set_member(db0, "fault_space", "4000000000"), Verdict::Refused},
+        {"no config_hash", drop_member(db0, "config_hash"), Verdict::Refused},
+        {"a record without outcome",
+         with_first_record(drop_member(recs[0], "outcome")), Verdict::Refused},
+        {"a job without isa", drop_member(db0, "isa"), Verdict::Refused},
+        {"ord >= fault_space", with_first_record(set_member(recs[0], "ord", "24")),
+         Verdict::Refused},
+        {"ord = 2^32 + a valid ordinal",
+         with_first_record(
+             set_member(recs[0], "ord", std::to_string((1ULL << 32) + ord0))),
+         Verdict::Refused},
+        {"unknown kind", with_first_record(set_member(recs[0], "kind", "\"zap\"")),
+         Verdict::Refused},
+        {"no manifest line", no_manifest, Verdict::Refused},
+        // With no whole line there is no manifest to vouch for the bytes.
+        {"manifest cut mid-line", manifest.substr(0, manifest.size() / 2),
+         Verdict::Refused},
+        // A count past orch::kMaxShardCount is refused before it is narrowed
+        // or sizes anything: 2^32 + 1 would wrap to a 1-shard campaign,
+        // 2^32 - 1 would size a 4 GiB shard bitmap.
+        {"count 2^32 + 1", set_member(db0, "count", "4294967297"),
+         Verdict::Refused},
+        {"count 2^32 - 1", set_member(db0, "count", "4294967295"),
+         Verdict::Refused},
+        {"count 4097", set_member(db0, "count", "4097"), Verdict::Refused},
+    };
+
+    // Refusals name the input: `label` for the probe and the tally.
+    const auto expect_refusal = [](const std::function<void()>& read,
+                                   const std::string& label) {
+        try {
+            read();
+            ADD_FAILURE() << "accepted";
+        } catch (const util::ValidationError& e) {
+            EXPECT_NE(std::string(e.what()).find(label), std::string::npos)
+                << e.what();
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "not a ValidationError: " << e.what();
+        }
+    };
+    for (const auto& row : rows) {
+        SCOPED_TRACE(row.what);
+        const auto probe = [&] {
+            return exp::classify_shard_db(row.bytes, "forged", plan, 0, 2);
+        };
+        const auto report = [&] {
+            stats::OutcomeTally tally;
+            tally.add_database(row.bytes, "forged");
+            tally.add_database(db1, "shard1");
+            return tally.total_records();
+        };
+        switch (row.verdict) {
+        case Verdict::Match:
+            EXPECT_EQ(probe(), exp::ShardDbState::Match);
+            EXPECT_EQ(orch::merge_shards({row.bytes, db1}).size(), 2u);
+            EXPECT_EQ(report(), 48u);
+            continue;
+        case Verdict::Incomplete:
+            EXPECT_EQ(probe(), exp::ShardDbState::Incomplete);
+            break;
+        case Verdict::Refused:
+            expect_refusal(probe, "forged");
+            break;
+        }
+        EXPECT_THROW(orch::merge_shards({row.bytes, db1}),
+                     util::ValidationError);
+        expect_refusal(report, "forged");
+    }
 }

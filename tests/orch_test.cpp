@@ -775,24 +775,6 @@ TEST(Shard, MergeValidatesManifests) {
                             dbs[1], dbs[2]}),
         util::Error);
 
-    // A manifest count past orch::kMaxShardCount is refused before it is
-    // narrowed or sizes anything: 2^32 + 1 would wrap to a 1-shard
-    // campaign, 2^32 - 1 would size a 4 GiB shard bitmap.
-    for (const char* forged_count : {"4294967297", "4294967295", "4097"}) {
-        std::string forged = dbs[0];
-        const std::size_t at = forged.find("\"count\":3");
-        ASSERT_NE(at, std::string::npos);
-        forged.replace(at, 9, std::string("\"count\":") + forged_count);
-        try {
-            orch::merge_shards({forged});
-            ADD_FAILURE() << "count " << forged_count << " was accepted";
-        } catch (const util::ValidationError& e) {
-            EXPECT_NE(std::string(e.what()).find(forged_count),
-                      std::string::npos)
-                << e.what();
-        }
-    }
-
     // The intact set still merges after all those rejections.
     EXPECT_EQ(orch::merge_shards(dbs).size(), 2u);
 }
