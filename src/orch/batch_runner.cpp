@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -55,9 +56,9 @@ MachineTally machine_tally(const sim::Machine& m) {
 
 /// Fold the engine/cache work `m` did since `from` into the registry. A
 /// golden machine is built fresh, so it folds against a zero tally; a
-/// fault-run clone inherits its rung's totals, so it folds against the
-/// tally taken right after the clone. TraceStats reset on copy and fold
-/// whole.
+/// fault-run machine inherits its rung's totals, so it folds against the
+/// tally taken right after the clone or rewind. TraceStats reset on both
+/// and fold whole.
 void fold_machine(const sim::Machine& m, const MachineTally& from = {}) {
     if (!tm::enabled()) return;
     static const tm::MetricId kSteps = tm::counter_id("engine.steps");
@@ -224,7 +225,7 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
     std::vector<std::unique_ptr<GoldenEntry>> built(missing.size());
     {
         tm::Span phase("batch.golden");
-        pool.parallel_for(missing.size(), [&](std::size_t i) {
+        pool.parallel_for(missing.size(), [&](std::size_t i, unsigned) {
             const npb::Scenario& s = missing[i].second;
             tm::Span span("golden:" + s.name());
             sim::Machine m = npb::make_machine(s, false);
@@ -325,7 +326,7 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
     // representative's record is copied to its followers when it lands.
     {
         tm::Span phase("batch.prune_analyze");
-        pool.parallel_for(to_analyze.size(), [&](std::size_t a) {
+        pool.parallel_for(to_analyze.size(), [&](std::size_t a, unsigned) {
             JobState& job = *to_analyze[a];
             tm::Span span("prune:" + job.scenario.name());
             job.prune = std::make_unique<prune::PruneAnalysis>(
@@ -381,16 +382,57 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
                 tasks.emplace_back(&job, i);
     }
 
+    // Scenario-major task order: scenarios by first appearance in the wave,
+    // then jobs, then faults. Each participant takes a contiguous share of
+    // the list (and thieves the upper half of one), so consecutive tasks on
+    // one ladder let its resident machine rewind instead of re-cloning.
+    // Records land at their own index and flush in job order, so no output
+    // byte moves.
+    {
+        std::unordered_map<const GoldenEntry*, std::size_t> scenario_rank;
+        std::unordered_map<const JobState*, std::size_t> rank;
+        for (std::size_t n = 0; n < wave_jobs.size(); ++n) {
+            const JobState* job = jobs_[wave_jobs[n]].get();
+            const std::size_t s =
+                scenario_rank.try_emplace(job->golden, scenario_rank.size())
+                    .first->second;
+            rank[job] = s * wave_jobs.size() + n;
+        }
+        std::stable_sort(tasks.begin(), tasks.end(),
+                         [&](const auto& a, const auto& b) {
+                             return rank.at(a.first) < rank.at(b.first);
+                         });
+    }
+
     // Phase 3: every job's injection runs interleaved on one pool. Each run
     // resumes from the deepest ladder rung at or before its strike instant.
+    // A participant keeps one resident machine for the phase: when its last
+    // task ran on the same ladder, the resident is rewound to the rung
+    // (only the pages it and the rung wrote are copied), else a clone of
+    // the rung replaces it. Either way the run starts from the machine
+    // clone_nearest returns, bit for bit.
     {
         tm::Span phase("batch.inject");
-        pool.parallel_for(tasks.size(), [&](std::size_t t) {
+        struct Resident {
+            const CheckpointLadder* ladder = nullptr; ///< null: clone anew
+            std::optional<sim::Machine> m;
+        };
+        std::vector<Resident> residents(pool.threads());
+        pool.parallel_for(tasks.size(), [&](std::size_t t, unsigned slot) {
             JobState& job = *tasks[t].first;
             const std::uint32_t i = tasks[t].second;
             const core::Fault& f = job.faults[i];
             const CheckpointLadder& ladder = job.golden->ladder;
-            sim::Machine run = ladder.clone_nearest(f.at_retired);
+            // Cleared until the task completes: a task that throws leaves
+            // its resident to be replaced, not rewound.
+            Resident& res = residents[slot];
+            if (std::exchange(res.ladder, nullptr) == &ladder) {
+                ladder.rewind_nearest(*res.m, f.at_retired);
+            } else {
+                res.m.reset(); // freed before the clone allocates its own
+                res.m = ladder.clone_nearest(f.at_retired);
+            }
+            sim::Machine& run = *res.m;
             const MachineTally at_clone = machine_tally(run);
             const std::uint64_t ff = f.at_retired - at_clone.steps;
             ff_retired_.fetch_add(ff, std::memory_order_relaxed);
@@ -442,6 +484,7 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
                     frec.inferred = true;
                     job.result.records[fi] = frec;
                 }
+            res.ladder = &ladder;
             // Phase 4: the finisher merges counts and streams the job in order.
             if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
                 complete_job(job);
@@ -481,7 +524,7 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
         }
         tm::Span phase("batch.prune_verify");
         std::atomic<std::size_t> verified{0};
-        pool.parallel_for(vtasks.size(), [&](std::size_t t) {
+        pool.parallel_for(vtasks.size(), [&](std::size_t t, unsigned) {
             JobState& job = *vtasks[t].job;
             const std::uint32_t i = vtasks[t].i;
             const core::Fault& f = job.faults[i];

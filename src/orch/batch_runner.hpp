@@ -11,7 +11,11 @@
 //   * every job's fault runs are interleaved on the shared pool, so a batch
 //     of skewed campaigns keeps all host threads busy,
 //   * injection runs start from the nearest checkpoint-ladder rung instead of
-//     fast-forwarding from reset (see orch/checkpoint.hpp),
+//     fast-forwarding from reset (see orch/checkpoint.hpp). Each pool thread
+//     keeps one resident machine for a wave's injection phase and rewinds it
+//     to the rung, copying only the pages it and the rung wrote; it clones
+//     only for the first run on a ladder. The wave runs its fault tasks
+//     scenario-major, so consecutive tasks share a ladder,
 //   * a run is closed with the golden outcome as soon as its machine is
 //     bit-for-bit the golden one: at injection (a dead-on-arrival uncore
 //     strike) or at the first later rung it matches (a fault that stopped

@@ -84,11 +84,19 @@ void CheckpointLadder::enforce_budgets() {
     }
 }
 
-std::uint64_t CheckpointLadder::nearest_retired(std::uint64_t at) const noexcept {
+CheckpointLadder::Nearest CheckpointLadder::nearest(std::uint64_t at) const noexcept {
+    // Rungs are ascending.
     for (std::size_t i = deltas_.size(); i-- > 0;)
-        if (deltas_[i].retired() <= at) return deltas_[i].retired();
+        if (deltas_[i].retired() <= at) return {&deltas_[i], nullptr};
     for (std::size_t i = full_.size(); i-- > 0;)
-        if (full_[i].total_retired() <= at) return full_[i].total_retired();
+        if (full_[i].total_retired() <= at) return {nullptr, &full_[i]};
+    return {};
+}
+
+std::uint64_t CheckpointLadder::nearest_retired(std::uint64_t at) const noexcept {
+    const Nearest n = nearest(at);
+    if (n.delta) return n.delta->retired();
+    if (n.full) return n.full->total_retired();
     return base_ ? base_->total_retired() : 0;
 }
 
@@ -98,13 +106,27 @@ sim::Machine CheckpointLadder::clone_nearest(std::uint64_t at) const {
             telemetry::counter_id("checkpoint.restores");
         telemetry::count(kRestores);
     }
-    // Deepest rung with total_retired() <= at; rungs are ascending.
-    for (std::size_t i = deltas_.size(); i-- > 0;)
-        if (deltas_[i].retired() <= at)
-            return sim::restore_machine_delta(deltas_[i], *base_);
-    for (std::size_t i = full_.size(); i-- > 0;)
-        if (full_[i].total_retired() <= at) return full_[i];
-    return *base_;
+    const Nearest n = nearest(at);
+    if (n.delta) return sim::restore_machine_delta(*n.delta, *base_);
+    return n.full ? *n.full : *base_;
+}
+
+void CheckpointLadder::rewind_nearest(sim::Machine& m, std::uint64_t at) const {
+    const Nearest n = nearest(at);
+    const std::size_t pages =
+        n.delta ? sim::rewind_machine(m, *n.delta, *base_)
+                : sim::rewind_machine(m, n.full ? *n.full : *base_);
+    if (telemetry::enabled()) {
+        static const telemetry::MetricId kRestores =
+            telemetry::counter_id("checkpoint.restores");
+        static const telemetry::MetricId kRewinds =
+            telemetry::counter_id("checkpoint.rewinds");
+        static const telemetry::MetricId kPages =
+            telemetry::counter_id("checkpoint.rewind_pages");
+        telemetry::count(kRestores);
+        telemetry::count(kRewinds);
+        telemetry::count(kPages, pages);
+    }
 }
 
 std::uint64_t CheckpointLadder::next_rung_after(std::uint64_t at) const noexcept {

@@ -11,6 +11,14 @@
 // outcomes are bit-identical for any stride (including a disabled ladder,
 // which degenerates to from-reset replay).
 //
+// A run need not start from a fresh clone. rewind_nearest() moves a machine
+// that already exists — a clone of this ladder's rungs, run, struck or
+// rewound any number of times since — to the rung clone_nearest() would
+// pick, copying only the pages it and the rung wrote since the base
+// (sim::rewind_machine). The result equals the clone in every field, so
+// the batch runner keeps one resident machine per pool thread and rewinds
+// it from fault run to fault run.
+//
 // Rungs are also convergence witnesses. A fault run paused at a rung instant
 // after its strike can ask matches_rung() whether its machine is bit-for-bit
 // the golden machine there; if so, its continuation is the golden run and
@@ -79,6 +87,13 @@ public:
     /// Materialize the deepest snapshot with total_retired() <= at (the base
     /// rung at worst) as a runnable clone.
     sim::Machine clone_nearest(std::uint64_t at) const;
+    /// Move `m` in place to the rung clone_nearest(at) would clone — delta,
+    /// full-copy or base — so that it equals that clone in every field
+    /// (sim::rewind_machine). `m` must be a clone of this ladder's rungs (run,
+    /// struck or rewound any which way since): a resident fault machine
+    /// then pays for the pages it and the rung wrote, not for all of guest
+    /// memory. Counted as a restore, like a clone.
+    void rewind_nearest(sim::Machine& m, std::uint64_t at) const;
     /// Retired count of the rung clone_nearest(at) would start from.
     std::uint64_t nearest_retired(std::uint64_t at) const noexcept;
 
@@ -132,6 +147,13 @@ public:
     std::size_t peak_footprint_bytes() const noexcept { return peak_; }
 
 private:
+    /// The deepest rung with total_retired() <= at: a delta or a full-copy
+    /// rung, or neither for the base.
+    struct Nearest {
+        const sim::MachineDelta* delta = nullptr;
+        const sim::Machine* full = nullptr;
+    };
+    Nearest nearest(std::uint64_t at) const noexcept;
     void enforce_budgets();
     std::uint64_t last_retired() const noexcept;
 

@@ -22,7 +22,7 @@ constexpr std::uint32_t range_hi(std::uint64_t r) noexcept {
 } // namespace
 
 struct Scheduler::Job {
-    const std::function<void(std::size_t)>* body = nullptr;
+    const std::function<void(std::size_t, unsigned)>* body = nullptr;
     /// Per-slot [lo, hi) index ranges, packed lo:32|hi:32.
     std::vector<std::atomic<std::uint64_t>> ranges;
     /// Initial partition bounds — an index executed outside its initial
@@ -59,7 +59,7 @@ void Scheduler::participate(Job& job, unsigned slot) {
     unsigned idle_rounds = 0;
     auto run_one = [&](std::uint32_t idx) {
         try {
-            (*job.body)(idx);
+            (*job.body)(idx, slot);
         } catch (...) {
             std::lock_guard<std::mutex> lk(job.error_mu);
             if (!job.error) job.error = std::current_exception();
@@ -152,8 +152,8 @@ void Scheduler::worker_loop(unsigned helper_id) {
     }
 }
 
-void Scheduler::parallel_for(std::size_t n,
-                             const std::function<void(std::size_t)>& body) {
+void Scheduler::parallel_for(
+    std::size_t n, const std::function<void(std::size_t, unsigned)>& body) {
     if (n == 0) return;
     util::check(n < (std::uint64_t{1} << 32), "parallel_for: index space too large");
     std::lock_guard<std::mutex> run_lock(run_mu_);

@@ -11,6 +11,13 @@
 // when empty it steals the upper half of the largest remaining range. Work
 // items write only to their own index's slot, so results are bit-identical
 // regardless of the steal schedule or pool width.
+//
+// Participant slots: the body also learns which participant runs it — slot
+// 0 is the calling thread, slots 1..threads()-1 the helpers. A slot runs
+// its items one at a time, so per-slot state (BatchRunner's resident fault
+// machines) needs no lock; which items share a slot depends on the steal
+// schedule, so such state may change how fast an item runs, never what it
+// writes.
 #pragma once
 
 #include <atomic>
@@ -37,11 +44,13 @@ public:
 
     unsigned threads() const noexcept { return nthreads_; }
 
-    /// Execute body(i) for every i in [0, n); blocks until all complete.
-    /// The calling thread participates as a worker. Exceptions thrown by
+    /// Execute body(i, slot) for every i in [0, n); blocks until all
+    /// complete. `slot` (< threads()) names the participant running item i;
+    /// the calling thread participates as slot 0. Exceptions thrown by
     /// `body` are captured and the first one is rethrown here after the
     /// remaining items ran. Concurrent parallel_for calls are serialized.
-    void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
+    void parallel_for(std::size_t n,
+                      const std::function<void(std::size_t, unsigned)>& body);
 
     /// Total indices executed across all parallel_for calls (test hook).
     std::uint64_t tasks_executed() const noexcept {

@@ -330,7 +330,7 @@ std::vector<double> probe_job_weights(const std::vector<ShardJobSpec>& jobs) {
         job_slot.push_back(slot);
     }
     std::vector<double> lens(distinct.size());
-    Scheduler::instance().parallel_for(distinct.size(), [&](std::size_t i) {
+    Scheduler::instance().parallel_for(distinct.size(), [&](std::size_t i, unsigned) {
         sim::Machine m = npb::make_machine(distinct[i]->scenario, false);
         m.run_until(~0ULL >> 1);
         util::check(m.status() == sim::RunStatus::Shutdown,

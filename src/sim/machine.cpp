@@ -167,6 +167,48 @@ void Machine::set_engine(Engine e) noexcept {
     }
 }
 
+// Every field of the defaulted copy assignment, with guest memory's payload
+// left in place. The assert pins the layout this list was written against
+// (LP64): a new field breaks the build until it is copied here.
+static_assert(sizeof(void*) != 8 || sizeof(Machine) == 896,
+              "Machine changed: copy the new field in assign_shell()");
+
+void Machine::assign_shell(const Machine& o) {
+    image_ = o.image_;
+    cfg_ = o.cfg_;
+    mem_.assign_shell(o.mem_);
+    cores_ = o.cores_;
+    counters_ = o.counters_;
+    mcounters_ = o.mcounters_;
+    l1i_ = o.l1i_;
+    l1d_ = o.l1d_;
+    l2_ = o.l2_;
+    outputs_ = o.outputs_;
+    proc_exit_codes_ = o.proc_exit_codes_;
+    status_ = o.status_;
+    panic_cause_ = o.panic_cause_;
+    exit_code_ = o.exit_code_;
+    total_retired_ = o.total_retired_;
+    app_started_ = o.app_started_;
+    app_start_retired_ = o.app_start_retired_;
+    func_instr_ = o.func_instr_;
+    func_calls_ = o.func_calls_;
+    reg_writes_ = o.reg_writes_;
+    next_pc_ = o.next_pc_;
+    branch_taken_ = o.branch_taken_;
+    engine_ = o.engine_;
+    xcache_ = o.xcache_;
+    overlay_ = o.overlay_;
+    tcur_ = o.tcur_;
+    tstats_ = o.tstats_;     // copy-reset: zero
+    observer_ = o.observer_; // copy-reset: detached
+    uncore_ = o.uncore_;     // copy-reset: dropped
+    code_gen_seen_ = o.code_gen_seen_;
+    sched_event_ = o.sched_event_;
+    width_mask_ = o.width_mask_;
+    width_bits_ = o.width_bits_;
+}
+
 std::uint64_t Machine::time_ticks() const noexcept {
     std::uint64_t t = 0;
     for (const CoreState& c : cores_) t = std::max(t, c.local_tick);

@@ -59,8 +59,8 @@ class Machine;
 /// handler mutates anything, on_trap at take_trap entry before the SP bank
 /// swap / EPC capture. Observers are deliberately not part of machine value
 /// state: copying a Machine (checkpoint rungs, fault-run clones) never copies
-/// the observer hookup, so instrumented golden replays stay the only traced
-/// executions.
+/// the observer hookup, and assigning one over a traced machine detaches it,
+/// so instrumented golden replays stay the only traced executions.
 class StepObserver {
 public:
     virtual ~StepObserver() = default;
@@ -73,9 +73,9 @@ public:
 
 /// Uncore fault-injection hook (src/uncore/). Armed on a fault-run clone by
 /// uncore::inject, never present on golden runs or checkpoint rungs (the
-/// slot has copy-reset semantics like StepObserver). Callbacks fire on the
-/// machine's stepping thread at points that are bit-identical across all
-/// three engines:
+/// slot has copy-reset semantics like StepObserver: neither a copy nor a
+/// copy assignment carries it). Callbacks fire on the machine's stepping
+/// thread at points that are bit-identical across all three engines:
 ///  * on_data_access — once per retiring data transaction (load or store),
 ///    after the address is resolved and the cache model updated, before the
 ///    bytes move. `l1_hit` is the L1D lookup result (true for MRU-filtered
@@ -189,6 +189,13 @@ public:
     Machine(Machine&&) = default;
     Machine& operator=(Machine&&) = default;
 
+    /// `*this = o`, except that guest memory keeps this machine's own bytes
+    /// (sim::Memory::assign_shell): the non-memory half of a copy, whether
+    /// `o` holds a payload or is a shell. The bytes are the caller's to
+    /// bring in line — sim::rewind_machine copies back exactly the pages
+    /// that differ. Geometry must match (same scenario).
+    void assign_shell(const Machine& o);
+
     const kasm::Image& image() const noexcept { return *image_; }
     const MachineConfig& config() const noexcept { return cfg_; }
     Memory& mem() noexcept { return mem_; }
@@ -217,6 +224,7 @@ public:
     /// machine — see StepObserver. The observer must outlive every
     /// run_until() on this machine.
     void set_step_observer(StepObserver* o) noexcept { observer_.ptr = o; }
+    StepObserver* step_observer() const noexcept { return observer_.ptr; }
 
     RunStatus status() const noexcept { return status_; }
     int exit_code() const noexcept { return exit_code_; }
@@ -235,8 +243,9 @@ public:
     const MachineCounters& machine_counters() const noexcept { return mcounters_; }
 
     /// Trace-engine execution tallies (telemetry only — never consulted by
-    /// the engines). Copy-reset like ObserverSlot: clones start at zero, so
-    /// per-run folds read absolute values since clone_nearest.
+    /// the engines). Copy-reset like ObserverSlot: clones and rewound
+    /// machines start at zero, so per-run folds read absolute values since
+    /// clone_nearest or rewind_nearest.
     struct TraceStats {
         std::uint64_t bursts = 0;      ///< superblock segments entered
         std::uint64_t chain_links = 0; ///< inline chains through stable enders
@@ -417,12 +426,16 @@ private:
     std::vector<TraceCursor> tcur_;
     TraceStats tstats_;
     /// Observer hookup with copy-reset semantics: clones (ladder rungs,
-    /// fault runs) must never inherit the golden replay's tracer.
+    /// fault runs) must never inherit the golden replay's tracer, and a
+    /// copy assigned over a traced machine detaches its tracer.
     struct ObserverSlot {
         StepObserver* ptr = nullptr;
         ObserverSlot() noexcept = default;
         ObserverSlot(const ObserverSlot&) noexcept {}
-        ObserverSlot& operator=(const ObserverSlot&) noexcept { return *this; }
+        ObserverSlot& operator=(const ObserverSlot&) noexcept {
+            ptr = nullptr;
+            return *this;
+        }
         ObserverSlot(ObserverSlot&& o) noexcept : ptr(o.ptr) { o.ptr = nullptr; }
         ObserverSlot& operator=(ObserverSlot&& o) noexcept {
             ptr = o.ptr;
@@ -433,12 +446,18 @@ private:
     ObserverSlot observer_;
     /// Uncore-hook slot, copy-reset like ObserverSlot but owning: the hook
     /// (an uncore::Model holding the watched-line state) lives exactly as
-    /// long as the one fault-run machine it was armed on.
+    /// long as the one fault-run machine it was armed on, and a copy
+    /// assigned over that machine (a rewind) drops it. Unlike
+    /// set_uncore_hook(nullptr), the reset leaves the MRU filters alone: the
+    /// assignment copies the source's.
     struct UncoreSlot {
         std::shared_ptr<UncoreHook> ptr;
         UncoreSlot() noexcept = default;
         UncoreSlot(const UncoreSlot&) noexcept {}
-        UncoreSlot& operator=(const UncoreSlot&) noexcept { return *this; }
+        UncoreSlot& operator=(const UncoreSlot&) noexcept {
+            ptr.reset();
+            return *this;
+        }
         UncoreSlot(UncoreSlot&&) noexcept = default;
         UncoreSlot& operator=(UncoreSlot&&) noexcept = default;
     };

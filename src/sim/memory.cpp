@@ -38,6 +38,10 @@ void Memory::clone_payload_from(const Memory& base) {
                     base.text_size_ == text_size_ && base.has_payload(),
                 "clone_payload_from: geometry mismatch or base is a shell");
     phys_ = base.phys_;
+    note_payload_from(base);
+}
+
+void Memory::note_payload_from(const Memory& base) noexcept {
     // The adopted mirror may diverge from the pristine encode exactly where
     // the *base* was ever struck; fold its sticky set into ours so the
     // overlay refresh re-decodes those pages too (ours may be a shell from
@@ -45,6 +49,22 @@ void Memory::clone_payload_from(const Memory& base) {
     for (std::size_t p = 0; p < code_dirty_.size(); ++p)
         code_dirty_[p] |= base.code_dirty_[p];
     ++code_gen_; // mirror content replaced wholesale: force overlay refresh
+}
+
+// Every field but the payload is either geometry, checked equal, or copied.
+// The assert pins the layout this was written against (LP64): a new field
+// breaks the build until assign_shell() handles it.
+static_assert(sizeof(void*) != 8 || sizeof(Memory) == 152,
+              "Memory changed: handle the new field in assign_shell()");
+
+void Memory::assign_shell(const Memory& o) {
+    util::check(o.nprocs_ == nprocs_ && o.user_size_ == user_size_ &&
+                    o.kern_size_ == kern_size_ && o.text_size_ == text_size_,
+                "assign_shell: geometry mismatch");
+    page_mapped_ = o.page_mapped_;
+    dirty_ = o.dirty_;
+    code_dirty_ = o.code_dirty_;
+    code_gen_ = o.code_gen_;
 }
 
 void Memory::set_payload(std::vector<std::uint8_t> payload) {

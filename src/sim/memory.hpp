@@ -134,6 +134,15 @@ public:
         phys_.shrink_to_fit();
     }
     void clone_payload_from(const Memory& base);
+    /// The metadata half of clone_payload_from(base), for a payload that
+    /// already holds `base`'s bytes (a rewind copied back every page that
+    /// differed): fold in the base's sticky text set and force an overlay
+    /// refresh, exactly as the copy would.
+    void note_payload_from(const Memory& base) noexcept;
+    /// Copy every field of `o` but the payload: page maps, dirty bitmap,
+    /// sticky text set and code generation. This memory keeps its own
+    /// bytes; `o` may be a shell. Geometry must match.
+    void assign_shell(const Memory& o);
     /// Move the payload out, leaving a shell; set_payload reinstalls it.
     /// Lets make_machine_delta copy a Machine's non-memory state without
     /// ever duplicating guest memory (take, copy the shell, reinstall).

@@ -54,6 +54,57 @@ Machine restore_machine_delta(const MachineDelta& d, const Machine& base) {
     return out;
 }
 
+std::size_t rewind_machine(Machine& m, const MachineDelta& d,
+                           const Machine& base) {
+    Memory& mm = m.mem();
+    const Memory& bm = base.mem();
+    util::check(mm.has_payload() && bm.has_payload() &&
+                    mm.phys_size() == bm.phys_size(),
+                "rewind_machine: geometry mismatch or shell input");
+    // Under the dirty-bitmap contract only pages dirty in `m` can differ from
+    // the base. Put those back, except the ones the delta lists: they are
+    // written below, as restore_machine_delta writes them.
+    std::size_t copied = 0, k = 0;
+    const std::vector<std::uint8_t>& dirty = mm.dirty_pages();
+    for (std::uint64_t p = 0; p < dirty.size(); ++p) {
+        if (k < d.pages.size() && d.pages[k] == p) {
+            ++k;
+            continue;
+        }
+        if (!dirty[p]) continue;
+        mm.write_page(p, bm.page_data(p));
+        ++copied;
+    }
+    // The payload now holds the base's bytes but on the listed pages; the
+    // shell's metadata replaces whatever the page writes above recorded.
+    m.assign_shell(d.shell);
+    mm.note_payload_from(bm);
+    constexpr std::uint64_t kPage = isa::layout::kPageSize;
+    for (std::size_t i = 0; i < d.pages.size(); ++i)
+        mm.write_page(d.pages[i], d.bytes.data() + i * kPage);
+    return copied + d.pages.size();
+}
+
+std::size_t rewind_machine(Machine& m, const Machine& snap) {
+    Memory& mm = m.mem();
+    const Memory& sm = snap.mem();
+    util::check(mm.has_payload() && sm.has_payload() &&
+                    mm.phys_size() == sm.phys_size(),
+                "rewind_machine: geometry mismatch or shell input");
+    // A page clean in both machines still holds the common base's bytes on
+    // both sides.
+    std::size_t copied = 0;
+    const std::vector<std::uint8_t>& md = mm.dirty_pages();
+    const std::vector<std::uint8_t>& sd = sm.dirty_pages();
+    for (std::uint64_t p = 0; p < md.size(); ++p) {
+        if (!md[p] && !sd[p]) continue;
+        mm.write_page(p, sm.page_data(p));
+        ++copied;
+    }
+    m.assign_shell(snap);
+    return copied;
+}
+
 // ---- snapshot comparison ---------------------------------------------------
 // Compared: everything that can steer later execution or classification —
 // the run scalars, every core's architectural and scheduling state, console

@@ -22,6 +22,21 @@
 // pages clean in both machines since the base are the base's on both sides,
 // so only the union of the two dirty sets needs its bytes compared
 // (matches_snapshot()).
+//
+// And it makes restores cheap for a machine that already exists. A fault
+// run writes a handful of pages, so moving a finished run back to a snapshot
+// needs only those pages plus the snapshot's own (rewind_machine()), not a
+// fresh copy of all guest memory. The contract: the machine descends from
+// the snapshot's base under the dirty-bitmap contract — true of every clone
+// of a checkpoint ladder's rungs, however far it ran and however it ended
+// (panic, deadlock, a watchdog stop, a struck text mirror, an armed uncore
+// hook). Afterwards it equals the machine a restore would have built in
+// every field, including those matches_snapshot() skips: the dirty bitmap
+// and the sticky text set are the snapshot's, not a superset of them; the
+// code generation advances as clone_payload_from() advances it, so the
+// overlay refresh re-decodes exactly the pages a restore would; the MRU and
+// translation filters are the snapshot's; the trace stats are zero and the
+// observer and uncore hook are detached.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +76,16 @@ MachineDelta make_machine_delta(Machine& cur, const Machine& base);
 /// Rebuild the machine `make_machine_delta` saw, bit-identical: shell state,
 /// base memory payload, delta pages applied on top.
 Machine restore_machine_delta(const MachineDelta& d, const Machine& base);
+
+/// Move `m` in place to the snapshot: afterwards it equals
+/// restore_machine_delta(d, base) — or, for a full snapshot, a copy of
+/// `snap` — in every field (the rewind contract above). `m` must descend
+/// from the snapshot's base: `base` itself, or for a full snapshot the base
+/// `snap` descends from. Copies back only the pages dirty in `m`, listed in
+/// `d` or dirty in `snap`, then takes the snapshot's shell; returns the
+/// number of pages copied.
+std::size_t rewind_machine(Machine& m, const MachineDelta& d, const Machine& base);
+std::size_t rewind_machine(Machine& m, const Machine& snap);
 
 /// Is `m` bit-for-bit the snapshot machine in every field that can steer its
 /// later execution or its classification (the field list and the exclusions

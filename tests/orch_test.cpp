@@ -52,7 +52,7 @@ TEST(Scheduler, ParallelForExecutesEveryIndexExactlyOnce) {
     constexpr std::size_t n = 5000;
     std::vector<std::atomic<unsigned>> hits(n);
     const std::uint64_t before = pool.tasks_executed();
-    pool.parallel_for(n, [&](std::size_t i) {
+    pool.parallel_for(n, [&](std::size_t i, unsigned) {
         hits[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t i = 0; i < n; ++i)
@@ -70,7 +70,7 @@ TEST(Scheduler, IdleWorkersStealFromSkewedRanges) {
     for (int attempt = 0; attempt < 5; ++attempt) {
         std::vector<std::atomic<unsigned>> hits(n);
         const std::uint64_t before = pool.tasks_stolen();
-        pool.parallel_for(n, [&](std::size_t i) {
+        pool.parallel_for(n, [&](std::size_t i, unsigned) {
             if (i < 100) std::this_thread::sleep_for(std::chrono::milliseconds(2));
             hits[i].fetch_add(1, std::memory_order_relaxed);
         });
@@ -84,7 +84,7 @@ TEST(Scheduler, IdleWorkersStealFromSkewedRanges) {
 TEST(Scheduler, PropagatesBodyExceptions) {
     orch::Scheduler pool(2);
     EXPECT_THROW(pool.parallel_for(64,
-                                   [&](std::size_t i) {
+                                   [&](std::size_t i, unsigned) {
                                        if (i == 7) util::fail("boom");
                                    }),
                  util::Error);
