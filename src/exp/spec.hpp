@@ -99,7 +99,7 @@ struct ExperimentSpec {
     std::uint64_t stride = 0; ///< fixed checkpoint stride; 0 = auto
     bool checkpoints = true;
     bool delta = true;    ///< dirty-page delta snapshot rungs
-    bool adaptive = true; ///< probe-based adaptive stride
+    bool adaptive = true; ///< auto stride spaced over the golden length
 
     // ---- equivalence pruning ------------------------------------------
     /// Simulate one representative per fault-equivalence class and infer

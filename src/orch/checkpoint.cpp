@@ -3,12 +3,19 @@
 #include <algorithm>
 
 #include "telemetry/telemetry.hpp"
+#include "util/check.hpp"
 
 namespace serep::orch {
 
 namespace {
-/// Auto-mode starting stride; doubles via thinning on long runs.
+/// Auto-mode starting stride without adaptation; doubles via thinning on
+/// long runs.
 constexpr std::uint64_t kAutoInitialStride = 1u << 16;
+/// Adaptive auto mode: the captures' starting stride, and their cap per rung
+/// of the budget. Finer or more captures replay less while respacing and
+/// hold more memory while the golden runs.
+constexpr std::uint64_t kCaptureInitialStride = 1u << 11;
+constexpr std::size_t kCapturesPerRung = 2;
 
 /// Keep rungs r2, r4, ... of r1..rk (equivalent to keeping every other rung
 /// of the base-rooted ladder [base, r1, r2, ...]).
@@ -76,7 +83,7 @@ void CheckpointLadder::offer(sim::Machine& m) {
 
 void CheckpointLadder::enforce_budgets() {
     while (checkpoints() > max_rungs_ ||
-           (checkpoints() > 1 && footprint_bytes() > budget_bytes_)) {
+           (checkpoints() > 1 && ladder_bytes() > budget_bytes_)) {
         // Over budget: keep every other rung, double the effective stride.
         drop_every_other(full_);
         drop_every_other(deltas_);
@@ -178,31 +185,20 @@ void CheckpointLadder::reset_base(sim::Machine m) {
     base_->mem().clear_dirty();
 }
 
-std::size_t CheckpointLadder::footprint_bytes() const noexcept {
+std::size_t CheckpointLadder::ladder_bytes() const noexcept {
     std::size_t total = base_ ? sim::machine_footprint_bytes(*base_) : 0;
     for (const auto& r : full_) total += sim::machine_footprint_bytes(r);
     for (const auto& d : deltas_) total += d.footprint_bytes();
     return total;
 }
 
-CheckpointLadder run_golden_with_ladder(sim::Machine& m, const LadderOptions& opts,
-                                        std::uint64_t stop_at) {
-    LadderOptions eff = opts;
-    if (eff.enabled && eff.stride == 0 && eff.adaptive) {
-        // Adaptive stride: measure this scenario's golden run length on a
-        // throwaway clone, then space max_checkpoints rungs evenly across
-        // it. Deterministic (the probe is a faultless run), so checkpoint
-        // positions — and therefore outcomes — stay reproducible.
-        sim::Machine probe = m;
-        probe.run_until(stop_at);
-        if (probe.status() != sim::RunStatus::Running &&
-            probe.total_retired() > 0) {
-            const std::size_t rungs = std::max<std::size_t>(1, eff.max_checkpoints);
-            eff.stride = std::max<std::uint64_t>(
-                1, (probe.total_retired() + rungs - 1) / rungs);
-        }
-    }
-    CheckpointLadder ladder(m, eff);
+std::size_t CheckpointLadder::footprint_bytes() const noexcept {
+    std::size_t total = ladder_bytes();
+    for (const auto& c : captures_) total += c.footprint_bytes();
+    return total;
+}
+
+void CheckpointLadder::run_offering(sim::Machine& m) {
     // Drive pauses off the ladder's *current* stride (not the initial one):
     // after thinning doubles the stride, the golden run pauses coarser too,
     // so a fine starting stride costs O(max_checkpoints * log) pauses, not
@@ -213,12 +209,103 @@ CheckpointLadder run_golden_with_ladder(sim::Machine& m, const LadderOptions& op
     // superblock budget to the instructions left before stop_at (a rung
     // never lands mid-trace), and the cached engine's burst re-checks the
     // budget per step — so rung snapshots are engine-independent states.
-    while (m.status() == sim::RunStatus::Running && m.total_retired() < stop_at) {
-        const std::uint64_t boundary = ladder.next_boundary();
-        m.run_until(std::min(boundary, stop_at));
-        if (m.status() == sim::RunStatus::Running && m.total_retired() < stop_at)
-            ladder.offer(m);
+    while (m.status() == sim::RunStatus::Running) {
+        m.run_until(next_boundary());
+        if (m.status() == sim::RunStatus::Running) offer(m);
     }
+}
+
+void CheckpointLadder::capture(sim::Machine& m) {
+    captures_.push_back(sim::make_machine_delta(m, *base_));
+    if (telemetry::enabled()) {
+        static const telemetry::MetricId kCaptures =
+            telemetry::counter_id("checkpoint.captures");
+        static const telemetry::MetricId kBytes =
+            telemetry::counter_id("checkpoint.capture_bytes");
+        telemetry::count(kCaptures);
+        telemetry::count(kBytes, captures_.back().footprint_bytes());
+    }
+}
+
+void CheckpointLadder::run_capturing(sim::Machine& m, std::size_t max_checkpoints) {
+    // The golden pass: captures thinned like rungs, against their own cap
+    // and the ladder's byte budget.
+    const std::size_t rungs = std::max<std::size_t>(1, max_checkpoints);
+    std::uint64_t every = kCaptureInitialStride;
+    for (;;) {
+        m.run_until((captures_.empty() ? base_->total_retired()
+                                       : captures_.back().retired()) +
+                    every);
+        if (m.status() != sim::RunStatus::Running) break;
+        capture(m);
+        while (captures_.size() > kCapturesPerRung * rungs ||
+               (captures_.size() > 1 && footprint_bytes() > budget_bytes_)) {
+            drop_every_other(captures_);
+            every *= 2;
+        }
+        peak_ = std::max(peak_, footprint_bytes());
+    }
+    // The stride a length probe would have set.
+    const std::uint64_t len = m.total_retired();
+    stride_ = len > 0 ? (len + rungs - 1) / rungs : kAutoInitialStride;
+
+    telemetry::Span span("ladder.respace");
+    // Respacing moves `m` back and forth, and every rewind resets its trace
+    // tallies: set aside the pass's tallies and its end state, the last
+    // capture, to put back afterwards.
+    sim::Machine::TraceStats pass;
+    m.swap_trace_stats(pass);
+    capture(m);
+    peak_ = std::max(peak_, footprint_bytes());
+    respace(m);
+    sim::rewind_machine(m, captures_.back(), *base_);
+    m.swap_trace_stats(pass);
+    captures_ = {};
+}
+
+void CheckpointLadder::respace(sim::Machine& m) {
+    // Every boundary offered lies below the end state, captures_.back().
+    const std::uint64_t len = captures_.back().retired();
+    std::uint64_t replayed = 0;
+    for (std::uint64_t b = next_boundary(); b < len; b = next_boundary()) {
+        // The deepest capture at or below b, or the base: resume there
+        // unless `m` already lies between it and b.
+        const auto above = std::upper_bound(
+            captures_.begin(), captures_.end(), b,
+            [](std::uint64_t at, const sim::MachineDelta& c) {
+                return at < c.retired();
+            });
+        const sim::MachineDelta* from =
+            above == captures_.begin() ? nullptr : &*(above - 1);
+        const std::uint64_t from_at =
+            from ? from->retired() : base_->total_retired();
+        if (m.total_retired() > b || m.total_retired() < from_at) {
+            if (from)
+                sim::rewind_machine(m, *from, *base_);
+            else
+                sim::rewind_machine(m, *base_);
+        }
+        replayed += b - m.total_retired();
+        m.run_until(b);
+        util::check(m.status() == sim::RunStatus::Running && m.total_retired() == b,
+                    "respace: the golden run did not reproduce");
+        offer(m);
+        // Later boundaries lie above b, so the captures below `from` are passed.
+        if (from) captures_.erase(captures_.begin(), above - 1);
+    }
+    if (telemetry::enabled()) {
+        static const telemetry::MetricId kReplayed =
+            telemetry::counter_id("checkpoint.catchup_steps");
+        telemetry::count(kReplayed, replayed);
+    }
+}
+
+CheckpointLadder run_golden_with_ladder(sim::Machine& m, const LadderOptions& opts) {
+    CheckpointLadder ladder(m, opts);
+    if (opts.enabled && opts.stride == 0 && opts.adaptive)
+        ladder.run_capturing(m, opts.max_checkpoints);
+    else
+        ladder.run_offering(m);
     return ladder;
 }
 

@@ -35,10 +35,23 @@
 // restores the PR-1 full-copy behaviour (used by tests to prove the two
 // modes are bit-identical and to measure the footprint win).
 //
-// Auto mode starts from a fine stride and, whenever the rung count (or the
-// byte budget) would be exceeded, drops every other rung and doubles the
-// stride — so one golden pass yields a ladder of at most `max_checkpoints`
-// rungs whatever the run length turns out to be.
+// Thinning: whenever the rung count (or the byte budget) would be exceeded,
+// the ladder drops every other rung and doubles the stride, so one golden
+// pass yields at most `max_checkpoints` rungs whatever the run length.
+//
+// Auto mode (stride 0, adaptive) spaces a full-budget ladder evenly over a
+// golden run of unknown length L in one golden execution. While the golden
+// runs, it keeps fine *captures*: delta snapshots against the base at a
+// stride starting at 2048 instructions, thinned by the same halving under a
+// cap of 2 x max_checkpoints (and the byte budget). At the end L is
+// known, so the ladder *respaces*: it walks the boundaries the fixed stride
+// ceil(L / max_checkpoints) would pause at, rewinds the golden machine to
+// the deepest capture at or below each one (or keeps running when it
+// already lies between them), runs it to the boundary and offers it, in
+// order. The rungs are therefore exactly those of a fixed-stride pass at
+// that stride, thinning decisions included, and the capture spacing only
+// sets how much is replayed. Captures are always deltas; only the rungs take
+// the representation the options ask for.
 #pragma once
 
 #include <cstdint>
@@ -53,14 +66,14 @@ namespace serep::orch {
 struct LadderOptions {
     bool enabled = true;
     std::uint64_t stride = 0;  ///< retired instructions between rungs; 0 = auto
-    std::size_t max_checkpoints = 24;  ///< rung budget (auto mode halves to fit)
-    /// Auto-stride refinement: run a throwaway probe execution first and set
-    /// the stride to ceil(golden_length / max_checkpoints), so the ladder
-    /// comes out evenly spaced at the full rung budget instead of whatever
-    /// power-of-two multiple of the fixed initial stride thinning lands on.
-    /// Costs one extra golden execution per ladder build — amortized across
-    /// the campaign's fault runs, which each replay at most one (now much
-    /// shorter) stride. Only consulted when stride == 0.
+    std::size_t max_checkpoints = 24;  ///< rung budget (thinning halves to fit)
+    /// Auto-stride refinement: space the rungs ceil(golden_length /
+    /// max_checkpoints) apart, so the ladder comes out evenly spaced at the
+    /// full rung budget instead of whatever power-of-two multiple of a fixed
+    /// initial stride thinning lands on. The golden still runs once: rungs
+    /// are respaced from fine captures (see the header comment), at the
+    /// cost of replaying about a third of a long golden run. Only consulted
+    /// when stride == 0; false thins from a fixed initial stride instead.
     bool adaptive = true;
     /// Cap on live snapshot bytes. BatchRunner treats this as a batch-wide
     /// cap: it divides it across the ladders concurrently in flight.
@@ -141,12 +154,31 @@ public:
     std::size_t checkpoints() const noexcept {
         return full_.size() + deltas_.size();
     }
+    /// Host bytes held: the base, the rungs and, while auto mode builds the
+    /// ladder, its captures.
     std::size_t footprint_bytes() const noexcept;
     /// High-water mark of footprint_bytes() across the ladder's lifetime
     /// (the number the delta-snapshot memory claim is gated on).
     std::size_t peak_footprint_bytes() const noexcept { return peak_; }
 
 private:
+    friend CheckpointLadder run_golden_with_ladder(sim::Machine& m,
+                                                   const LadderOptions& opts);
+    /// Offer `m` at every boundary until it ends (a fixed-stride pass).
+    void run_offering(sim::Machine& m);
+    /// Auto mode: run `m` to its end once, keeping captures, then respace
+    /// them into the rungs of stride ceil(L / max_checkpoints). `m` ends in
+    /// its terminal state, trace tallies included.
+    void run_capturing(sim::Machine& m, std::size_t max_checkpoints);
+    /// Offer every boundary below the end state (the last capture), each
+    /// reached from the deepest capture at or below it; frees the captures
+    /// it has passed.
+    void respace(sim::Machine& m);
+    /// Append `m` to the captures as a delta against the base.
+    void capture(sim::Machine& m);
+    /// Base and rungs: what the byte budget bounds.
+    std::size_t ladder_bytes() const noexcept;
+
     /// The deepest rung with total_retired() <= at: a delta or a full-copy
     /// rung, or neither for the base.
     struct Nearest {
@@ -160,6 +192,8 @@ private:
     std::optional<sim::Machine> base_;
     std::vector<sim::Machine> full_;        ///< full-copy mode rungs, ascending
     std::vector<sim::MachineDelta> deltas_; ///< delta mode rungs, ascending
+    /// Auto mode's golden-phase captures, ascending; empty once built.
+    std::vector<sim::MachineDelta> captures_;
     bool delta_mode_;
     std::uint64_t stride_;
     std::size_t max_rungs_;
@@ -168,9 +202,9 @@ private:
 };
 
 /// Run a freshly booted machine to completion (phase 1), building the ladder
-/// along the way. Returns the ladder; `m` finishes in its terminal state and
-/// is what capture_golden() should consume.
-CheckpointLadder run_golden_with_ladder(sim::Machine& m, const LadderOptions& opts,
-                                        std::uint64_t stop_at = ~0ULL >> 1);
+/// along the way; the golden program executes once in every mode. Returns
+/// the ladder; `m` finishes in its terminal state and is what
+/// capture_golden() should consume.
+CheckpointLadder run_golden_with_ladder(sim::Machine& m, const LadderOptions& opts);
 
 } // namespace serep::orch

@@ -106,8 +106,8 @@ struct ShardJobSpec {
 };
 
 /// Measured per-job work weights for make_weighted_plan(): golden-run
-/// length (one throwaway probe execution per distinct scenario, the same
-/// probe the adaptive checkpoint stride runs) x the job's fault count.
+/// length (one throwaway probe execution per distinct scenario) x the
+/// job's fault count.
 std::vector<double> probe_job_weights(const std::vector<ShardJobSpec>& jobs);
 
 /// Hash over the exact job list (scenarios + campaign configs). Two shard

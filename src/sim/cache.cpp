@@ -30,10 +30,9 @@ void Cache::reset() noexcept {
 }
 
 bool Cache::access(std::uint64_t addr) noexcept {
-    const std::uint64_t line = addr >> line_shift_;
-    const std::uint32_t set = static_cast<std::uint32_t>(line) & (sets_ - 1);
-    const std::uint64_t tag = line | 1ULL << 63; // bit 63 marks valid
-    std::uint64_t* t = &tags_[std::size_t{set} * ways_];
+    const std::uint32_t tag = tag_of(addr);
+    const std::uint32_t set = tag & (sets_ - 1);
+    std::uint32_t* t = &tags_[std::size_t{set} * ways_];
     std::uint8_t* a = &age_[std::size_t{set} * ways_];
 
     auto touch = [&](std::uint32_t w) {
@@ -59,26 +58,23 @@ bool Cache::access(std::uint64_t addr) noexcept {
 }
 
 bool Cache::probe(std::uint64_t addr) const noexcept {
-    const std::uint64_t line = addr >> line_shift_;
-    const std::uint32_t set = static_cast<std::uint32_t>(line) & (sets_ - 1);
-    const std::uint64_t tag = line | 1ULL << 63;
-    const std::uint64_t* t = &tags_[std::size_t{set} * ways_];
+    const std::uint32_t tag = tag_of(addr);
+    const std::uint32_t set = tag & (sets_ - 1);
+    const std::uint32_t* t = &tags_[std::size_t{set} * ways_];
     for (std::uint32_t w = 0; w < ways_; ++w)
         if (t[w] == tag) return true;
     return false;
 }
 
 bool Cache::retag(std::uint64_t old_addr, std::uint64_t new_addr) noexcept {
-    const std::uint64_t old_line = old_addr >> line_shift_;
-    const std::uint64_t new_line = new_addr >> line_shift_;
-    const std::uint32_t set = static_cast<std::uint32_t>(old_line) & (sets_ - 1);
-    if ((static_cast<std::uint32_t>(new_line) & (sets_ - 1)) != set)
-        return false;
-    const std::uint64_t old_tag = old_line | 1ULL << 63;
-    std::uint64_t* t = &tags_[std::size_t{set} * ways_];
+    const std::uint32_t old_tag = tag_of(old_addr);
+    const std::uint32_t new_tag = tag_of(new_addr);
+    const std::uint32_t set = old_tag & (sets_ - 1);
+    if ((new_tag & (sets_ - 1)) != set) return false;
+    std::uint32_t* t = &tags_[std::size_t{set} * ways_];
     for (std::uint32_t w = 0; w < ways_; ++w) {
         if (t[w] == old_tag) {
-            t[w] = new_line | 1ULL << 63;
+            t[w] = new_tag;
             return true;
         }
     }

@@ -3,6 +3,16 @@
 //
 // Configuration mirrors the paper's §3.1: per-core 32 KiB 4-way L1I and L1D,
 // shared 512 KiB 8-way L2, 64-byte lines.
+//
+// Tags are 32 bits: the address's line number (addr >> line_shift) in bits
+// 0-30, and bit 31 marks the way valid. That is exact while every address a
+// cache sees is below 2^(31 + line_shift) — 2^37 for 64-byte lines — and it
+// is: I-fetches pass Image::contains_code (code sits below
+// isa::layout::kUserBase), data accesses use translated physical addresses
+// below Memory::phys_size(), which Memory keeps below kMaxPhysBytes, and the
+// uncore tag fault retags only to a line inside physical memory. The tag
+// array dominates a Machine's non-memory state, so its width sets the cost
+// of every checkpoint shell, shell copy and rung comparison.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +72,9 @@ public:
     /// own cells, and a strike hits whatever line occupies the struck cell
     /// at the injection instant. Pure observation, like probe().
     std::uint64_t line_at(std::uint32_t set, std::uint32_t way) const noexcept {
-        const std::uint64_t t =
+        const std::uint32_t t =
             tags_[std::size_t{set & (sets_ - 1)} * ways_ + way % ways_];
-        return t ? (t & ~(1ULL << 63)) << line_shift_ : ~0ULL;
+        return t ? std::uint64_t{t & ~kValid} << line_shift_ : ~0ULL;
     }
 
     std::uint32_t sets() const noexcept { return sets_; }
@@ -97,10 +107,16 @@ public:
     std::uint64_t credits() const noexcept { return credits_; }
 
 private:
+    static constexpr std::uint32_t kValid = 1u << 31;
+    /// The tag of `addr`'s line: its line number, valid bit set.
+    std::uint32_t tag_of(std::uint64_t addr) const noexcept {
+        return static_cast<std::uint32_t>(addr >> line_shift_) | kValid;
+    }
+
     std::uint32_t sets_, ways_;
     std::uint32_t line_shift_;
     std::uint32_t set_bits_;
-    std::vector<std::uint64_t> tags_;  // sets x ways, 0 = invalid
+    std::vector<std::uint32_t> tags_;  // sets x ways, 0 = invalid
     std::vector<std::uint8_t> age_;    // LRU ages
     std::uint64_t hits_ = 0, misses_ = 0, credits_ = 0;
 };

@@ -15,9 +15,15 @@ Memory::Memory(unsigned nprocs, std::uint64_t user_size, std::uint64_t kern_size
     util::check(nprocs >= 1 && nprocs <= 8, "Memory: 1..8 processes supported");
     util::check(user_size % layout::kPageSize == 0 && kern_size % layout::kPageSize == 0,
                 "Memory: region sizes must be page-multiples");
+    // Each term is bounded first, so the sum below cannot wrap.
+    const bool bounded = user_size < kMaxPhysBytes && kern_size < kMaxPhysBytes &&
+                         text_size < kMaxPhysBytes;
     text_base_ = kern_size_ + std::uint64_t{nprocs_} * user_size_;
     text_size_ = (text_size + layout::kPageSize - 1) / layout::kPageSize *
                  layout::kPageSize;
+    util::check(bounded && text_base_ + text_size_ < kMaxPhysBytes,
+                "Memory: physical size reaches 2^37 bytes, past the 31-bit "
+                "line numbers of the cache tags");
     phys_.assign(text_base_ + text_size_, 0);
     pages_per_proc_ = user_size_ / layout::kPageSize;
     page_mapped_.assign(nprocs_ * pages_per_proc_, 0);

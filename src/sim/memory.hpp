@@ -28,6 +28,11 @@ namespace serep::sim {
 
 enum class MemFault : std::uint8_t { NONE, UNMAPPED, PERMISSION, MISALIGNED };
 
+/// Physical memory must stay below this size: the caches hold 31-bit line
+/// numbers of 64-byte lines (sim/cache.hpp), so a physical address at or
+/// above 2^37 would alias a lower line in the tag array.
+inline constexpr std::uint64_t kMaxPhysBytes = std::uint64_t{1} << 37;
+
 struct Translation {
     std::uint64_t phys = 0;
     MemFault fault = MemFault::NONE;
@@ -42,6 +47,8 @@ public:
     /// corrupt guest text. Mutations inside the mirror go through the same
     /// write funnel as everything else and additionally bump code_gen() /
     /// mark code_page_dirty() so the execution engine re-decodes the page.
+    /// A geometry whose physical size reaches kMaxPhysBytes is refused
+    /// before anything is allocated.
     Memory(unsigned nprocs, std::uint64_t user_size, std::uint64_t kern_size,
            std::uint64_t text_size = 0);
 

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -25,6 +26,7 @@
 #include "orch/scheduler.hpp"
 #include "orch/shard.hpp"
 #include "sim/snapshot.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 
 using namespace serep;
@@ -347,10 +349,10 @@ TEST(BatchRunner, OutcomesIdenticalAcrossThreadCountsStridesSnapshotsAndEngines)
 }
 
 TEST(CheckpointLadder, AdaptiveStrideTracksGoldenRunLength) {
-    // Auto mode with adaptation: one probe execution measures the golden
-    // length, then the rungs are spaced ceil(len / max_checkpoints) apart —
-    // a full-budget, evenly spaced ladder instead of whatever power-of-two
-    // multiple of the fixed initial stride thinning would leave.
+    // Auto mode with adaptation: the rungs are spaced ceil(len /
+    // max_checkpoints) apart, len being the golden length — a full-budget,
+    // evenly spaced ladder instead of whatever power-of-two multiple of the
+    // fixed initial stride thinning would leave.
     sim::Machine m = npb::make_machine(kSmall, false);
     orch::LadderOptions opts; // stride = 0 (auto), adaptive = true
     opts.max_checkpoints = 16;
@@ -369,6 +371,159 @@ TEST(CheckpointLadder, AdaptiveStrideTracksGoldenRunLength) {
     EXPECT_NE(fixed.stride(), ladder.stride());
     // The adaptive ladder never fast-forwards more than its (tighter) stride.
     EXPECT_LE(ladder.stride(), std::max<std::uint64_t>(1, len / 8));
+}
+
+/// The ladder auto mode built when it ran the golden twice: a probe copy of
+/// `m` ran to its end, `len` instructions, and the ladder then took the
+/// fixed-stride path at stride ceil(len / max_checkpoints) (or the fixed
+/// initial stride for len = 0).
+orch::CheckpointLadder probe_ladder(sim::Machine& m, std::uint64_t len,
+                                    orch::LadderOptions opts) {
+    const std::uint64_t rungs = std::max<std::size_t>(1, opts.max_checkpoints);
+    if (len > 0) opts.stride = (len + rungs - 1) / rungs;
+    opts.adaptive = false;
+    return orch::run_golden_with_ladder(m, opts);
+}
+
+std::vector<std::uint64_t> rung_positions(const orch::CheckpointLadder& l) {
+    std::vector<std::uint64_t> at;
+    for (std::uint64_t r = l.next_rung_after(0); r != orch::CheckpointLadder::kNoRung;
+         r = l.next_rung_after(r))
+        at.push_back(r);
+    return at;
+}
+
+TEST(CheckpointLadder, OnePassLadderEqualsTheProbeLadder) {
+    // Auto mode runs the golden once and respaces its captures into rungs.
+    // Those rungs must be the two-pass probe ladder's — positions, stride,
+    // state and telemetry — and the golden machine must end exactly where
+    // a straight run to the end does, for every engine, rung
+    // representation, rung budget and a byte budget that forces thinning.
+    npb::Scenario class_s = kSmall;
+    class_s.klass = npb::Klass::S;
+    const npb::Scenario scenarios[] = {
+        {isa::Profile::V7, npb::App::EP, npb::Api::Serial, 1, npb::Klass::Mini},
+        {isa::Profile::V8, npb::App::EP, npb::Api::OMP, 4, npb::Klass::Mini},
+        {isa::Profile::V7, npb::App::EP, npb::Api::MPI, 4, npb::Klass::Mini},
+        class_s,
+    };
+    const auto cache_counts = [](const sim::Machine& m) {
+        std::vector<std::uint64_t> n;
+        const auto add = [&](const sim::Cache& c) {
+            n.push_back(c.hits());
+            n.push_back(c.misses());
+        };
+        for (unsigned c = 0; c < m.cores(); ++c) {
+            add(m.l1i(c));
+            add(m.l1d(c));
+        }
+        add(m.l2());
+        return n;
+    };
+    struct Built {
+        std::uint64_t rungs_built, rung_bytes, captures;
+    };
+    const auto counted = [](auto&& build) {
+        telemetry::reset();
+        telemetry::set_enabled(true);
+        build();
+        telemetry::set_enabled(false);
+        return Built{telemetry::counter_value("checkpoint.rungs_built"),
+                     telemetry::counter_value("checkpoint.rung_bytes"),
+                     telemetry::counter_value("checkpoint.captures")};
+    };
+
+    for (const npb::Scenario& s : scenarios) {
+        for (const sim::Engine engine :
+             {sim::Engine::Switch, sim::Engine::Cached, sim::Engine::Trace}) {
+            sim::Machine booted = npb::make_machine(s, false);
+            booted.set_engine(engine);
+            // Also the probe: the run to the end that measured the length.
+            sim::Machine straight = booted;
+            straight.run_until(~0ULL >> 1);
+            ASSERT_EQ(straight.status(), sim::RunStatus::Shutdown);
+            const std::uint64_t len = straight.total_retired();
+
+            for (const bool delta : {true, false}) {
+                // 32 MiB holds every delta ladder here; full copies thin to
+                // the rung count it buys. The last budget admits about eight
+                // rung shells over the base, so the ladder thins by bytes
+                // (delta) or keeps a single full-copy rung.
+                const std::size_t roomy = std::size_t{32} << 20;
+                const std::size_t tight =
+                    sim::machine_footprint_bytes(straight) + (512u << 10);
+                const std::pair<std::size_t, std::size_t> budgets[] = {
+                    {1, roomy},  {2, roomy},  {8, roomy},
+                    {24, roomy}, {64, roomy}, {24, tight}};
+                for (const auto& [max_rungs, bytes] : budgets) {
+                    SCOPED_TRACE(s.name() + " engine " +
+                                 std::to_string(static_cast<int>(engine)) +
+                                 (delta ? " delta" : " full") + " max " +
+                                 std::to_string(max_rungs) + " budget " +
+                                 std::to_string(bytes));
+                    orch::LadderOptions opts;
+                    opts.max_checkpoints = max_rungs;
+                    opts.memory_budget_bytes = bytes;
+                    opts.delta_snapshots = delta;
+
+                    sim::Machine m = booted;
+                    std::optional<orch::CheckpointLadder> one;
+                    const Built one_built = counted(
+                        [&] { one.emplace(orch::run_golden_with_ladder(m, opts)); });
+                    sim::Machine m_probe = booted;
+                    std::optional<orch::CheckpointLadder> probe;
+                    const Built probe_built = counted(
+                        [&] { probe.emplace(probe_ladder(m_probe, len, opts)); });
+
+                    // The golden machine at its end, as if run straight.
+                    EXPECT_TRUE(sim::matches_snapshot(m, straight));
+                    EXPECT_TRUE(sim::matches_snapshot(straight, m));
+                    EXPECT_EQ(cache_counts(m), cache_counts(straight));
+                    EXPECT_EQ(m.trace_stats().chain_links,
+                              straight.trace_stats().chain_links);
+                    EXPECT_EQ(m.trace_stats().fallbacks,
+                              straight.trace_stats().fallbacks);
+                    // A pause can split a superblock on every core: each
+                    // capture the pass paused for may add one burst per
+                    // core, never remove one.
+                    EXPECT_GE(m.trace_stats().bursts, straight.trace_stats().bursts);
+                    EXPECT_LE(m.trace_stats().bursts,
+                              straight.trace_stats().bursts +
+                                  one_built.captures * m.cores());
+
+                    // The same rungs.
+                    ASSERT_EQ(one->stride(), probe->stride());
+                    ASSERT_EQ(one->checkpoints(), probe->checkpoints());
+                    const std::vector<std::uint64_t> at = rung_positions(*one);
+                    ASSERT_EQ(at, rung_positions(*probe));
+                    ASSERT_EQ(at.size(), one->checkpoints());
+                    // Each side's rung, materialized, is the other's. The
+                    // golden machines descend from their ladders' bases, so
+                    // they rewind to a rung as a clone of it would start.
+                    for (const std::uint64_t r : at) {
+                        one->rewind_nearest(m, r);
+                        probe->rewind_nearest(m_probe, r);
+                        EXPECT_TRUE(probe->matches_rung(m)) << r;
+                        EXPECT_TRUE(one->matches_rung(m_probe)) << r;
+                    }
+                    EXPECT_EQ(one_built.rungs_built, probe_built.rungs_built);
+                    EXPECT_EQ(one_built.rung_bytes, probe_built.rung_bytes);
+                    // The captures count toward the peak and are gone once
+                    // the ladder is built.
+                    EXPECT_GT(one->peak_footprint_bytes(), probe->peak_footprint_bytes());
+                    EXPECT_EQ(one->footprint_bytes(), probe->footprint_bytes());
+                    const std::uint64_t even = (len + max_rungs - 1) / max_rungs;
+                    if (delta && bytes == roomy) {
+                        EXPECT_EQ(one->stride(), even);
+                    }
+                    if (delta && bytes == tight) {
+                        EXPECT_GT(one->stride(), even)
+                            << "the byte budget did not thin the ladder";
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(BatchRunner, CampaignKindsAllProduceClassifiedOutcomes) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/cache.hpp"
 #include "sim/memory.hpp"
+#include "util/check.hpp"
 
 namespace ss = serep::sim;
 namespace layout = serep::isa::layout;
@@ -84,6 +87,27 @@ TEST(Memory, FlipPhysBitIsInvolution) {
     EXPECT_EQ(m.load(0x40, 1), 0xA5u);
 }
 
+TEST(Memory, RefusesPhysicalSizesPastTheCacheTagLimit) {
+    // Cache tags hold 31-bit numbers of 64-byte lines, so physical memory
+    // must stay below 2^37 bytes. Each geometry below reaches it and is
+    // refused by name before anything is allocated.
+    const auto refused = [](unsigned nprocs, std::uint64_t user,
+                            std::uint64_t kern, std::uint64_t text) {
+        try {
+            ss::Memory m(nprocs, user, kern, text);
+        } catch (const serep::util::Error& e) {
+            return std::string(e.what()).find("2^37") != std::string::npos;
+        }
+        return false;
+    };
+    const std::uint64_t page = layout::kPageSize;
+    EXPECT_TRUE(refused(8, std::uint64_t{1} << 34, 0, 0));   // exactly 2^37
+    EXPECT_TRUE(refused(1, std::uint64_t{1} << 36,           // text rounds up
+                        (std::uint64_t{1} << 36) - page, 1)); // to 2^37
+    EXPECT_TRUE(refused(2, ~(page - 1), page, 0)); // would wrap 64 bits
+    EXPECT_TRUE(refused(1, page, page, ~std::uint64_t{0}));
+}
+
 TEST(Cache, HitAfterMiss) {
     ss::Cache c(ss::kL1Config);
     EXPECT_FALSE(c.access(0x1000));
@@ -121,4 +145,40 @@ TEST(Cache, SetsArePowerOfTwoConfig) {
     ss::Cache c(ss::kL1Config);
     for (int i = 0; i < 128; ++i) EXPECT_FALSE(c.access(std::uint64_t(i) * 64));
     for (int i = 0; i < 128; ++i) EXPECT_TRUE(c.access(std::uint64_t(i) * 64));
+}
+
+TEST(Cache, TagsHoldTheHighestInRangeLine) {
+    // The last 64-byte line below kMaxPhysBytes has line number 2^31 - 1:
+    // every tag operation must keep it apart from its same-set alias that
+    // differs only in the top line bit, and from an empty way.
+    const std::uint64_t top = ss::kMaxPhysBytes - 64;
+    const std::uint64_t alias = top ^ (ss::kMaxPhysBytes >> 1);
+    ss::Cache c(ss::kL2Config);
+    const std::uint32_t set = static_cast<std::uint32_t>(top >> 6) & (c.sets() - 1);
+    EXPECT_FALSE(c.probe(top));
+    EXPECT_FALSE(c.access(top));
+    EXPECT_TRUE(c.probe(top));
+    EXPECT_TRUE(c.access(top + 63));
+    EXPECT_FALSE(c.probe(alias));
+    std::uint32_t way = c.ways();
+    for (std::uint32_t w = 0; w < c.ways(); ++w)
+        if (c.line_at(set, w) == top) way = w;
+    ASSERT_LT(way, c.ways());
+
+    EXPECT_TRUE(c.retag(top, alias));
+    EXPECT_EQ(c.line_at(set, way), alias);
+    EXPECT_FALSE(c.probe(top));
+    EXPECT_TRUE(c.probe(alias));
+    EXPECT_TRUE(c.retag(alias, top));
+    EXPECT_EQ(c.line_at(set, way), top);
+    EXPECT_EQ(c.hits(), 1u);
+    EXPECT_EQ(c.misses(), 1u);
+
+    // Two caches whose only difference is that line's top bit.
+    ss::Cache a(ss::kL2Config), b(ss::kL2Config);
+    a.access(top);
+    b.access(alias);
+    EXPECT_FALSE(a.same_lines(b));
+    ASSERT_TRUE(b.retag(alias, top));
+    EXPECT_TRUE(a.same_lines(b));
 }
