@@ -141,6 +141,13 @@ ShardDbState classify_shard_db(const std::string& raw,
                       label + " is shard " + std::to_string(db.shard) +
                           " of " + std::to_string(db.count) + ", expected " +
                           std::to_string(k) + " of " + std::to_string(n));
+    // Same spec, other cut: an older ownership rule or re-baked weights.
+    // Its records would overlap and miss this cut's at the merge.
+    util::check_valid(plan.accepts_partition(db.partition),
+                      label + " was cut as partition " + db.partition +
+                          ", this spec cuts " + plan.partition_id() +
+                          " — refusing to blend; delete the file to re-run "
+                          "the shard");
     return db.complete() ? ShardDbState::Match : ShardDbState::Incomplete;
 }
 
@@ -387,7 +394,7 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
         // The weighted cut probes golden lengths at most once per plan; say
         // so the first time, with the bakeable vector, so remote workers
         // can skip the probe entirely.
-        if (plan.weighted() && !plan.weights_ready())
+        if (!plan.weights_ready())
             logf(opts.log,
                  "probing golden lengths for the weighted cut (bake the "
                  "weights the plan prints into shard.weights to skip this)\n");
@@ -395,9 +402,7 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
         if (opts.compress_shards) zw.emplace(os);
         std::ostream& out = zw ? zw->stream() : os;
         const orch::ShardRunStats st =
-            plan.weighted()
-                ? orch::run_shard(jobs, plan.weighted_plan(k), bopts, out, &note)
-                : orch::run_shard(jobs, orch::ShardPlan{k, n}, bopts, out, &note);
+            orch::run_shard(jobs, plan.shard_cut(k), bopts, out, &note);
         if (zw) zw->finish();
         util::check(os.good(), "error writing shard database " + what);
         ++res.shards_run;

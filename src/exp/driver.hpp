@@ -25,7 +25,8 @@
 // Resume: a complete shard database on disk whose manifest carries this
 // spec's hash is skipped (its bytes ARE the job's output); one cut short by
 // a killed writer is re-run; any other database at that path — a different
-// or missing spec hash, or bytes the shard reader refuses — is REFUSED
+// or missing spec hash, another cut of the same spec (an older ownership
+// rule, re-baked weights), or bytes the shard reader refuses — is REFUSED
 // (util::ValidationError, serep exit 3) and left in place. Merge and report
 // are cheap pure functions of the shard databases and re-run every time.
 // DriverOptions::only_shard runs exactly one shard and stops before the
@@ -111,7 +112,9 @@ enum class ShardDbState {
 /// a cut the reader reports is Incomplete (a worker died mid-stream).
 /// Throws util::ValidationError naming `label` for anything that is NOT
 /// this spec's shard k/n output: bytes the reader refuses, spec-hash
-/// mismatches, wrong shard indices. The fleet vets payloads with it.
+/// mismatches, wrong shard indices, a partition id other than the plan's
+/// cut (ExperimentPlan::accepts_partition; never probes). The fleet vets
+/// payloads with it.
 ShardDbState classify_shard_db(const std::string& contents,
                                const std::string& label,
                                const ExperimentPlan& plan, unsigned k,

@@ -136,6 +136,9 @@ ExperimentPlan::ExperimentPlan(ExperimentSpec spec) : spec_(std::move(spec)) {
                           " entries but the matrix expands to " +
                           std::to_string(jobs_.size()) +
                           " jobs (one weight per job)");
+    line_ = orch::scenario_major_line(shard_jobs());
+    if (!weighted()) weights_.assign(jobs_.size(), spec_.faults);
+    if (weights_ready()) partition_id_ = shard_cut(0).partition;
 }
 
 std::vector<orch::ShardJobSpec> ExperimentPlan::shard_jobs() const {
@@ -147,12 +150,21 @@ std::vector<orch::ShardJobSpec> ExperimentPlan::shard_jobs() const {
 
 const std::vector<double>& ExperimentPlan::weights() {
     if (!spec_.weights.empty()) return spec_.weights;
-    if (weights_.empty()) weights_ = orch::probe_job_weights(shard_jobs());
+    if (weights_.empty()) {
+        weights_ = orch::probe_job_weights(shard_jobs());
+        partition_id_ = shard_cut(0).partition;
+    }
     return weights_;
 }
 
-orch::WeightedShardPlan ExperimentPlan::weighted_plan(unsigned index) {
-    return orch::make_weighted_plan(weights(), index, spec_.shards);
+orch::ShardCut ExperimentPlan::shard_cut(unsigned index) {
+    return orch::make_shard_cut(spec_.partition, weights(), line_, index,
+                                spec_.shards);
+}
+
+bool ExperimentPlan::accepts_partition(const std::string& id) const {
+    if (!partition_id_.empty()) return id == partition_id_;
+    return id.rfind(spec_.partition + "-", 0) == 0;
 }
 
 std::string ExperimentPlan::listing() {
@@ -243,13 +255,12 @@ std::string ExperimentPlan::listing() {
         // Per-shard per-kind breakdown — only for mixed-kind specs, so
         // every single-kind plan golden stays byte-identical.
         if (spec_.kinds.size() > 1) {
-            if (weighted() && !weights_ready()) {
+            if (!weights_ready()) {
                 os << "  per-kind shard breakdown: weights probed at run "
                       "time\n";
             } else {
                 for (unsigned sh = 0; sh < spec_.shards; ++sh) {
-                    orch::WeightedShardPlan wp;
-                    if (weighted()) wp = weighted_plan(sh);
+                    const orch::ShardCut cut = shard_cut(sh);
                     std::snprintf(buf, sizeof buf, "  shard %u:", sh);
                     os << buf;
                     bool first = true;
@@ -257,23 +268,13 @@ std::string ExperimentPlan::listing() {
                         std::size_t nk = 0;
                         std::uint64_t fk = 0;
                         for (std::size_t j = 0; j < jobs_.size(); ++j) {
-                            if (jobs_[j].kind != kind) continue;
-                            if (weighted()) {
-                                const auto& r = wp.job_ranges[j];
-                                if (r.first >= r.second) continue;
-                                ++nk;
-                                fk += static_cast<std::uint64_t>(
-                                    static_cast<double>(r.second - r.first) /
-                                        wp.resolution * spec_.faults +
-                                    0.5);
-                            } else {
-                                // Uniform: every shard owns a slice of
-                                // every job's fault list.
-                                ++nk;
-                                fk += (std::uint64_t{spec_.faults} +
-                                       spec_.shards - 1) /
-                                      spec_.shards;
-                            }
+                            if (jobs_[j].kind != kind || !cut.runs(j)) continue;
+                            const auto& r = cut.job_ranges[j];
+                            ++nk;
+                            fk += static_cast<std::uint64_t>(
+                                static_cast<double>(r.second - r.first) /
+                                    cut.resolution * spec_.faults +
+                                0.5);
                         }
                         std::snprintf(buf, sizeof buf,
                                       "%s %s %zu jobs ~%llu faults",

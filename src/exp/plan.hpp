@@ -15,11 +15,13 @@
 // the spec hash that flows into shard manifests, resume checks, and report
 // provenance.
 //
-// The plan also owns the weighted-partition probe: weights are probed at
-// most ONCE per plan (or taken verbatim from spec.shard.weights) and the
-// cached vector feeds both the dry-run work estimate (`serep plan`) and
-// every shard's cut (`serep run`) — golden-length probing happens at most
-// once per experiment instead of once per shard invocation.
+// The plan also owns the shard cut (orch::ShardCut) of both partitions.
+// Its line is scenario-major and its job lengths are the fault counts
+// (uniform) or golden length x fault count (weighted). Weighted lengths are
+// probed at most ONCE per plan (or taken verbatim from spec.shard.weights)
+// and the cached vector feeds both the dry-run work estimate (`serep plan`)
+// and every shard's cut (`serep run`) — golden-length probing happens at
+// most once per experiment instead of once per shard invocation.
 #pragma once
 
 #include <string>
@@ -56,8 +58,9 @@ public:
     bool weighted() const noexcept { return spec_.partition == "weighted"; }
     unsigned shard_count() const noexcept { return spec_.shards; }
 
-    /// Per-job work weights for the weighted partition: spec.shard.weights
-    /// when baked in, otherwise probed (one golden execution per distinct
+    /// Per-job lengths on the cut line: each job's fault count under the
+    /// uniform partition; under the weighted one spec.shard.weights when
+    /// baked in, otherwise probed (one golden execution per distinct
     /// scenario) on first call and cached — the single probe the dry-run
     /// estimate and every shard cut share.
     const std::vector<double>& weights();
@@ -66,8 +69,19 @@ public:
         return !weights_.empty() || !spec_.weights.empty();
     }
 
-    /// Shard `index`'s weighted cut, built from weights().
-    orch::WeightedShardPlan weighted_plan(unsigned index);
+    /// Shard `index`'s cut of the plan's jobs, built from weights() on the
+    /// scenario-major line — the one ownership rule of both partitions.
+    orch::ShardCut shard_cut(unsigned index);
+
+    /// The partition id every shard database of this plan carries
+    /// (orch::ShardCut::partition), or just the scheme ("weighted") while
+    /// the weights would still need a probe. Never probes.
+    const std::string& partition_id() const noexcept {
+        return partition_id_.empty() ? spec_.partition : partition_id_;
+    }
+    /// True when a manifest's partition id can be this plan's cut: equal to
+    /// partition_id(), or of the same scheme while the weights are unknown.
+    bool accepts_partition(const std::string& id) const;
 
     /// Dry-run listing: spec hash, fault model, job ids, shard layout and
     /// an estimated-work line. Never probes on its own (a fully-resumed
@@ -91,7 +105,9 @@ private:
     std::vector<PlannedJob> jobs_;
     std::uint64_t spec_hash_ = 0;
     std::string hash_hex_;
-    std::vector<double> weights_; ///< probe cache (empty until needed)
+    std::vector<double> weights_; ///< line lengths (weighted: empty until probed)
+    std::vector<std::size_t> line_; ///< orch::scenario_major_line of the jobs
+    std::string partition_id_;      ///< empty until the weights are ready
 };
 
 } // namespace serep::exp

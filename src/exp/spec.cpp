@@ -236,7 +236,7 @@ std::string identity_json(const ExperimentSpec& s) {
     // documented probe-once workflow) must not strand shard databases that
     // finished before the bake. Hand-edited weights that change the cut are
     // still caught downstream — every manifest carries the partition
-    // (cut-matrix) id and merge refuses mixed partitions.
+    // (cut-matrix) id, and resume, merge and report refuse another cut.
     w.end_object();
     return os.str();
 }

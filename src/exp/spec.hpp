@@ -28,8 +28,9 @@
 // never changes outcomes, so completed work survives those edits. Baked
 // shard.weights are excluded too — the probe is deterministic, so pasting
 // the vector `serep plan` prints into the spec must not invalidate shards
-// that finished before the bake (a genuinely different cut is still caught
-// by the partition id every manifest carries).
+// that finished before the bake (a genuinely different cut is still caught:
+// resume, merge and report compare the partition id every manifest
+// carries).
 //
 // Everything here throws util::UsageError on malformed or contradictory
 // input (the spec is operator input, exit code 2 in serep), with messages

@@ -41,9 +41,9 @@ namespace serep::orch {
 
 /// Cache identity of a scenario's golden run: everything that changes the
 /// executed instruction stream. Scenario::name() omits klass and the fma
-/// flag, so they are appended. Shared by the BatchRunner golden cache and
-/// the weighted-shard probe so the two can never disagree about which jobs
-/// share a golden execution.
+/// flag, so they are appended. Shared by the BatchRunner golden cache, the
+/// shard cut's scenario-major line and the weighted-shard probe so they can
+/// never disagree about which jobs share a golden execution.
 std::string scenario_cache_key(const npb::Scenario& s);
 
 /// Distinct scenarios whose checkpoint ladders may be live at once. The

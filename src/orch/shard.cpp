@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <set>
 #include <string_view>
+#include <unordered_map>
 
 #include "npb/npb.hpp"
 #include "util/check.hpp"
@@ -85,9 +87,9 @@ std::uint64_t campaign_config_hash(const std::vector<ShardJobSpec>& jobs) {
 namespace {
 
 /// One job's contribution to a shard database. `golden`/`records`/`ordinals`
-/// are null for jobs this shard does not own at all (possible only under a
-/// weighted plan): the manifest then carries "golden": null and the merger
-/// takes the golden reference from an owning shard.
+/// are null for jobs this shard does not run at all: the manifest then
+/// carries "golden": null and the merger takes the golden reference from an
+/// owning shard.
 struct ShardJobOutput {
     std::uint32_t fault_space = 0;
     const core::GoldenRef* golden = nullptr;
@@ -95,10 +97,9 @@ struct ShardJobOutput {
     const std::vector<std::uint32_t>* ordinals = nullptr;
 };
 
-/// Shared back half of both run_shard variants: manifest + record lines.
-/// `partition` identifies the fault-to-shard assignment scheme ("uniform",
-/// or "weighted-<cut-matrix-hash>") so readers can refuse to blend
-/// databases whose partitions do not tile the fault space together.
+/// Back half of run_shard: manifest + record lines. `partition` identifies
+/// the cut (ShardCut::partition) so readers can refuse to blend databases
+/// whose partitions do not tile the fault space together.
 ShardRunStats write_shard_db(const std::vector<ShardJobSpec>& jobs,
                              unsigned index, unsigned count,
                              const std::string& partition,
@@ -193,48 +194,27 @@ ShardRunStats write_shard_db(const std::vector<ShardJobSpec>& jobs,
 
 } // namespace
 
-ShardRunStats run_shard(const std::vector<ShardJobSpec>& jobs, const ShardPlan& plan,
-                        const BatchOptions& opts, std::ostream& os,
-                        const ShardDbAnnotation* note) {
-    util::check_usage(plan.count >= 1 && plan.index < plan.count,
-                      "run_shard: shard index out of range");
-    util::check_usage(!jobs.empty(), "run_shard: empty job list");
-    BatchRunner runner(opts);
-    for (const ShardJobSpec& j : jobs)
-        runner.add(j.scenario, j.cfg, [plan](std::uint32_t, const core::Fault& f) {
-            return plan.owns(f);
-        });
-    const std::vector<core::CampaignResult> results = runner.run_all();
-    std::vector<ShardJobOutput> outputs(jobs.size());
-    for (std::size_t j = 0; j < jobs.size(); ++j)
-        outputs[j] = {runner.job_fault_space(j), &results[j].golden,
-                      &results[j].records, &runner.job_ordinals(j)};
-    return write_shard_db(jobs, plan.index, plan.count, "uniform", outputs, os,
-                          note);
-}
-
 ShardRunStats run_shard(const std::vector<ShardJobSpec>& jobs,
-                        const WeightedShardPlan& plan, const BatchOptions& opts,
+                        const ShardCut& cut, const BatchOptions& opts,
                         std::ostream& os, const ShardDbAnnotation* note) {
-    util::check_usage(plan.count >= 1 && plan.index < plan.count,
+    util::check_usage(cut.count >= 1 && cut.index < cut.count,
                       "run_shard: shard index out of range");
     util::check_usage(!jobs.empty(), "run_shard: empty job list");
-    util::check_usage(plan.job_ranges.size() == jobs.size(),
-                      "run_shard: weighted plan covers a different job list");
+    util::check_usage(cut.job_ranges.size() == jobs.size(),
+                      "run_shard: the cut covers a different job list");
     BatchRunner runner(opts);
-    // Only jobs with a non-empty id range run here — that is the weighted
-    // plan's payoff: this shard pays golden-run and ladder cost for its own
-    // scenarios only. Unowned jobs appear in the manifest with
-    // "golden": null and no records; the merger takes their golden
-    // reference from the shard(s) that ran them (every job has one, since
-    // the ranges tile the id space).
+    // Only jobs the cut runs are added: this shard pays golden-run and
+    // ladder cost for its own scenarios only. Unowned jobs appear in the
+    // manifest with "golden": null and no records; the merger takes their
+    // golden reference from the shard(s) that ran them (every job has one,
+    // since the ranges tile the id space).
     std::vector<std::size_t> runner_idx(jobs.size(), SIZE_MAX);
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        if (plan.job_ranges[j].first >= plan.job_ranges[j].second) continue;
+        if (!cut.runs(j)) continue;
         runner_idx[j] =
             runner.add(jobs[j].scenario, jobs[j].cfg,
-                       [&plan, j](std::uint32_t, const core::Fault& f) {
-                           return plan.owns(j, f);
+                       [&cut, j](std::uint32_t, const core::Fault& f) {
+                           return cut.owns(j, f);
                        });
     }
     const std::vector<core::CampaignResult> results = runner.run_all();
@@ -249,37 +229,64 @@ ShardRunStats run_shard(const std::vector<ShardJobSpec>& jobs,
         outputs[j] = {runner.job_fault_space(runner_idx[j]), &r.golden,
                       &r.records, &runner.job_ordinals(runner_idx[j])};
     }
-    return write_shard_db(jobs, plan.index, plan.count,
-                          "weighted-" + hash_hex(plan.partition_hash), outputs,
+    return write_shard_db(jobs, cut.index, cut.count, cut.partition, outputs,
                           os, note);
 }
 
-WeightedShardPlan make_weighted_plan(const std::vector<double>& weights,
-                                     unsigned index, unsigned count,
-                                     std::uint32_t resolution) {
-    util::check_usage(count >= 1 && index < count,
-                      "weighted plan: shard index out of range");
-    util::check_usage(!weights.empty(), "weighted plan: empty weight list");
-    util::check_usage(resolution >= 2, "weighted plan: resolution too small");
-    double total = 0;
-    for (double w : weights) total += w > 0 ? w : 0;
+std::vector<std::size_t> scenario_major_line(
+    const std::vector<ShardJobSpec>& jobs) {
+    // Rank of each golden key by first appearance.
+    std::unordered_map<std::string, std::size_t> rank;
+    std::vector<std::size_t> group(jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+        group[j] = rank.emplace(scenario_cache_key(jobs[j].scenario), rank.size())
+                       .first->second;
+    std::vector<std::size_t> line(jobs.size());
+    std::iota(line.begin(), line.end(), std::size_t{0});
+    std::stable_sort(line.begin(), line.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return group[a] < group[b];
+                     });
+    return line;
+}
 
-    WeightedShardPlan plan;
-    plan.index = index;
-    plan.count = count;
-    plan.resolution = resolution;
+ShardCut make_shard_cut(const std::string& scheme,
+                        const std::vector<double>& lengths,
+                        const std::vector<std::size_t>& line, unsigned index,
+                        unsigned count, std::uint32_t resolution) {
+    util::check_usage(count >= 1 && index < count,
+                      "shard cut: shard index out of range");
+    util::check_usage(!lengths.empty(), "shard cut: empty job list");
+    util::check_usage(resolution >= 2, "shard cut: resolution too small");
+    util::check_usage(line.size() == lengths.size(),
+                      "shard cut: the line and the lengths differ in size");
+    std::vector<std::uint8_t> placed(lengths.size(), 0);
+    for (std::size_t j : line) {
+        util::check_usage(j < lengths.size() && !placed[j],
+                          "shard cut: the line is not a permutation of the "
+                          "jobs");
+        placed[j] = 1;
+    }
+    double total = 0;
+    for (double w : lengths) total += w > 0 ? w : 0;
     if (total <= 0) {
-        // No information: degenerate to a uniform contiguous split.
-        std::vector<double> uniform(weights.size(), 1.0);
-        return make_weighted_plan(uniform, index, count, resolution);
+        // No information: degenerate to equal lengths.
+        return make_shard_cut(scheme, std::vector<double>(lengths.size(), 1.0),
+                              line, index, count, resolution);
     }
 
-    // Cake-cutting: jobs laid end to end on [0, total); shard s owns
-    // [s, s+1) * total / count. The intersection with job j's segment maps
-    // linearly onto its id space [0, resolution). Cut points are monotone in
-    // s by construction, so the N shards' ranges for a job are disjoint and
-    // cover [0, resolution) exactly.
-    auto cut = [&](double start, double w, unsigned s) {
+    ShardCut cut;
+    cut.index = index;
+    cut.count = count;
+    cut.resolution = resolution;
+    cut.job_ranges.resize(lengths.size());
+
+    // Cake-cutting: jobs laid end to end on [0, total) in line order; shard
+    // s owns [s, s+1) * total / count. The intersection with job j's segment
+    // maps linearly onto its id space [0, resolution). Cut points are
+    // monotone in s by construction, so the N shards' ranges for a job are
+    // disjoint and cover [0, resolution) exactly.
+    auto point = [&](double start, double w, unsigned s) {
         if (w <= 0) {
             // Zero-length job: give the whole id space to the shard whose
             // slice contains the job's position, so its faults (if any)
@@ -297,18 +304,32 @@ WeightedShardPlan make_weighted_plan(const std::vector<double>& weights,
     std::uint64_t h = util::kFnvOffset;
     fnv1a_u64(h, count);
     fnv1a_u64(h, resolution);
-    for (std::size_t j = 0; j < weights.size(); ++j) {
-        const double w = weights[j] > 0 ? weights[j] : 0;
-        plan.job_ranges.emplace_back(cut(start, w, index),
-                                     cut(start, w, index + 1));
+    bool job_order = true;
+    for (std::size_t p = 0; p < line.size(); ++p) {
+        const std::size_t j = line[p];
+        job_order = job_order && j == p;
+        const double w = lengths[j] > 0 ? lengths[j] : 0;
+        cut.job_ranges[j] = {point(start, w, index), point(start, w, index + 1)};
         // Hash every shard's cut point, not just ours: all shards of one
-        // weighted campaign derive the identical matrix, so this id names
-        // the partition scheme independently of the shard index.
-        for (unsigned s = 0; s <= count; ++s) fnv1a_u64(h, cut(start, w, s));
+        // campaign derive the identical matrix, so this id names the
+        // partition independently of the shard index.
+        for (unsigned s = 0; s <= count; ++s) fnv1a_u64(h, point(start, w, s));
         start += w;
     }
-    plan.partition_hash = h;
-    return plan;
+    // The same points on another line own other jobs.
+    if (!job_order)
+        for (std::size_t j : line) fnv1a_u64(h, j);
+    cut.partition = scheme + "-" + hash_hex(h);
+    return cut;
+}
+
+ShardCut uniform_cut(const std::vector<ShardJobSpec>& jobs, unsigned index,
+                     unsigned count) {
+    std::vector<double> lengths;
+    lengths.reserve(jobs.size());
+    for (const ShardJobSpec& j : jobs) lengths.push_back(j.cfg.n_faults);
+    return make_shard_cut("uniform", lengths, scenario_major_line(jobs), index,
+                          count);
 }
 
 std::vector<double> probe_job_weights(const std::vector<ShardJobSpec>& jobs) {
@@ -549,9 +570,10 @@ std::vector<core::CampaignResult> merge_shards(
                           "shard merge: config hash mismatch — the databases "
                           "come from different campaigns");
         util::check_valid(db.partition == first.partition,
-                          "shard merge: partition scheme mismatch — uniform and "
-                          "weighted (or differently weighted) shards of a "
-                          "campaign do not tile the fault space together");
+                          "shard merge: partition mismatch (" + db.partition +
+                              " vs " + first.partition +
+                              ") — shards of a campaign cut differently do "
+                              "not tile the fault space together");
         util::check_valid(db.jobs.size() == shape.size(),
                           "shard merge: job lists differ across shards");
         for (std::size_t j = 0; j < shape.size(); ++j)

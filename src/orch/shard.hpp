@@ -4,16 +4,20 @@
 // process. The shard layer splits it without giving up the repo's core
 // invariant (bit-identical outcome databases for a given seed):
 //
-//  * ShardPlan deterministically assigns every fault to exactly one of N
-//    shards by a *stable content id* (a hash of the fault's strike instant
-//    and target), not by fault-list position — so re-partitioning the same
-//    campaign into a different N never changes which run a fault gets or
-//    its classification, only where it executes.
+//  * make_shard_cut() deterministically assigns every fault to exactly one
+//    of N shards. The jobs lie end to end on one line, scenario-major (all
+//    jobs of a golden scenario together), each as long as its work, and
+//    shard k owns the slice [k, k+1) * total / N of it. A job a boundary
+//    cuts through is split by a *stable content id* (a hash of the fault's
+//    strike instant and target), not by fault-list position — so
+//    re-partitioning the same campaign into a different N never changes
+//    which run a fault gets or its classification, only where it executes,
+//    and a shard runs the goldens of only the scenarios it injects into.
 //  * run_shard() executes one shard of a job list on a BatchRunner and
 //    writes a self-contained outcome database: one JSONL manifest line
-//    (magic, shard index/count, a config hash over the exact job list, and
-//    each job's golden reference) followed by one record line per injected
-//    fault carrying its full-fault-list ordinal.
+//    (magic, shard index/count, the partition id, a config hash over the
+//    exact job list, and each job's golden reference) followed by one
+//    record line per injected fault carrying its full-fault-list ordinal.
 //  * read_shard_db() is the format's one reader: merge, `serep report`,
 //    resume and the fleet's landing check give the same bytes the same
 //    verdict — complete, incomplete (a killed writer), or refused by name.
@@ -50,40 +54,42 @@ constexpr unsigned kMaxShardCount = 4096;
 /// target, never on list order or shard count.
 std::uint64_t fault_id(const core::Fault& f) noexcept;
 
-/// Deterministic 1-of-N assignment of the fault space.
-struct ShardPlan {
-    unsigned index = 0;
-    unsigned count = 1;
-
-    bool owns(const core::Fault& f) const noexcept {
-        return count <= 1 || fault_id(f) % count == index;
-    }
+/// One campaign job, the unit both sharded and unsharded runs agree on.
+struct ShardJobSpec {
+    npb::Scenario scenario;
+    core::CampaignConfig cfg;
 };
 
-/// Work-weighted 1-of-N assignment. The uniform ShardPlan gives every shard
-/// ~1/N of *each* job's faults, so every shard pays the golden-run and
-/// ladder cost of *every* scenario. The weighted plan instead slices the
-/// campaign as one line of per-job work (weight ~ measured golden-run
-/// length x fault count) cut into N equal-work pieces: most jobs land
-/// wholly on one shard (no redundant goldens), only the jobs straddling a
-/// cut are split — by contiguous ranges of `fault_id(f) % resolution`, so
-/// ownership still depends only on fault content. Cut points are exact and
-/// monotone; the N plans of a campaign always cover every fault exactly
-/// once, and the shard databases merge with the ordinary merge_shards().
-struct WeightedShardPlan {
+/// One shard's slice of a campaign: the single fault-to-shard rule of both
+/// partitions. The jobs lie end to end on a line in scenario-major order
+/// (scenario_major_line), each as long as its work — its fault count under
+/// the uniform partition, golden length x fault count under the weighted
+/// one — and shard k of N owns the slice [k, k+1) * total / N. Most jobs
+/// land wholly on one shard; a job a boundary cuts through is split by
+/// contiguous ranges of `fault_id(f) % resolution`, so ownership still
+/// depends only on fault content. A shard therefore runs the golden and
+/// ladder of only the scenarios its slice touches: at most ceil(S/N) + 1 of
+/// S equally long ones. Cut points are exact and monotone; the N cuts of a
+/// campaign cover every fault exactly once, and the shard databases merge
+/// with the ordinary merge_shards().
+struct ShardCut {
     unsigned index = 0;
     unsigned count = 1;
     std::uint32_t resolution = 1u << 20; ///< id-space granularity of cuts
-    /// This shard's [lo, hi) slice of each job's id space.
+    /// This shard's [lo, hi) slice of each job's id space, by job index.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> job_ranges;
-    /// Hash of the complete cut matrix (every shard's ranges) — identical on
-    /// every shard built from the same weights/count/resolution. Written to
-    /// the shard manifest as the partition id, so databases cut by
-    /// different schemes (uniform vs weighted, or differently weighted)
-    /// refuse to blend in `serep report` instead of silently double-counting
+    /// "<scheme>-<hash of the complete cut matrix>": identical on every
+    /// shard cut from the same lengths, line, count and resolution. Written
+    /// to the shard manifest, so databases cut differently (uniform vs
+    /// weighted, differently weighted, or by an older rule) are refused by
+    /// resume, merge and `serep report` instead of silently double-counting
     /// or dropping faults.
-    std::uint64_t partition_hash = 0;
+    std::string partition;
 
+    /// True when this shard injects into job `job` at all.
+    bool runs(std::size_t job) const noexcept {
+        return job_ranges[job].first < job_ranges[job].second;
+    }
     bool owns(std::size_t job, const core::Fault& f) const noexcept {
         const auto& r = job_ranges[job];
         const std::uint32_t id =
@@ -92,22 +98,33 @@ struct WeightedShardPlan {
     }
 };
 
-/// Build shard `index` of `count`'s weighted plan from per-job weights
-/// (any positive scale; probe_job_weights() supplies golden-length-based
-/// ones). Weights <= 0 are treated as empty jobs.
-WeightedShardPlan make_weighted_plan(const std::vector<double>& weights,
-                                     unsigned index, unsigned count,
-                                     std::uint32_t resolution = 1u << 20);
+/// The cut line: job indices grouped by golden key (scenario_cache_key),
+/// groups in order of first appearance, list order within a group. A
+/// multi-kind plan lists its jobs kind-major; the line keeps each
+/// scenario's jobs of every kind together, so one shard pays its golden. A
+/// list with one job per scenario lies in its own order.
+std::vector<std::size_t> scenario_major_line(
+    const std::vector<ShardJobSpec>& jobs);
 
-/// One campaign job, the unit both sharded and unsharded runs agree on.
-struct ShardJobSpec {
-    npb::Scenario scenario;
-    core::CampaignConfig cfg;
-};
+/// Cut shard `index` of `count` from jobs laid end to end in `line` order
+/// (a permutation of job indices), job j `lengths[j]` long; lengths <= 0
+/// are empty jobs, and all-empty lengths cut as if equal. `scheme`
+/// ("uniform" / "weighted") prefixes the partition id. The id hashes the
+/// cut points in line order, plus the line itself where it is not the job
+/// order, so a cut over the job order keeps the id it always had.
+ShardCut make_shard_cut(const std::string& scheme,
+                        const std::vector<double>& lengths,
+                        const std::vector<std::size_t>& line, unsigned index,
+                        unsigned count, std::uint32_t resolution = 1u << 20);
 
-/// Measured per-job work weights for make_weighted_plan(): golden-run
-/// length (one throwaway probe execution per distinct scenario) x the
-/// job's fault count.
+/// Shard `index` of `count` of the uniform partition: each job as long as
+/// its fault count, on the scenario-major line. No golden run, no probe.
+ShardCut uniform_cut(const std::vector<ShardJobSpec>& jobs, unsigned index,
+                     unsigned count);
+
+/// Measured per-job lengths for the weighted partition's make_shard_cut():
+/// golden-run length (one throwaway probe execution per distinct scenario)
+/// x the job's fault count.
 std::vector<double> probe_job_weights(const std::vector<ShardJobSpec>& jobs);
 
 /// Hash over the exact job list (scenarios + campaign configs). Two shard
@@ -134,18 +151,13 @@ struct ShardDbAnnotation {
     std::string spec_hash;  ///< ExperimentSpec::spec_hash_hex()
 };
 
-/// Run shard `plan` of `jobs` on a BatchRunner configured from `opts` and
-/// write the shard's outcome database to `os`.
-ShardRunStats run_shard(const std::vector<ShardJobSpec>& jobs, const ShardPlan& plan,
-                        const BatchOptions& opts, std::ostream& os,
-                        const ShardDbAnnotation* note = nullptr);
-
-/// Weighted variant: same database format, same merge path — only the
-/// fault-to-shard assignment differs (plan.job_ranges per job). The N
-/// weighted shard databases of one campaign merge byte-identically to the
-/// unsharded run, exactly like uniform shards.
+/// Run shard `cut` of `jobs` on a BatchRunner configured from `opts` and
+/// write the shard's outcome database to `os`. Only the jobs the cut runs
+/// are added to the runner; the others appear in the manifest with
+/// "golden": null and no records. The N shard databases of one campaign
+/// merge byte-identically to the unsharded run.
 ShardRunStats run_shard(const std::vector<ShardJobSpec>& jobs,
-                        const WeightedShardPlan& plan, const BatchOptions& opts,
+                        const ShardCut& cut, const BatchOptions& opts,
                         std::ostream& os,
                         const ShardDbAnnotation* note = nullptr);
 
@@ -154,8 +166,8 @@ struct ShardDb {
     struct Job {
         npb::Scenario scenario;
         std::uint32_t fault_space = 0;
-        /// Scalar fields only; none where a weighted shard ran none of the
-        /// job's faults ("golden": null) — another shard has the reference.
+        /// Scalar fields only; none where the shard ran none of the job's
+        /// faults ("golden": null) — another shard has the reference.
         std::optional<core::GoldenRef> golden;
     };
     struct Record {
@@ -165,7 +177,9 @@ struct ShardDb {
     };
     unsigned shard = 0;
     unsigned count = 1;
-    std::string partition; ///< "uniform" when the manifest predates the field
+    /// The cut's partition id; "uniform" when the manifest predates the
+    /// field (a database of the older every-job rule).
+    std::string partition;
     std::string config_hash;
     std::string spec_hash; ///< ShardDbAnnotation; empty when unannotated
     std::vector<Job> jobs; ///< empty when not even the manifest line is whole

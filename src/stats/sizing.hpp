@@ -56,8 +56,8 @@ struct AdaptiveJobResult {
 
 /// The draw order of the sequential rule: full-list ordinals sorted by
 /// stable fault content id (ties by ordinal). Depends only on fault content,
-/// never on shard count or list position — the same order PR 2's ShardPlan
-/// partitions by.
+/// never on shard count or list position — the same id a shard cut splits
+/// a job by (orch::ShardCut).
 std::vector<std::uint32_t> content_id_order(const std::vector<core::Fault>& faults);
 
 /// Run every job under the sequential stopping rule (opts.retain_ladders is

@@ -64,7 +64,7 @@ std::string zframe_decompress(const std::string& bytes);
 /// ostream&:
 ///
 ///   ZstdFrameWriter zw(file);
-///   orch::run_shard(jobs, plan, opts, zw.stream(), &note);
+///   orch::run_shard(jobs, cut, opts, zw.stream(), &note);
 ///   zw.finish();
 ///
 /// finish() flushes the tail frame and the end marker; without it the file

@@ -30,6 +30,7 @@
 
 #include "exp/driver.hpp"
 #include "stats/tally.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
 #include "util/zframe.hpp"
@@ -57,9 +58,10 @@ std::string tmp_prefix(const std::string& tag) {
     const std::string prefix = testing::TempDir() + "exp_test_" + tag;
     for (const std::string& suffix :
          {std::string("_faults.csv"), std::string("_campaigns.jsonl"),
-          std::string(".exp.json"), std::string("_shard0.jsonl"),
-          std::string("_shard1.jsonl"), std::string("_shard2.jsonl")})
+          std::string(".exp.json")})
         std::remove((prefix + suffix).c_str());
+    for (unsigned k = 0; k < 8; ++k)
+        std::remove((prefix + "_shard" + std::to_string(k) + ".jsonl").c_str());
     return prefix;
 }
 
@@ -364,6 +366,59 @@ TEST(Driver, ShardedRunMatchesDirectByteForByteAndResumes) {
     EXPECT_EQ(slurp(healed.csv_path()), slurp(direct_plan.csv_path()));
 }
 
+TEST(Driver, UniformShardsRunOnlyTheGoldensTheyInjectInto) {
+    // fleet_mini's shape: 28 Mini scenarios x two kinds, 8 uniform shards,
+    // each its own run_experiment as a fleet worker is. A shard's slice of
+    // the scenario-major line touches at most ceil(S/N) + 1 scenarios, and
+    // the merged bytes equal the one-shard run's.
+    exp::ExperimentSpec spec;
+    spec.name = "fleet-shape";
+    spec.klass = "Mini";
+    spec.apps = {"EP", "IS"};
+    spec.kinds = {"gpr", "mem"};
+    spec.faults = 4;
+    spec.seed = 0x5EED;
+    spec.threads = 2;
+    exp::DriverOptions quiet;
+    quiet.log = nullptr;
+
+    exp::ExperimentSpec direct_spec = spec;
+    direct_spec.out = tmp_prefix("fleetshape_direct");
+    exp::ExperimentPlan direct_plan(direct_spec);
+    exp::run_experiment(direct_plan, quiet);
+
+    spec.out = tmp_prefix("fleetshape");
+    spec.shards = 8;
+    exp::ExperimentPlan plan(spec);
+    const std::size_t scenarios = plan.jobs().size() / 2;
+    ASSERT_EQ(scenarios, 28u);
+    const std::uint64_t bound = (scenarios + spec.shards - 1) / spec.shards + 1;
+    telemetry::reset();
+    telemetry::set_enabled(true);
+    std::uint64_t goldens = 0;
+    for (unsigned k = 0; k < spec.shards; ++k) {
+        // The plan cuts its jobs exactly as orch::uniform_cut does.
+        const orch::ShardCut cut = plan.shard_cut(k);
+        const orch::ShardCut same =
+            orch::uniform_cut(plan.shard_jobs(), k, spec.shards);
+        EXPECT_EQ(cut.job_ranges, same.job_ranges) << "shard " << k;
+        EXPECT_EQ(cut.partition, same.partition) << "shard " << k;
+        exp::DriverOptions one = quiet;
+        one.only_shard = static_cast<int>(k);
+        exp::run_experiment(plan, one);
+        const std::uint64_t total = telemetry::counter_value("batch.golden_runs");
+        EXPECT_LE(total - goldens, bound) << "shard " << k;
+        goldens = total;
+    }
+    telemetry::set_enabled(false);
+    EXPECT_LE(goldens, scenarios + spec.shards - 1);
+
+    const exp::DriverResult merged = exp::run_experiment(plan, quiet);
+    EXPECT_EQ(merged.shards_skipped, 8u);
+    EXPECT_EQ(slurp(plan.csv_path()), slurp(direct_plan.csv_path()));
+    EXPECT_EQ(slurp(plan.jsonl_path()), slurp(direct_plan.jsonl_path()));
+}
+
 TEST(Driver, AdaptiveRunResumesFromItsSidecar) {
     exp::ExperimentSpec spec;
     spec.name = "adaptive-sidecar";
@@ -434,11 +489,27 @@ TEST(Driver, InMemoryExperimentReturnsResultsWithoutFiles) {
 
 // ------------------------------------------------ shard-database verdicts
 
-TEST(ShardDbReaders, GiveOneVerdictForTheSameBytes) {
-    // An annotated 2-shard set, then forged copies of shard 0. The resume
-    // probe (also the fleet's landing check) answers Match, Incomplete or a
-    // ValidationError naming the file; merge and report accept only what
-    // the probe calls Match.
+namespace {
+
+/// Refusals name the input: `label` for the probe and the tally.
+void expect_refusal(const std::function<void()>& read, const std::string& label) {
+    try {
+        read();
+        ADD_FAILURE() << "accepted";
+    } catch (const util::ValidationError& e) {
+        EXPECT_NE(std::string(e.what()).find(label), std::string::npos)
+            << e.what();
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "not a ValidationError: " << e.what();
+    }
+}
+
+/// An annotated 2-shard set cut under `partition`, then forged copies of
+/// shard 0. The resume probe (also the fleet's landing check) answers Match,
+/// Incomplete or a ValidationError naming the file; merge and report accept
+/// only what the probe calls Match.
+void expect_one_verdict_per_bytes(const std::string& partition) {
+    SCOPED_TRACE(partition);
     exp::ExperimentSpec spec;
     spec.name = "reader-verdicts";
     spec.out = tmp_prefix("verdicts");
@@ -449,6 +520,8 @@ TEST(ShardDbReaders, GiveOneVerdictForTheSameBytes) {
     spec.seed = 0x5EED;
     spec.threads = 2;
     spec.shards = 2;
+    spec.partition = partition;
+    if (partition == "weighted") spec.weights = {1, 3};
     exp::DriverOptions quiet;
     quiet.log = nullptr;
     exp::ExperimentPlan plan(spec);
@@ -476,13 +549,16 @@ TEST(ShardDbReaders, GiveOneVerdictForTheSameBytes) {
     std::string no_manifest;
     for (const std::string& r : recs) no_manifest += r + "\n";
     const std::string framed = util::zframe_compress(db0);
+    // The every-job rule's databases said "uniform" under either spelling.
+    const std::string old_rule = set_member(db0, "partition", "\"uniform\"");
 
     enum class Verdict { Match, Incomplete, Refused };
-    const struct {
+    struct Row {
         const char* what;
         std::string bytes;
         Verdict verdict;
-    } rows[] = {
+    };
+    std::vector<Row> rows = {
         {"intact", db0, Verdict::Match},
         {"intact, zstd-framed", framed, Verdict::Match},
         {"cut at a line boundary", cut, Verdict::Incomplete},
@@ -519,30 +595,34 @@ TEST(ShardDbReaders, GiveOneVerdictForTheSameBytes) {
         {"count 2^32 - 1", set_member(db0, "count", "4294967295"),
          Verdict::Refused},
         {"count 4097", set_member(db0, "count", "4097"), Verdict::Refused},
+        // The same spec's shard cut by another rule: the every-job one
+        // databases were written under before cuts were scenario-major.
+        {"parent-format \"uniform\" partition", old_rule, Verdict::Refused},
     };
+    // Weights are not hashed, so a cut under other baked weights carries
+    // this spec's hash; only its partition id tells it apart.
+    std::string other_weights;
+    if (partition == "weighted") {
+        exp::ExperimentSpec recut = spec;
+        recut.out = tmp_prefix("verdicts_recut");
+        recut.weights = {3, 1};
+        exp::ExperimentPlan recut_plan(recut);
+        ASSERT_EQ(recut_plan.spec_hash_hex(), plan.spec_hash_hex());
+        exp::run_experiment(recut_plan, quiet);
+        other_weights = slurp(recut_plan.shard_db_path(0));
+        rows.push_back({"cut under other baked weights", other_weights,
+                        Verdict::Refused});
+    }
 
-    // Refusals name the input: `label` for the probe and the tally.
-    const auto expect_refusal = [](const std::function<void()>& read,
-                                   const std::string& label) {
-        try {
-            read();
-            ADD_FAILURE() << "accepted";
-        } catch (const util::ValidationError& e) {
-            EXPECT_NE(std::string(e.what()).find(label), std::string::npos)
-                << e.what();
-        } catch (const std::exception& e) {
-            ADD_FAILURE() << "not a ValidationError: " << e.what();
-        }
-    };
-    for (const auto& row : rows) {
+    for (const Row& row : rows) {
         SCOPED_TRACE(row.what);
         const auto probe = [&] {
             return exp::classify_shard_db(row.bytes, "forged", plan, 0, 2);
         };
         const auto report = [&] {
             stats::OutcomeTally tally;
-            tally.add_database(row.bytes, "forged");
             tally.add_database(db1, "shard1");
+            tally.add_database(row.bytes, "forged");
             return tally.total_records();
         };
         switch (row.verdict) {
@@ -562,4 +642,24 @@ TEST(ShardDbReaders, GiveOneVerdictForTheSameBytes) {
                      util::ValidationError);
         expect_refusal(report, "forged");
     }
+
+    if (partition != "weighted") return;
+    // Unbaked weights: the probe compares the scheme alone rather than run
+    // the golden-length probe to learn the cut.
+    exp::ExperimentSpec unbaked = spec;
+    unbaked.weights.clear();
+    exp::ExperimentPlan unbaked_plan(unbaked);
+    EXPECT_EQ(exp::classify_shard_db(other_weights, "recut", unbaked_plan, 0, 2),
+              exp::ShardDbState::Match);
+    expect_refusal(
+        [&] { exp::classify_shard_db(old_rule, "old rule", unbaked_plan, 0, 2); },
+        "old rule");
+    EXPECT_FALSE(unbaked_plan.weights_ready());
+}
+
+} // namespace
+
+TEST(ShardDbReaders, GiveOneVerdictForTheSameBytes) {
+    expect_one_verdict_per_bytes("uniform");
+    expect_one_verdict_per_bytes("weighted");
 }

@@ -13,7 +13,9 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <numeric>
 #include <optional>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -820,7 +822,8 @@ std::vector<std::string> run_all_shards(unsigned count) {
     std::vector<std::string> dbs;
     for (unsigned i = 0; i < count; ++i) {
         std::ostringstream os;
-        orch::run_shard(shard_jobs(), orch::ShardPlan{i, count}, orch::BatchOptions{}, os);
+        orch::run_shard(shard_jobs(), orch::uniform_cut(shard_jobs(), i, count),
+                        orch::BatchOptions{}, os);
         dbs.push_back(os.str());
     }
     return dbs;
@@ -838,16 +841,148 @@ TEST(Shard, StableFaultIdsPartitionTheFaultSpace) {
     const auto faults =
         core::make_fault_list(m, ref, small_config(200, 0xFEED));
     for (unsigned count : {1u, 2u, 3u, 7u}) {
+        std::vector<orch::ShardCut> cuts;
+        for (unsigned i = 0; i < count; ++i)
+            cuts.push_back(orch::uniform_cut(
+                {{kSmall, small_config(200, 0xFEED)}}, i, count));
         for (const core::Fault& f : faults) {
             unsigned owners = 0;
-            for (unsigned i = 0; i < count; ++i)
-                owners += orch::ShardPlan{i, count}.owns(f) ? 1 : 0;
+            for (const orch::ShardCut& cut : cuts)
+                owners += cut.owns(0, f) ? 1 : 0;
             ASSERT_EQ(owners, 1u) << "count " << count;
         }
     }
     // Ids are pure functions of content.
     EXPECT_EQ(orch::fault_id(faults[0]), orch::fault_id(faults[0]));
     EXPECT_NE(orch::fault_id(faults[0]), orch::fault_id(faults[1]));
+}
+
+TEST(Shard, CutsAreContiguousScenarioMajorSlices) {
+    // Seeded random job lists, kind-major as a multi-kind plan lists them:
+    // 1-40 scenarios x 1-3 kinds, unequal fault counts. Every fault has one
+    // owner, each shard's jobs are one run of the scenario-major line, and
+    // the shards pay S + N - 1 goldens at most between them.
+    const std::vector<npb::Scenario> all = npb::paper_scenarios(npb::Klass::Mini);
+    std::mt19937_64 rng(0x5C07);
+    for (int trial = 0; trial < 40; ++trial) {
+        std::vector<npb::Scenario> picked = all;
+        std::shuffle(picked.begin(), picked.end(), rng);
+        picked.resize(1 + rng() % 40);
+        const unsigned kinds = 1 + static_cast<unsigned>(rng() % 3);
+        std::vector<orch::ShardJobSpec> jobs;
+        std::vector<std::size_t> scenario_of; // index into picked
+        for (unsigned k = 0; k < kinds; ++k)
+            for (std::size_t i = 0; i < picked.size(); ++i) {
+                core::CampaignConfig cfg =
+                    small_config(1 + static_cast<unsigned>(rng() % 90), k);
+                cfg.memory_faults = k == 1;
+                cfg.include_fp_regs = k == 2;
+                jobs.push_back({picked[i], cfg});
+                scenario_of.push_back(i);
+            }
+        SCOPED_TRACE("trial " + std::to_string(trial) + ": " +
+                     std::to_string(picked.size()) + " scenarios x " +
+                     std::to_string(kinds) + " kinds");
+
+        // The line: scenarios in order of first appearance, each scenario's
+        // jobs together in list order.
+        const std::vector<std::size_t> line = orch::scenario_major_line(jobs);
+        ASSERT_EQ(line.size(), jobs.size());
+        for (std::size_t p = 0; p < line.size(); ++p)
+            ASSERT_EQ(line[p], p % kinds * picked.size() + p / kinds)
+                << "position " << p;
+
+        std::vector<double> lengths;
+        for (const orch::ShardJobSpec& j : jobs) lengths.push_back(j.cfg.n_faults);
+        std::vector<std::size_t> job_order(jobs.size());
+        std::iota(job_order.begin(), job_order.end(), std::size_t{0});
+
+        for (unsigned count = 1; count <= 9; ++count) {
+            std::vector<orch::ShardCut> cuts;
+            for (unsigned i = 0; i < count; ++i) {
+                cuts.push_back(orch::uniform_cut(jobs, i, count));
+                if (kinds > 1) continue;
+                // One job per scenario: the job-order cut, id and all.
+                const orch::ShardCut by_job =
+                    orch::make_shard_cut("uniform", lengths, job_order, i, count);
+                EXPECT_EQ(cuts[i].job_ranges, by_job.job_ranges);
+                EXPECT_EQ(cuts[i].partition, by_job.partition);
+            }
+            std::size_t goldens = 0;
+            for (unsigned i = 0; i < count; ++i) {
+                EXPECT_EQ(cuts[i].partition, cuts[0].partition);
+                // Owned jobs are one run [first, last] of the line.
+                std::size_t first = line.size(), last = 0, owned = 0;
+                std::set<std::size_t> scenarios;
+                for (std::size_t p = 0; p < line.size(); ++p) {
+                    if (!cuts[i].runs(line[p])) continue;
+                    first = std::min(first, p);
+                    last = p;
+                    ++owned;
+                    scenarios.insert(scenario_of[line[p]]);
+                }
+                ASSERT_GT(owned, 0u) << "shard " << i << " of " << count;
+                EXPECT_EQ(last + 1 - first, owned)
+                    << "shard " << i << " of " << count;
+                goldens += scenarios.size();
+            }
+            EXPECT_LE(goldens, picked.size() + count - 1) << "count " << count;
+            // Each job's id space is tiled by the shards in order: every
+            // fault id has exactly one owner.
+            for (std::size_t j = 0; j < jobs.size(); ++j) {
+                std::uint32_t edge = 0;
+                for (const orch::ShardCut& cut : cuts) {
+                    ASSERT_EQ(cut.job_ranges[j].first, edge)
+                        << "job " << j << " count " << count;
+                    ASSERT_LE(cut.job_ranges[j].first, cut.job_ranges[j].second);
+                    edge = cut.job_ranges[j].second;
+                }
+                ASSERT_EQ(edge, cuts[0].resolution)
+                    << "job " << j << " count " << count;
+            }
+        }
+    }
+}
+
+TEST(Shard, AJobOrderLineKeepsTheJobOrderCutAndItsId) {
+    // One job per scenario: the scenario-major line is the job order, so
+    // the cut and its partition id are the job-order cut's — ids written
+    // before cuts were scenario-major (pinned here) stay valid.
+    const std::vector<double> lengths = {3.0, 1.0, 0.25, 0.0};
+    const std::vector<std::size_t> job_order = {0, 1, 2, 3};
+    EXPECT_EQ(orch::make_shard_cut("weighted", lengths, job_order, 0, 1).partition,
+              "weighted-36bae407f3be9bb4");
+    const orch::ShardCut cut =
+        orch::make_shard_cut("weighted", lengths, job_order, 0, 3);
+    EXPECT_EQ(cut.partition, "weighted-2e19bd364d3d6a6f");
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges = {
+        {0, 495161}, {0, 0}, {0, 0}, {0, 0}};
+    EXPECT_EQ(cut.job_ranges, ranges);
+
+    std::vector<orch::ShardJobSpec> single = shard_jobs();
+    EXPECT_EQ(orch::scenario_major_line(single),
+              (std::vector<std::size_t>{0, 1}));
+
+    // Two kinds over two scenarios, kind-major. The scenario-major line
+    // puts each scenario's jobs on one shard; a job-order cut of the same
+    // lengths would split both scenarios across the shards. Its cut points
+    // read the same in line order, so the id must also hash the line.
+    std::vector<orch::ShardJobSpec> kinds = single;
+    for (orch::ShardJobSpec j : single) {
+        j.cfg.memory_faults = true;
+        kinds.push_back(j);
+    }
+    for (orch::ShardJobSpec& j : kinds) j.cfg.n_faults = 10;
+    const std::vector<std::size_t> line = orch::scenario_major_line(kinds);
+    EXPECT_EQ(line, (std::vector<std::size_t>{0, 2, 1, 3}));
+    const std::vector<double> equal(4, 10.0);
+    const orch::ShardCut by_scenario = orch::uniform_cut(kinds, 0, 2);
+    const orch::ShardCut by_job =
+        orch::make_shard_cut("uniform", equal, {0, 1, 2, 3}, 0, 2);
+    EXPECT_TRUE(by_scenario.runs(0) && by_scenario.runs(2));
+    EXPECT_FALSE(by_scenario.runs(1) || by_scenario.runs(3));
+    EXPECT_TRUE(by_job.runs(0) && by_job.runs(1));
+    EXPECT_NE(by_scenario.partition, by_job.partition);
 }
 
 TEST(Shard, ShardedRunsMergeByteIdenticalToUnsharded) {
@@ -898,7 +1033,8 @@ TEST(Shard, ShardDatabasesIdenticalAcrossEngines) {
             orch::BatchOptions opts;
             opts.engine = e;
             std::ostringstream os;
-            orch::run_shard(shard_jobs(), orch::ShardPlan{index, 2}, opts, os);
+            orch::run_shard(shard_jobs(), orch::uniform_cut(shard_jobs(), index, 2),
+                            opts, os);
             db[e == sim::Engine::Switch] = os.str();
         }
         EXPECT_EQ(db[0], db[1]) << "shard " << index;
@@ -916,7 +1052,8 @@ TEST(Shard, MergeValidatesManifests) {
     auto other_jobs = shard_jobs();
     other_jobs[0].cfg.seed = 0xBAD5EED;
     std::ostringstream os;
-    orch::run_shard(other_jobs, orch::ShardPlan{1, 3}, orch::BatchOptions{}, os);
+    orch::run_shard(other_jobs, orch::uniform_cut(other_jobs, 1, 3),
+                    orch::BatchOptions{}, os);
     EXPECT_THROW(orch::merge_shards({dbs[0], os.str(), dbs[2]}), util::Error);
     // Garbage input.
     EXPECT_THROW(orch::merge_shards({"not a manifest\n"}), util::Error);

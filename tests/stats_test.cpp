@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -254,11 +255,22 @@ void reference_streams(std::string& csv, std::string& jsonl) {
     jsonl = j.str();
 }
 
+/// The weighted cut over the job order — the scenario-major line of every
+/// job list here, which has one job per scenario.
+orch::ShardCut weighted_cut(const std::vector<double>& weights, unsigned index,
+                            unsigned count,
+                            std::uint32_t resolution = 1u << 20) {
+    std::vector<std::size_t> line(weights.size());
+    std::iota(line.begin(), line.end(), std::size_t{0});
+    return orch::make_shard_cut("weighted", weights, line, index, count,
+                                resolution);
+}
+
 std::vector<std::string> run_all_shards(unsigned count) {
     std::vector<std::string> dbs;
     for (unsigned i = 0; i < count; ++i) {
         std::ostringstream os;
-        orch::run_shard(tally_jobs(), orch::ShardPlan{i, count},
+        orch::run_shard(tally_jobs(), orch::uniform_cut(tally_jobs(), i, count),
                         orch::BatchOptions{}, os);
         dbs.push_back(os.str());
     }
@@ -305,7 +317,8 @@ TEST(Tally, ShardConfigHashValidation) {
     auto other = tally_jobs();
     other[0].cfg.seed = 0xBAD5EED;
     std::ostringstream os;
-    orch::run_shard(other, orch::ShardPlan{1, 2}, orch::BatchOptions{}, os);
+    orch::run_shard(other, orch::uniform_cut(other, 1, 2), orch::BatchOptions{},
+                    os);
 
     stats::OutcomeTally tally;
     tally.add_database(dbs[0], "shard0");
@@ -355,7 +368,7 @@ TEST(Tally, RejectsMixedPartitionSchemes) {
 
     const std::vector<double> weights = orch::probe_job_weights(tally_jobs());
     std::ostringstream os;
-    orch::run_shard(tally_jobs(), orch::make_weighted_plan(weights, 1, 2),
+    orch::run_shard(tally_jobs(), weighted_cut(weights, 1, 2),
                     orch::BatchOptions{}, os);
     const std::string weighted = os.str();
 
@@ -370,7 +383,7 @@ TEST(Tally, RejectsMixedPartitionSchemes) {
     std::vector<double> other_weights = weights;
     other_weights[0] *= 3;
     std::ostringstream os2;
-    orch::run_shard(tally_jobs(), orch::make_weighted_plan(other_weights, 0, 2),
+    orch::run_shard(tally_jobs(), weighted_cut(other_weights, 0, 2),
                     orch::BatchOptions{}, os2);
     stats::OutcomeTally wtally;
     wtally.add_database(weighted, "weighted1");
@@ -402,14 +415,14 @@ TEST(Report, OutcomeTableCarriesExtraColumns) {
                  util::Error);
 }
 
-// ---------------------------------------------------- weighted shard plans
+// ----------------------------------------------------- weighted shard cuts
 
 TEST(WeightedShard, PlansPartitionEveryJobExactly) {
     const std::vector<double> weights = {3.0, 1.0, 0.25, 0.0};
     for (unsigned count : {1u, 2u, 3u, 5u}) {
-        std::vector<orch::WeightedShardPlan> plans;
+        std::vector<orch::ShardCut> plans;
         for (unsigned s = 0; s < count; ++s)
-            plans.push_back(orch::make_weighted_plan(weights, s, count, 1u << 12));
+            plans.push_back(weighted_cut(weights, s, count, 1u << 12));
         for (std::size_t j = 0; j < weights.size(); ++j) {
             // The shards' ranges tile [0, resolution) without gap or overlap.
             std::uint32_t edge = 0;
@@ -423,8 +436,8 @@ TEST(WeightedShard, PlansPartitionEveryJobExactly) {
             EXPECT_EQ(edge, 1u << 12) << "job " << j << " count " << count;
         }
     }
-    EXPECT_THROW(orch::make_weighted_plan({}, 0, 2), util::UsageError);
-    EXPECT_THROW(orch::make_weighted_plan({1.0}, 2, 2), util::UsageError);
+    EXPECT_THROW(weighted_cut({}, 0, 2), util::UsageError);
+    EXPECT_THROW(weighted_cut({1.0}, 2, 2), util::UsageError);
 }
 
 TEST(WeightedShard, PlansBalanceWeightedWork) {
@@ -433,8 +446,8 @@ TEST(WeightedShard, PlansBalanceWeightedWork) {
     const double total = 14.0;
     const unsigned count = 2;
     for (unsigned s = 0; s < count; ++s) {
-        const orch::WeightedShardPlan plan =
-            orch::make_weighted_plan(weights, s, count, 1u << 20);
+        const orch::ShardCut plan =
+            weighted_cut(weights, s, count, 1u << 20);
         double work = 0;
         for (std::size_t j = 0; j < weights.size(); ++j)
             work += weights[j] *
@@ -456,8 +469,8 @@ TEST(WeightedShard, WeightedShardsMergeByteIdenticalToUnsharded) {
     std::vector<std::string> dbs;
     std::size_t owned_total = 0;
     for (unsigned s = 0; s < 2; ++s) {
-        const orch::WeightedShardPlan plan =
-            orch::make_weighted_plan(weights, s, 2);
+        const orch::ShardCut plan =
+            weighted_cut(weights, s, 2);
         std::ostringstream os;
         const orch::ShardRunStats st =
             orch::run_shard(tally_jobs(), plan, orch::BatchOptions{}, os);
@@ -474,7 +487,7 @@ TEST(WeightedShard, WeightedShardsMergeByteIdenticalToUnsharded) {
 }
 
 TEST(WeightedShard, UnownedJobsSkipGoldenRunsAndStillMerge) {
-    // The weighted plan's payoff: a shard whose id range for a job is empty
+    // The cut's payoff: a shard whose id range for a job is empty
     // does not run that job at all — its manifest carries "golden": null —
     // and the merger takes the reference from the owning shard. Weights
     // 1:1000 put job 0 wholly on shard 0, so shard 1 skips its golden.
@@ -485,7 +498,7 @@ TEST(WeightedShard, UnownedJobsSkipGoldenRunsAndStillMerge) {
     std::vector<std::string> dbs;
     for (unsigned s = 0; s < 2; ++s) {
         std::ostringstream os;
-        orch::run_shard(tally_jobs(), orch::make_weighted_plan(weights, s, 2),
+        orch::run_shard(tally_jobs(), weighted_cut(weights, s, 2),
                         orch::BatchOptions{}, os);
         dbs.push_back(os.str());
     }

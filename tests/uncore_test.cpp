@@ -725,7 +725,7 @@ TEST(UncoreCampaign, ShardsMergeByteIdenticalWithZstdMixedIn) {
     std::vector<std::string> dbs;
     for (unsigned i = 0; i < 3; ++i) {
         std::ostringstream os;
-        orch::run_shard(uncore_jobs(), orch::ShardPlan{i, 3},
+        orch::run_shard(uncore_jobs(), orch::uniform_cut(uncore_jobs(), i, 3),
                         orch::BatchOptions{}, os);
         dbs.push_back(i == 1 ? util::zframe_compress(os.str()) : os.str());
     }

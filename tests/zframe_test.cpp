@@ -196,7 +196,7 @@ TEST(ZFrame, MixedPlainAndCompressedShardsMergeByteIdentical) {
     std::vector<std::string> plain;
     for (unsigned i = 0; i < 3; ++i) {
         std::ostringstream os;
-        orch::run_shard(mix_jobs(), orch::ShardPlan{i, 3},
+        orch::run_shard(mix_jobs(), orch::uniform_cut(mix_jobs(), i, 3),
                         orch::BatchOptions{}, os);
         plain.push_back(os.str());
     }

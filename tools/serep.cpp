@@ -300,7 +300,7 @@ int cmd_plan(const util::Cli& cli) {
     // estimate and the printed weights vector are the point of a dry run,
     // and baking that vector into the spec makes every subsequent `run`
     // probe-free.
-    if (plan.weighted() && !plan.weights_ready()) plan.weights();
+    if (!plan.weights_ready()) plan.weights();
     std::fputs(plan.listing().c_str(), stdout);
     return kExitOk;
 }
