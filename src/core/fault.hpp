@@ -61,6 +61,8 @@ struct Fault {
 };
 
 /// Reference captured from the faultless run (phase 1 of the workflow).
+/// The region hashes (sim::Memory::hash_range) are compared in-process
+/// only; no database or file carries them.
 struct GoldenRef {
     std::uint64_t total_retired = 0;
     std::uint64_t ticks = 0;

@@ -119,9 +119,10 @@ void log_prune(const orch::BatchRunner& runner, const orch::BatchOptions& b,
 ShardDbState classify_shard_db(const std::string& raw,
                                const std::string& label,
                                const ExperimentPlan& plan, unsigned k,
-                               unsigned n) {
+                               unsigned n, orch::ShardDb* db_out) {
     if (raw.empty()) return ShardDbState::Missing;
-    orch::ShardDb db;
+    orch::ShardDb local;
+    orch::ShardDb& db = db_out ? *db_out : local;
     try {
         db = orch::read_shard_db(raw, label);
     } catch (const util::ValidationError& e) {
@@ -152,7 +153,7 @@ ShardDbState classify_shard_db(const std::string& raw,
 }
 
 ShardDbState probe_shard_db(const ExperimentPlan& plan, unsigned k, unsigned n,
-                            std::string* found_path) {
+                            std::string* found_path, orch::ShardDb* db) {
     // A Match at either path wins even when the other form is a truncated
     // leftover — a re-run under a different encoding must not be forced to
     // repeat work a complete database already covers.
@@ -163,7 +164,7 @@ ShardDbState probe_shard_db(const ExperimentPlan& plan, unsigned k, unsigned n,
         std::string contents;
         if (!read_file(path, contents)) continue;
         const ShardDbState state =
-            classify_shard_db(contents, "resume: " + path, plan, k, n);
+            classify_shard_db(contents, "resume: " + path, plan, k, n, db);
         if (state == ShardDbState::Match) {
             if (found_path) *found_path = path;
             return state;

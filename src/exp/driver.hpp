@@ -114,17 +114,20 @@ enum class ShardDbState {
 /// this spec's shard k/n output: bytes the reader refuses, spec-hash
 /// mismatches, wrong shard indices, a partition id other than the plan's
 /// cut (ExperimentPlan::accepts_partition; never probes). The fleet vets
-/// payloads with it.
+/// payloads with it. When `db` is non-null it receives the database read
+/// (on Match, ready for stats::OutcomeTally::add_shard_db).
 ShardDbState classify_shard_db(const std::string& contents,
                                const std::string& label,
                                const ExperimentPlan& plan, unsigned k,
-                               unsigned n);
+                               unsigned n, orch::ShardDb* db = nullptr);
 
 /// Probe shard k's on-disk database: `<out>_shard<k>.jsonl` first, then the
 /// compressed `.jsonl.zst` form. When `found_path` is non-null it receives
-/// the path of the database that decided the verdict (unset for Missing).
+/// the path of the database that decided the verdict (unset for Missing);
+/// when `db` is non-null and the verdict is Match, the database read there.
 ShardDbState probe_shard_db(const ExperimentPlan& plan, unsigned k, unsigned n,
-                            std::string* found_path = nullptr);
+                            std::string* found_path = nullptr,
+                            orch::ShardDb* db = nullptr);
 
 /// The BatchOptions every execution path derives from a spec — the single
 /// successor of the old per-tool `batch_options_from_cli` plumbing.

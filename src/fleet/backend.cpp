@@ -1,10 +1,15 @@
 #include "fleet/backend.hpp"
 
+#include <algorithm>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -13,6 +18,10 @@
 namespace serep::fleet {
 
 namespace {
+
+/// Longest wait() while some running worker has no pidfd to watch: its
+/// exit can only be seen by polling.
+constexpr double kBlindWait = 0.2;
 
 /// Redirect `fd` to `path` in the child; exits the child on failure (the
 /// parent sees a nonzero worker exit, which is the failure channel).
@@ -23,7 +32,32 @@ void redirect_or_die(int fd, const std::string& path, int flags) {
     ::close(f);
 }
 
+/// A descriptor that becomes readable when `pid` exits (close-on-exec, so
+/// sibling workers never inherit it), or -1 where the platform has none.
+/// The child is not reaped yet, so its pid cannot have been recycled.
+int open_pidfd(pid_t pid) {
+#ifdef SYS_pidfd_open
+    return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#else
+    (void)pid;
+    return -1;
+#endif
+}
+
+int exit_code_of(int status) {
+    return WIFEXITED(status)     ? WEXITSTATUS(status)
+           : WIFSIGNALED(status) ? 128 + WTERMSIG(status)
+                                 : 128;
+}
+
 } // namespace
+
+void ProcBackend::reaped(Proc& p, int status) {
+    p.exited = true;
+    p.exit_code = exit_code_of(status);
+    if (p.pidfd >= 0) ::close(p.pidfd);
+    p.pidfd = -1;
+}
 
 ProcBackend::~ProcBackend() {
     for (auto& [id, p] : procs_) {
@@ -31,6 +65,7 @@ ProcBackend::~ProcBackend() {
         ::kill(static_cast<pid_t>(p.pid), SIGKILL);
         int status = 0;
         ::waitpid(static_cast<pid_t>(p.pid), &status, 0);
+        reaped(p, status);
     }
 }
 
@@ -54,8 +89,25 @@ int ProcBackend::launch(const WorkerSpawn& spawn) {
         _exit(127); // exec failed; 127 = "command not found" convention
     }
     const int id = next_id_++;
-    procs_[id] = Proc{pid, false, 0};
+    procs_[id] = Proc{pid, open_pidfd(pid), false, 0};
     return id;
+}
+
+void ProcBackend::wait(double timeout_s) {
+    std::vector<pollfd> fds;
+    double timeout = std::max(timeout_s, 0.0);
+    for (const auto& [id, p] : procs_) {
+        if (p.exited) continue;
+        if (p.pidfd >= 0)
+            fds.push_back({p.pidfd, POLLIN, 0});
+        else
+            timeout = std::min(timeout, kBlindWait);
+    }
+    // Round up, so a wait for a deadline does not wake just before it.
+    const int ms = static_cast<int>(std::min(std::ceil(timeout * 1e3),
+                                             static_cast<double>(INT_MAX)));
+    // EINTR and an error both just end the wait early.
+    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), ms);
 }
 
 WorkerBackend::Status ProcBackend::poll(int worker_id) {
@@ -66,12 +118,7 @@ WorkerBackend::Status ProcBackend::poll(int worker_id) {
         int status = 0;
         const pid_t r =
             ::waitpid(static_cast<pid_t>(p.pid), &status, WNOHANG);
-        if (r == static_cast<pid_t>(p.pid)) {
-            p.exited = true;
-            p.exit_code = WIFEXITED(status) ? WEXITSTATUS(status)
-                          : WIFSIGNALED(status) ? 128 + WTERMSIG(status)
-                                                : 128;
-        }
+        if (r == static_cast<pid_t>(p.pid)) reaped(p, status);
     }
     Status s;
     s.running = !p.exited;
@@ -87,11 +134,7 @@ void ProcBackend::kill(int worker_id) {
     // Reap synchronously so the pid cannot be recycled under us.
     int status = 0;
     ::waitpid(static_cast<pid_t>(it->second.pid), &status, 0);
-    it->second.exited = true;
-    it->second.exit_code =
-        WIFSIGNALED(status) ? 128 + WTERMSIG(status)
-        : WIFEXITED(status) ? WEXITSTATUS(status)
-                            : 128;
+    reaped(it->second, status);
 }
 
 } // namespace serep::fleet

@@ -6,9 +6,9 @@
 #include <cstdio>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
-#include <thread>
 
 #include <sys/stat.h>
 
@@ -45,10 +45,24 @@ bool read_file(const std::string& path, std::string& out) {
     return true;
 }
 
-std::uint64_t file_size(const std::string& path) {
+/// Size and last modification (seconds since the epoch) of a file; zeros
+/// when it does not exist.
+struct FileStamp {
+    std::uint64_t size = 0;
+    double mtime = 0;
+};
+
+FileStamp file_stamp(const std::string& path) {
     struct stat st {};
-    if (::stat(path.c_str(), &st) != 0) return 0;
-    return static_cast<std::uint64_t>(st.st_size);
+    if (::stat(path.c_str(), &st) != 0) return {};
+    return {static_cast<std::uint64_t>(st.st_size),
+            double(st.st_mtim.tv_sec) + 1e-9 * double(st.st_mtim.tv_nsec)};
+}
+
+double epoch_seconds() {
+    return std::chrono::duration<double>(
+               std::chrono::system_clock::now().time_since_epoch())
+        .count();
 }
 
 /// Last `max_bytes` of a file — enough stderr to hold a handful of
@@ -130,14 +144,12 @@ FleetResult run_fleet(exp::ExperimentPlan& plan, const FleetOptions& opts,
         telemetry::Span probe_span("fleet.probe");
         for (unsigned k = 0; k < n; ++k) {
             std::string found;
-            if (exp::probe_shard_db(plan, k, n, &found) ==
+            orch::ShardDb db;
+            if (exp::probe_shard_db(plan, k, n, &found, &db) ==
                 exp::ShardDbState::Match) {
                 logf(opts.log, "[skip] shard %u/%u: %s matches spec %s\n", k,
                      n, found.c_str(), plan.spec_hash_hex().c_str());
-                std::string contents;
-                util::check(read_file(found, contents),
-                            "fleet: cannot re-read " + found);
-                tally.add_database(contents, found);
+                tally.add_shard_db(db, found);
                 ++res.resumed;
                 ++landed;
             } else {
@@ -230,10 +242,11 @@ FleetResult run_fleet(exp::ExperimentPlan& plan, const FleetOptions& opts,
                 return false;
             }
             exp::ShardDbState state;
+            orch::ShardDb db;
             try {
                 state = exp::classify_shard_db(
                     payload, "fleet: shard " + std::to_string(k) + " payload",
-                    plan, k, n);
+                    plan, k, n, &db);
             } catch (const util::ValidationError& e) {
                 fail_shard(lease, e.what());
                 return false;
@@ -250,7 +263,7 @@ FleetResult run_fleet(exp::ExperimentPlan& plan, const FleetOptions& opts,
                         "fleet: cannot move " + lease.job.payload_path +
                             " to " + dest);
             std::remove(lease.job.log_path.c_str());
-            tally.add_database(payload, dest);
+            tally.add_shard_db(db, dest);
             ++landed;
             if (telemetry::enabled()) {
                 telemetry::count("fleet.landed");
@@ -388,13 +401,19 @@ FleetResult run_fleet(exp::ExperimentPlan& plan, const FleetOptions& opts,
                                               std::to_string(st.exit_code));
                     release = true;
                 } else {
-                    const std::uint64_t sz = file_size(lease.job.log_path);
-                    if (sz != lease.log_bytes) {
-                        lease.log_bytes = sz;
-                        lease.last_signal = now_seconds();
+                    const FileStamp log = file_stamp(lease.job.log_path);
+                    const double now = now_seconds();
+                    if (log.size != lease.log_bytes) {
+                        // The loop wakes only at exits and deadlines, so date
+                        // the growth by the write itself: a silence is timed
+                        // from the worker's last line, not from this look.
+                        lease.log_bytes = log.size;
+                        lease.last_signal =
+                            std::clamp(now - (epoch_seconds() - log.mtime),
+                                       lease.last_signal, now);
                         refresh_snapshot(lease);
-                    } else if (now_seconds() - lease.last_signal >
-                               opts.heartbeat_timeout) {
+                    }
+                    if (now - lease.last_signal >= opts.heartbeat_timeout) {
                         be->kill(lease.worker_id);
                         fail_shard(lease,
                                    "heartbeat timeout (" +
@@ -419,10 +438,22 @@ FleetResult run_fleet(exp::ExperimentPlan& plan, const FleetOptions& opts,
                 emit_progress();
             }
 
-            if (!queue.empty() || !active.empty())
-                std::this_thread::sleep_for(std::chrono::duration<double>(
-                    active.empty() ? std::min(opts.poll_interval, 0.05)
-                                   : opts.poll_interval));
+            if (queue.empty() && active.empty()) break;
+            // Sleep until a worker exits or the next deadline: a heartbeat
+            // timeout, a retry's backoff (only a free slot can take it), or
+            // the next progress line. A deadline already due (a slot freed
+            // for a ready shard) goes straight back round the loop.
+            double deadline = active.empty()
+                                  ? std::numeric_limits<double>::infinity()
+                                  : last_progress + progress_interval;
+            for (const WorkerLease& l : active)
+                deadline = std::min(deadline,
+                                    l.last_signal + opts.heartbeat_timeout);
+            if (!free_slots.empty())
+                for (const PendingShard& q : queue)
+                    deadline = std::min(deadline, q.ready_at);
+            const double timeout = deadline - now_seconds();
+            if (timeout > 0) be->wait(timeout);
         }
 
         if (!quarantined.empty()) {

@@ -1,16 +1,19 @@
 // Fleet controller (layer 3 of src/fleet/): fan one experiment's shards out
 // to workers, stream their databases back, survive dead workers, merge.
 //
-// The controller is a lease/poll loop over the WorkerBackend interface:
+// The controller is a lease/wait/poll loop over the WorkerBackend interface:
 //
 //   probe    every shard already landed on disk (resume: Match) is folded
 //            straight into the live tally and never launched
 //   lease    free worker slots claim pending shards; a worker is `serep run
 //            <spec> --shard=k/n --shard-stdout [--compress]` on some host
+//   wait     the controller sleeps in WorkerBackend::wait until a worker
+//            exits or its next deadline comes: a lease's heartbeat timeout,
+//            a retry's backoff, or the next progress line — no fixed tick
 //   poll     exited workers commit (payload classifies as a complete Match
 //            for this spec's shard) or fail (nonzero exit, truncated or
 //            foreign payload); silent workers past the heartbeat timeout
-//            are killed and count as failed
+//            are killed at that deadline and count as failed
 //   retry    failed shards re-queue with exponential backoff, up to
 //            max_retries attempts; beyond that the shard is quarantined and
 //            the run ends in util::ValidationError naming the poison shards
@@ -57,7 +60,6 @@ struct FleetOptions {
     /// Test/CI hook: SIGKILL the first attempt at this shard right after
     /// launch, forcing one reassignment. -1 = off.
     int kill_shard = -1;
-    double poll_interval = 0.2; ///< controller poll period (seconds)
     std::FILE* log = stdout;
     /// Non-empty: enable telemetry and write a fleet-wide merged
     /// metrics.json here (controller spans + fleet.* counters + the

@@ -96,8 +96,9 @@ struct WorkerLease {
     WorkerJob job;
     int worker_id = -1;          ///< backend handle
     double started = 0;          ///< monotonic seconds at launch
-    double last_signal = 0;      ///< last observed stderr growth (heartbeat)
-    std::uint64_t log_bytes = 0; ///< stderr size at the last poll
+    double last_signal = 0;      ///< monotonic seconds of the last stderr
+                                 ///< growth, dated by the log's mtime
+    std::uint64_t log_bytes = 0; ///< stderr size at the last look
     WorkerSnapshot snapshot;     ///< last parsed `hb` metrics snapshot
 };
 

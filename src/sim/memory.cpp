@@ -132,14 +132,69 @@ bool Memory::user_page_mapped(unsigned proc, std::uint64_t vaddr) const noexcept
                         (vaddr - layout::kUserBase) / layout::kPageSize] != 0;
 }
 
+namespace {
+
+constexpr std::uint64_t kMulA = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kMulB = 0xC2B2AE3D27D4EB4FULL;
+
+constexpr std::uint64_t rotl(std::uint64_t x, int r) noexcept {
+    return (x << r) | (x >> (64 - r));
+}
+
+/// One lane step. For a fixed word it is a bijection of the lane (add,
+/// rotate and multiply by an odd constant are each invertible), and for a
+/// fixed lane a bijection of the word: a difference confined to one word
+/// changes that lane, and every later step carries the change along.
+inline std::uint64_t lane_step(std::uint64_t lane, std::uint64_t word) noexcept {
+    return rotl(lane + word * kMulB, 31) * kMulA;
+}
+
+inline std::uint64_t load_word(const std::uint8_t* p) noexcept {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    return w;
+}
+
+} // namespace
+
 std::uint64_t Memory::hash_range(std::uint64_t phys, std::uint64_t len) const noexcept {
-    std::uint64_t h = util::kFnvOffset;
+    // Four independent lanes over 8-byte words keep the multiplier busy
+    // instead of waiting on one dependency chain per byte; they are named
+    // variables because -O2 keeps an array's lanes in memory. The values
+    // never leave the process (golden and faulty runs are compared in
+    // memory), so only in-process equality matters, never the byte order.
     const std::uint8_t* p = phys_.data() + phys;
-    for (std::uint64_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= util::kFnvPrime;
+    std::uint64_t a = util::kFnvOffset, b = util::kFnvOffset + kMulA,
+                  c = util::kFnvOffset + kMulB, d = util::kFnvOffset - kMulA;
+    std::uint64_t i = 0;
+    for (; i + 32 <= len; i += 32) {
+        a = lane_step(a, load_word(p + i));
+        b = lane_step(b, load_word(p + i + 8));
+        c = lane_step(c, load_word(p + i + 16));
+        d = lane_step(d, load_word(p + i + 24));
     }
-    return h;
+    // At most three whole words remain; they go to lanes a, b, c in order.
+    if (i + 8 <= len) {
+        a = lane_step(a, load_word(p + i));
+        i += 8;
+    }
+    if (i + 8 <= len) {
+        b = lane_step(b, load_word(p + i));
+        i += 8;
+    }
+    if (i + 8 <= len) {
+        c = lane_step(c, load_word(p + i));
+        i += 8;
+    }
+    // Each lane enters through a bijection, so the merge is injective in
+    // every lane given the others.
+    std::uint64_t h = rotl(a, 1) + rotl(b, 7) + rotl(c, 12) + rotl(d, 18);
+    for (; i < len; ++i) h = (h ^ p[i]) * util::kFnvPrime;
+    h ^= len;
+    // Final avalanche (murmur3's fmix64; each step invertible).
+    h = (h ^ (h >> 33)) * 0xFF51AFD7ED558CCDULL;
+    h = (h ^ (h >> 33)) * 0xC4CEB9FE1A85EC53ULL;
+    return h ^ (h >> 33);
 }
 
 } // namespace serep::sim

@@ -89,7 +89,10 @@ public:
         return phys_.data() + kern_size_ + proc * user_size_;
     }
 
-    /// 64-bit FNV-1a over a physical range (classifier helper).
+    /// 64-bit hash of a physical range (classifier helper): four lanes of
+    /// 8-byte words, then the byte tail and the length. Any difference
+    /// confined to one word or one tail byte changes the result. The value
+    /// is for in-process comparison only; nothing persists it.
     std::uint64_t hash_range(std::uint64_t phys, std::uint64_t len) const noexcept;
 
     /// Flip one bit of a physical byte (memory fault injection).

@@ -171,7 +171,8 @@ void OutcomeTally::add_database(const std::string& contents,
     if (contents.rfind("scenario,", 0) == 0) {
         add_csv(contents, label);
     } else if (orch::is_shard_db(contents)) {
-        add_shard_db(contents, label);
+        add_shard_db(orch::read_shard_db(contents, label), label);
+        return;
     } else if (contents.front() == '{') {
         add_campaign_jsonl(contents, label);
     } else {
@@ -183,9 +184,8 @@ void OutcomeTally::add_database(const std::string& contents,
     ++databases_;
 }
 
-void OutcomeTally::add_shard_db(const std::string& contents,
+void OutcomeTally::add_shard_db(const orch::ShardDb& db,
                                 const std::string& label) {
-    const orch::ShardDb db = orch::read_shard_db(contents, label);
     // Records are written job by job, so a cut database lacks its last jobs
     // entirely: a biased sample, refused even under a partial shard cover.
     util::check_valid(db.complete(),
@@ -219,6 +219,7 @@ void OutcomeTally::add_shard_db(const std::string& contents,
         job_keys.push_back(parse_scenario_name(job.scenario.name()));
     for (const orch::ShardDb::Record& r : db.records)
         add_fault_record(job_keys[r.job], r.rec, Source::Shard, label);
+    ++databases_;
 }
 
 void OutcomeTally::add_campaign_jsonl(const std::string& contents,

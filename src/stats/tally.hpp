@@ -25,6 +25,10 @@
 
 #include "core/campaign.hpp"
 
+namespace serep::orch {
+struct ShardDb;
+} // namespace serep::orch
+
 namespace serep::stats {
 
 /// One configuration cell of the paper's tables. All fields are the string
@@ -88,6 +92,11 @@ public:
     /// that do not belong to the same campaign as previously ingested ones.
     void add_database(const std::string& contents, const std::string& label);
 
+    /// Fold one shard database already read by orch::read_shard_db (the
+    /// fold step of add_database's shard-DB path), so a caller that vetted
+    /// the bytes need not decode them twice. Same checks and refusals.
+    void add_shard_db(const orch::ShardDb& db, const std::string& label);
+
     /// When false, pruning-derived records (the "inferred" provenance flag)
     /// are counted by inferred_records() but excluded from every group and
     /// register counter — `serep report --no-inferred`. Set before
@@ -129,7 +138,6 @@ public:
     }
 
 private:
-    void add_shard_db(const std::string& contents, const std::string& label);
     void add_campaign_jsonl(const std::string& contents, const std::string& label);
     void add_csv(const std::string& contents, const std::string& label);
     /// One record's fold, with provenance: a group fed by both a shard DB

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/campaign.hpp"
 #include "mine/mining.hpp"
@@ -97,6 +98,39 @@ TEST(Fault, DeadRegisterFaultVanishesOrLeavesTrace) {
     const auto o = core::classify(m, g, false);
     EXPECT_TRUE(o == Outcome::Vanished || o == Outcome::ONA)
         << core::outcome_name(o);
+}
+
+TEST(Fault, ClassifyComparesEveryByteOfEachRegion) {
+    // Two MPI processes, so process 1's static data is covered too. A bit
+    // flipped into the finished golden machine at a region's edge must be
+    // seen; the first byte past the static data is not compared at all.
+    const Scenario s{isa::Profile::V8, App::EP, Api::MPI, 2, Klass::Mini};
+    sim::Machine m = golden_of(s);
+    const auto g = core::capture_golden(m);
+    ASSERT_EQ(m.config().procs, 2u);
+    ASSERT_EQ(core::classify(m, g, false), Outcome::Vanished);
+    const auto flipped = [&](std::uint64_t phys, unsigned bit) {
+        m.mem().flip_phys_bit(phys, bit);
+        const Outcome o = core::classify(m, g, false);
+        m.mem().flip_phys_bit(phys, bit);
+        return o;
+    };
+    const std::uint64_t kern = m.mem().kern_size();
+    const std::uint64_t udata = m.image().udata_size;
+    ASSERT_GT(udata, 0u);
+    for (const unsigned bit : {0u, 7u}) {
+        SCOPED_TRACE("bit " + std::to_string(bit));
+        EXPECT_EQ(flipped(0, bit), Outcome::ONA);
+        EXPECT_EQ(flipped(kern - 1, bit), Outcome::ONA);
+        for (unsigned p = 0; p < 2; ++p) {
+            SCOPED_TRACE("process " + std::to_string(p));
+            const std::uint64_t base = kern + p * m.mem().user_size();
+            EXPECT_EQ(flipped(base, bit), Outcome::OMM);
+            EXPECT_EQ(flipped(base + udata - 1, bit), Outcome::OMM);
+            EXPECT_EQ(flipped(base + udata, bit), Outcome::Vanished);
+        }
+    }
+    EXPECT_EQ(core::classify(m, g, false), Outcome::Vanished);
 }
 
 TEST(Campaign, FaultListDeterministicAndInWindow) {

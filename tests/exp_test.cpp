@@ -625,15 +625,34 @@ void expect_one_verdict_per_bytes(const std::string& partition) {
             tally.add_database(row.bytes, "forged");
             return tally.total_records();
         };
+        // The fleet's landing: the database the probe read is the one the
+        // tally folds, without a second decode.
+        const auto land = [&] {
+            orch::ShardDb db;
+            EXPECT_EQ(exp::classify_shard_db(row.bytes, "forged", plan, 0, 2,
+                                             &db),
+                      exp::ShardDbState::Match);
+            stats::OutcomeTally tally;
+            tally.add_database(db1, "shard1");
+            tally.add_shard_db(db, "forged");
+            return tally.total_records();
+        };
         switch (row.verdict) {
         case Verdict::Match:
             EXPECT_EQ(probe(), exp::ShardDbState::Match);
             EXPECT_EQ(orch::merge_shards({row.bytes, db1}).size(), 2u);
             EXPECT_EQ(report(), 48u);
+            EXPECT_EQ(land(), 48u);
             continue;
-        case Verdict::Incomplete:
+        case Verdict::Incomplete: {
             EXPECT_EQ(probe(), exp::ShardDbState::Incomplete);
+            orch::ShardDb db;
+            exp::classify_shard_db(row.bytes, "forged", plan, 0, 2, &db);
+            expect_refusal(
+                [&] { stats::OutcomeTally{}.add_shard_db(db, "forged"); },
+                "forged");
             break;
+        }
         case Verdict::Refused:
             expect_refusal(probe, "forged");
             break;

@@ -12,7 +12,10 @@
 //    trips the heartbeat timeout, is killed, and its shard is reassigned; a
 //    shard that fails every attempt is quarantined with a named
 //    ValidationError (exit-3 class), and the shards that DID land stay on
-//    disk for resume.
+//    disk for resume. The controller sleeps in WorkerBackend::wait and
+//    acts on every wake: shards that finish at once land in one wait each.
+//  * ProcBackend::wait wakes when a real worker process exits and
+//    otherwise honours its timeout.
 //  * A real local-proc fleet run (this test execs the serep binary) with a
 //    worker SIGKILLed mid-campaign merges byte-identically to the ordinary
 //    in-process `serep run` — the repo's core invariant extended across
@@ -24,11 +27,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp/driver.hpp"
@@ -114,7 +119,10 @@ std::vector<std::string> make_payloads(const std::string& spec_text,
 
 /// Scripted transport: each launch consumes the next behavior for its
 /// shard (parsed back out of the protocol argv, which doubles as a check
-/// that the argv really carries the assignment).
+/// that the argv really carries the assignment). A scripted worker finishes
+/// while the controller waits: it shows as exited from the first wait()
+/// after its launch. A hung worker never does, and a wait() with nothing to
+/// report sleeps out its timeout, as a real backend's would.
 class FakeBackend : public fleet::WorkerBackend {
 public:
     enum class Do {
@@ -147,7 +155,7 @@ public:
 
         const int id = next_id_++;
         Worker w;
-        w.running = act == Do::Hang;
+        w.hangs = act == Do::Hang;
         w.exit_code = act == Do::FailExit ? 1 : 0;
         switch (act) {
         case Do::Succeed:
@@ -168,6 +176,20 @@ public:
         return id;
     }
 
+    void wait(double timeout_s) override {
+        ++waits_;
+        bool exited = false;
+        for (auto& [id, w] : workers_) {
+            if (w.running && !w.hangs) {
+                w.running = false;
+                exited = true;
+            }
+        }
+        if (!exited && timeout_s > 0)
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(timeout_s));
+    }
+
     Status poll(int worker_id) override {
         const auto& w = workers_.at(worker_id);
         Status s;
@@ -185,6 +207,7 @@ public:
     }
 
     int kills() const { return kills_; }
+    int waits() const { return waits_; }
     unsigned launches(unsigned shard) const {
         const auto it = next_.find(shard);
         return it == next_.end() ? 0 : it->second;
@@ -192,7 +215,8 @@ public:
 
 private:
     struct Worker {
-        bool running = false;
+        bool running = true;
+        bool hangs = false; ///< only kill() ends it
         int exit_code = 0;
     };
     std::vector<std::string> payloads_;
@@ -201,6 +225,7 @@ private:
     std::map<int, Worker> workers_;
     int next_id_ = 1;
     int kills_ = 0;
+    int waits_ = 0;
 };
 
 /// Fast controller timings for fake-backend tests (no real work happens).
@@ -208,7 +233,6 @@ fleet::FleetOptions fast_opts(const std::string& spec_path) {
     fleet::FleetOptions o;
     o.spec_path = spec_path;
     o.compress = false; // fake payloads are plain; framing is zframe_test's
-    o.poll_interval = 0.005;
     o.retry_backoff = 0.005;
     o.heartbeat_interval = 0.01;
     o.heartbeat_timeout = 0.25;
@@ -388,9 +412,67 @@ TEST(FleetController, PoisonShardIsQuarantinedLandedShardsSurvive) {
     EXPECT_TRUE(res2.final.merged);
 }
 
+TEST(FleetController, WakesOnExitsAndDeadlinesOnly) {
+    const std::string prefix = tmp_prefix("waits");
+    const std::string spec_text = spec_json(prefix);
+    const std::string spec_path = prefix + ".spec.json";
+    spit(spec_path, spec_text);
+    const auto payloads = make_payloads(spec_text, false);
+
+    // One slot, so each shard needs a wait of its own: three shards, three
+    // wakes. A controller that slept on past an exit would wait more often.
+    FakeBackend be(payloads, {});
+    exp::ExperimentPlan plan(exp::ExperimentSpec::load(spec_text));
+    fleet::FleetOptions opts = fast_opts(spec_path);
+    opts.workers = 1;
+    const fleet::FleetResult res = fleet::run_fleet(plan, opts, &be);
+    EXPECT_EQ(res.launched, 3u);
+    EXPECT_TRUE(res.final.merged);
+    EXPECT_LE(be.waits(), 4);
+
+    // A hung worker costs one wait until its heartbeat deadline, not one
+    // per tick: 0.25 s of 10 ms ticks would be 25 waits.
+    const std::string prefix2 = tmp_prefix("waits_hang");
+    const std::string spec_text2 = spec_json(prefix2);
+    const std::string spec_path2 = prefix2 + ".spec.json";
+    spit(spec_path2, spec_text2);
+    FakeBackend hang(make_payloads(spec_text2, false),
+                     {{0, {FakeBackend::Do::Hang, FakeBackend::Do::Succeed}}});
+    exp::ExperimentPlan plan2(exp::ExperimentSpec::load(spec_text2));
+    const fleet::FleetResult res2 =
+        fleet::run_fleet(plan2, fast_opts(spec_path2), &hang);
+    EXPECT_EQ(hang.kills(), 1);
+    EXPECT_TRUE(res2.final.merged);
+    EXPECT_LE(hang.waits(), 6);
+}
+
 // ------------------------------------------- end to end: real serep binary
 
 #if defined(SEREP_TEST_BIN)
+TEST(ProcBackend, WaitReturnsWhenAWorkerExits) {
+    using clock = std::chrono::steady_clock;
+    const auto seconds_since = [](clock::time_point t) {
+        return std::chrono::duration<double>(clock::now() - t).count();
+    };
+    fleet::ProcBackend be;
+    const int sleeper = be.launch({{"sleep", "30"}, "", "", ""});
+    const auto t0 = clock::now();
+    const int quick = be.launch({{SEREP_TEST_BIN, "version"}, "", "", ""});
+    // The short worker's exit ends the wait long before its 10 s timeout.
+    while (be.poll(quick).running && seconds_since(t0) < 10) be.wait(10);
+    EXPECT_LT(seconds_since(t0), 2.0);
+    EXPECT_EQ(be.poll(quick).exit_code, 0);
+    EXPECT_TRUE(be.poll(sleeper).running);
+
+    // Only the sleeper is left: the wait runs out its timeout.
+    const auto t1 = clock::now();
+    be.wait(0.05);
+    EXPECT_GE(seconds_since(t1), 0.05);
+    EXPECT_TRUE(be.poll(sleeper).running);
+    be.kill(sleeper);
+    EXPECT_FALSE(be.poll(sleeper).running);
+}
+
 TEST(FleetE2E, KilledWorkerFleetMergesByteIdenticalToDirectRun) {
     const std::string prefix = tmp_prefix("e2e");
     const std::string spec_text = spec_json(prefix);
@@ -404,7 +486,6 @@ TEST(FleetE2E, KilledWorkerFleetMergesByteIdenticalToDirectRun) {
     opts.workers = 3;
     opts.kill_shard = 1; // SIGKILL shard 1's first worker right after launch
     opts.retry_backoff = 0.05;
-    opts.poll_interval = 0.02;
     opts.log = nullptr;
 
     const fleet::FleetResult res = fleet::run_fleet(plan, opts);
@@ -441,7 +522,6 @@ TEST(FleetE2E, WorkerRunsCountShardsShorterThanOneHeartbeat) {
     opts.workers = 3;
     opts.heartbeat_interval = 600;
     opts.heartbeat_timeout = 1200;
-    opts.poll_interval = 0.02;
     opts.log = nullptr;
 
     telemetry::reset();

@@ -78,6 +78,66 @@ TEST(Memory, HashChangesWithContent) {
     EXPECT_NE(m.hash_range(0, 4096), h0);
 }
 
+TEST(Memory, HashRangeSeesEveryBitAndTheLength) {
+    // Unaligned starts and lengths around the 8-byte word and 32-byte lane
+    // boundaries, so the word loads, the partial lane round and the byte
+    // tail each see every position.
+    ss::Memory m(1, 1 << 20, 1 << 18);
+    const std::uint64_t starts[] = {0, 1, 3, 7, 8, 13, 4093};
+    const auto swap_words = [&](std::uint64_t a, std::uint64_t b) {
+        const std::uint64_t wa = m.load(a, 8), wb = m.load(b, 8);
+        for (unsigned i = 0; i < 8; ++i) {
+            m.store(a + i, 1, wb >> (8 * i));
+            m.store(b + i, 1, wa >> (8 * i));
+        }
+    };
+    for (const bool zeros : {true, false}) {
+        SCOPED_TRACE(zeros ? "zero memory" : "random bytes");
+        if (!zeros) {
+            std::uint64_t x = 0x9E3779B97F4A7C15ull;
+            for (std::uint64_t a = 0; a < 8192; ++a) {
+                x ^= x << 13, x ^= x >> 7, x ^= x << 17;
+                m.store(a, 1, x);
+            }
+        }
+        for (const std::uint64_t start : starts) {
+            for (std::uint64_t len = 1; len <= 100; ++len) {
+                SCOPED_TRACE("start " + std::to_string(start) + " length " +
+                             std::to_string(len));
+                const std::uint64_t h0 = m.hash_range(start, len);
+                for (std::uint64_t bit = 0; bit < 8 * len; ++bit) {
+                    m.flip_phys_bit(start + bit / 8, bit % 8);
+                    ASSERT_NE(m.hash_range(start, len), h0) << "bit " << bit;
+                    m.flip_phys_bit(start + bit / 8, bit % 8);
+                }
+                const std::uint64_t next = m.load(start + len, 1);
+                m.store(start + len, 1, 0);
+                EXPECT_NE(m.hash_range(start, len + 1), h0);
+                m.store(start + len, 1, next);
+                for (std::uint64_t a = 0; a + 16 <= len; a += 8) {
+                    for (std::uint64_t b = a + 8; b + 8 <= len; b += 8) {
+                        // The top bits of two words: a lane that only
+                        // xor-multiplies would let these cancel.
+                        m.flip_phys_bit(start + a + 7, 7);
+                        m.flip_phys_bit(start + b + 7, 7);
+                        EXPECT_NE(m.hash_range(start, len), h0)
+                            << "top bits of words " << a / 8 << ", " << b / 8;
+                        m.flip_phys_bit(start + a + 7, 7);
+                        m.flip_phys_bit(start + b + 7, 7);
+                        if (m.load(start + a, 8) == m.load(start + b, 8))
+                            continue;
+                        swap_words(start + a, start + b);
+                        EXPECT_NE(m.hash_range(start, len), h0)
+                            << "words " << a / 8 << " and " << b / 8;
+                        swap_words(start + a, start + b);
+                    }
+                }
+                ASSERT_EQ(m.hash_range(start, len), h0);
+            }
+        }
+    }
+}
+
 TEST(Memory, FlipPhysBitIsInvolution) {
     ss::Memory m(1, 1 << 20, 1 << 18);
     m.store(0x40, 4, 0xA5A5A5A5);
