@@ -485,20 +485,20 @@ int uncore_smoke(const util::Cli& cli) {
     std::string dbs[3];
     double secs[3] = {};
     for (unsigned i = 0; i < 3; ++i) {
-        std::ostringstream csv, jsonl;
         orch::BatchOptions opts;
         opts.threads = 1; // wall time == work time
         opts.engine = kEngines[i];
         orch::BatchRunner runner(opts);
-        runner.set_csv_sink(&csv);
-        runner.set_json_sink(&jsonl);
         runner.add(kV8, cfg_for(core::FaultTarget::Kind::CacheTag));
         runner.add(kV8, cfg_for(core::FaultTarget::Kind::CacheData));
         runner.add(multi, cfg_for(core::FaultTarget::Kind::Bus));
         const auto t0 = std::chrono::steady_clock::now();
-        runner.run_all();
+        const std::vector<core::CampaignResult> results = runner.run_all();
         const auto t1 = std::chrono::steady_clock::now();
         secs[i] = std::chrono::duration<double>(t1 - t0).count();
+        std::ostringstream csv, jsonl;
+        for (std::size_t j = 0; j < results.size(); ++j)
+            core::write_campaign_streams(results[j], &csv, &jsonl, j == 0);
         dbs[i] = csv.str() + "\x1e" + jsonl.str();
     }
     const bool identical = dbs[0] == dbs[1] && dbs[0] == dbs[2];

@@ -40,10 +40,7 @@ bool read_file(const std::string& path, std::string& out) {
 orch::BatchOptions batch_options_impl(const ExperimentSpec& spec) {
     orch::BatchOptions opts;
     opts.threads = spec.threads < 1 ? 1 : spec.threads;
-    opts.ladder.stride = spec.stride;
     opts.ladder.enabled = spec.checkpoints;
-    opts.ladder.delta_snapshots = spec.delta;
-    opts.ladder.adaptive = spec.adaptive;
     opts.engine = spec.engine == "switch"  ? sim::Engine::Switch
                   : spec.engine == "trace" ? sim::Engine::Trace
                                            : sim::Engine::Cached;
@@ -385,8 +382,11 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
     res.fault_space = jobs.size() * spec.faults;
 
     // Actual on-disk database per shard, recorded as shards land: a resumed
-    // shard may sit at either the plain or the compressed path.
+    // shard may sit at either the plain or the compressed path. A resumed
+    // shard's database stays decoded from its probe, so the merge reads only
+    // the shards this process wrote.
     std::vector<std::string> db_paths(n);
+    std::vector<std::optional<orch::ShardDb>> resumed(n);
 
     // Run shard k into `os` (plain or zstd-framed per opts.compress_shards)
     // and count it into res.
@@ -418,11 +418,13 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
         telemetry::Span span("shard:" + std::to_string(k));
         db_paths[k] = path;
         std::string found;
-        const ShardDbState state = probe_shard_db(plan, k, n, &found);
+        orch::ShardDb db;
+        const ShardDbState state = probe_shard_db(plan, k, n, &found, &db);
         if (state == ShardDbState::Match) {
             logf(opts.log, "[skip] shard %u/%u: %s matches spec %s\n", k, n,
                  found.c_str(), plan.spec_hash_hex().c_str());
             db_paths[k] = found;
+            resumed[k] = std::move(db);
             ++res.shards_skipped;
             return;
         }
@@ -478,13 +480,21 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
 
     // Merge — a cheap pure function of the shard databases; always re-run
     // so the canonical CSV/JSONL and reports exist even when every shard
-    // resumed. merge_shards reads zstd-framed databases itself.
+    // resumed. read_shard_db reads zstd-framed databases itself.
     {
         telemetry::Span merge_span("merge");
-        std::vector<std::string> dbs(n);
-        for (unsigned k = 0; k < n; ++k)
-            util::check(read_file(db_paths[k], dbs[k]),
+        std::vector<orch::ShardDb> dbs(n);
+        for (unsigned k = 0; k < n; ++k) {
+            if (resumed[k]) {
+                dbs[k] = std::move(*resumed[k]);
+                continue;
+            }
+            std::string bytes;
+            util::check(read_file(db_paths[k], bytes),
                         "cannot read shard database " + db_paths[k]);
+            dbs[k] = orch::read_shard_db(
+                bytes, "shard merge: database " + std::to_string(k));
+        }
         std::ofstream csv(plan.csv_path());
         std::ofstream jsonl(plan.jsonl_path());
         util::check(csv.good(), "cannot open output file " + plan.csv_path());

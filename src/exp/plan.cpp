@@ -199,12 +199,8 @@ std::string ExperimentPlan::listing() {
     }
     std::snprintf(buf, sizeof buf, "engine: %s, %u threads, checkpoints %s\n",
                   spec_.engine.c_str(), spec_.threads,
-                  !spec_.checkpoints ? "off"
-                  : spec_.adaptive
-                      ? (spec_.delta ? "on (adaptive stride, delta rungs)"
-                                     : "on (adaptive stride, full rungs)")
-                      : (spec_.delta ? "on (fixed stride, delta rungs)"
-                                     : "on (fixed stride, full rungs)"));
+                  spec_.checkpoints ? "on (adaptive stride, delta rungs)"
+                                    : "off");
     os << buf;
 
     const std::uint64_t space =

@@ -305,15 +305,10 @@ ExperimentSpec ExperimentSpec::load(const std::string& json_text) {
     }
 
     if (const JsonValue* e = root.find("engine")) {
-        reject_unknown(*e, "engine",
-                       {"engine", "threads", "stride", "checkpoints", "delta",
-                        "adaptive"});
+        reject_unknown(*e, "engine", {"engine", "threads", "checkpoints"});
         s.engine = get_string(*e, "engine", s.engine, "engine");
         s.threads = get_uint(*e, "threads", s.threads, "engine");
-        s.stride = get_u64(*e, "stride", s.stride, "engine");
         s.checkpoints = get_bool(*e, "checkpoints", s.checkpoints, "engine");
-        s.delta = get_bool(*e, "delta", s.delta, "engine");
-        s.adaptive = get_bool(*e, "adaptive", s.adaptive, "engine");
     }
 
     if (const JsonValue* p = root.find("prune")) {
@@ -572,10 +567,7 @@ std::string ExperimentSpec::canonical_json() const {
     w.key("engine").begin_object();
     w.key("engine").value(engine);
     w.key("threads").value(threads);
-    w.key("stride").value(stride);
     w.key("checkpoints").value(checkpoints);
-    w.key("delta").value(delta);
-    w.key("adaptive").value(adaptive);
     w.end_object();
     w.key("prune").begin_object();
     w.key("enabled").value(prune);

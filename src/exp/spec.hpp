@@ -97,10 +97,9 @@ struct ExperimentSpec {
     // ---- engine / checkpoint knobs (not part of the spec hash) ---------
     std::string engine = "cached"; ///< "cached" / "switch" / "trace"
     unsigned threads = 2;
-    std::uint64_t stride = 0; ///< fixed checkpoint stride; 0 = auto
+    /// Checkpoint ladder; false replays every fault run from reset (the
+    /// oracle the laddered runs are compared against).
     bool checkpoints = true;
-    bool delta = true;    ///< dirty-page delta snapshot rungs
-    bool adaptive = true; ///< auto stride spaced over the golden length
 
     // ---- equivalence pruning ------------------------------------------
     /// Simulate one representative per fault-equivalence class and infer

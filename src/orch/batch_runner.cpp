@@ -107,8 +107,6 @@ struct BatchRunner::JobState {
     std::vector<std::vector<std::uint32_t>> followers;
     std::atomic<std::size_t> remaining{0};
     core::CampaignResult result;
-    std::atomic<bool> done{false}; ///< counts merged, ready to flush
-    bool flushed = false;
 };
 
 std::string scenario_cache_key(const npb::Scenario& s) {
@@ -185,24 +183,7 @@ void BatchRunner::drop_golden_ref(GoldenEntry* golden) {
 
 void BatchRunner::complete_job(JobState& job) {
     job.result.recount();
-    job.done.store(true, std::memory_order_release);
     drop_golden_ref(job.golden);
-    flush_ready();
-}
-
-void BatchRunner::flush_ready() {
-    std::lock_guard<std::mutex> lk(flush_mu_);
-    while (next_flush_ < jobs_.size() &&
-           jobs_[next_flush_]->done.load(std::memory_order_acquire)) {
-        JobState& job = *jobs_[next_flush_];
-        if (!job.flushed) {
-            core::write_campaign_streams(job.result, csv_sink_, json_sink_,
-                                         !csv_header_written_);
-            csv_header_written_ = csv_header_written_ || csv_sink_ != nullptr;
-            job.flushed = true;
-        }
-        ++next_flush_;
-    }
 }
 
 void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
@@ -386,8 +367,8 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
     // then jobs, then faults. Each participant takes a contiguous share of
     // the list (and thieves the upper half of one), so consecutive tasks on
     // one ladder let its resident machine rewind instead of re-cloning.
-    // Records land at their own index and flush in job order, so no output
-    // byte moves.
+    // Records land at their own index and results return in job order, so
+    // no output byte moves.
     {
         std::unordered_map<const GoldenEntry*, std::size_t> scenario_rank;
         std::unordered_map<const JobState*, std::size_t> rank;
@@ -485,7 +466,7 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
                     job.result.records[fi] = frec;
                 }
             res.ladder = &ladder;
-            // Phase 4: the finisher merges counts and streams the job in order.
+            // Phase 4: the finisher merges the job's counts.
             if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
                 complete_job(job);
         });
@@ -495,8 +476,7 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
     // pruning-derived records and demand bit-identical outcome + retired
     // count. Sampling is deterministic (cfg.seed), so CI and a laptop check
     // the same faults. Mismatches are collected and thrown from run_all()
-    // after every job has flushed — the databases on disk stay complete for
-    // post-mortem diffing.
+    // after every job has completed.
     if (opts_.prune && opts_.prune_verify > 0) {
         struct VerifyTask {
             JobState* job;
@@ -566,14 +546,14 @@ const std::vector<std::uint32_t>& BatchRunner::job_ordinals(std::size_t j) const
 }
 
 std::vector<core::CampaignResult> BatchRunner::run_all() {
-    const std::size_t first = next_flush_; // jobs before this already ran
+    const std::size_t first = std::exchange(next_job_, jobs_.size());
     Scheduler& pool = scheduler();
 
     // Pending jobs run in scenario-complete waves spanning at most
     // kMaxLaddersInFlight distinct scenarios each, so the snapshot memory
     // budget holds at any batch size (130-scenario full campaigns included)
     // and every job of a scenario resumes from, and converges at, the
-    // scenario's full ladder. flush_ready() still streams in job order.
+    // scenario's full ladder.
     std::vector<std::string> keys;
     for (std::size_t j = first; j < jobs_.size(); ++j)
         keys.push_back(golden_key(jobs_[j]->scenario));

@@ -21,7 +21,9 @@
 //     strike) or at the first later rung it matches (a fault that stopped
 //     propagating; an uncore strike once its hook has settled) — exact, so
 //     such records are not `inferred`,
-//   * finished campaigns stream to optional CSV / JSONL sinks in job order.
+//   * run_all() returns the campaigns in job order; callers that write
+//     CSV / JSONL streams do so from those results
+//     (core::write_campaign_streams).
 //
 // Invariant (inherited from the legacy runner and covered by orch_test):
 // CampaignResult::counts and campaign_csv output are bit-identical for a
@@ -30,7 +32,6 @@
 
 #include <functional>
 #include <memory>
-#include <ostream>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -92,7 +93,7 @@ struct BatchOptions {
     /// With prune: re-simulate up to this many pruning-derived records per
     /// job (seeded, deterministic sample) after the job completes and
     /// compare outcome + retired count. Any mismatch makes run_all() throw
-    /// util::Error once all jobs have flushed. 0 = no verification.
+    /// util::Error once all jobs have completed. 0 = no verification.
     unsigned prune_verify = 0;
 };
 
@@ -114,15 +115,10 @@ public:
     std::size_t add(const npb::Scenario& s, const core::CampaignConfig& cfg,
                     JobFaultFilter filter = nullptr);
 
-    /// Merged per-fault CSV rows, one header for the whole batch.
-    void set_csv_sink(std::ostream* os) { csv_sink_ = os; }
-    /// One JSON object per campaign, newline-delimited (JSONL).
-    void set_json_sink(std::ostream* os) { json_sink_ = os; }
-
-    /// Run all queued jobs; returns results in add() order. Jobs run in
-    /// scenario-complete waves (scenario_waves), possibly out of add()
-    /// order; the sinks still stream in add() order. Jobs may be queued and
-    /// run again on the same runner; the golden cache persists.
+    /// Run the jobs queued since the last run_all(); returns their results
+    /// in add() order. Jobs run in scenario-complete waves (scenario_waves),
+    /// possibly out of add() order. Jobs may be queued and run again on the
+    /// same runner; the golden cache persists.
     std::vector<core::CampaignResult> run_all();
 
     /// Golden executions actually performed (cache-miss counter; test hook
@@ -179,18 +175,13 @@ private:
     void run_wave(const std::vector<std::size_t>& wave_jobs, Scheduler& pool);
     void complete_job(JobState& job);
     void drop_golden_ref(GoldenEntry* golden);
-    void flush_ready();
 
     BatchOptions opts_;
     std::unique_ptr<Scheduler> own_pool_;
     std::vector<std::pair<std::string, std::unique_ptr<GoldenEntry>>> golden_cache_;
     std::vector<std::unique_ptr<JobState>> jobs_;
     std::size_t golden_runs_ = 0;
-    std::ostream* csv_sink_ = nullptr;
-    std::ostream* json_sink_ = nullptr;
-    std::mutex flush_mu_;
-    std::size_t next_flush_ = 0;
-    bool csv_header_written_ = false;
+    std::size_t next_job_ = 0; ///< first job the next run_all() runs
     std::atomic<std::uint64_t> ff_retired_{0};
     std::size_t simulated_runs_ = 0;
     std::atomic<std::size_t> converged_runs_{0};

@@ -8,20 +8,16 @@
 namespace serep::orch {
 
 namespace {
-/// Auto-mode starting stride without adaptation; doubles via thinning on
-/// long runs.
-constexpr std::uint64_t kAutoInitialStride = 1u << 16;
-/// Adaptive auto mode: the captures' starting stride, and their cap per rung
-/// of the budget. Finer or more captures replay less while respacing and
-/// hold more memory while the golden runs.
+/// A stride-0 ladder's captures: their starting stride, and their cap per
+/// rung of the budget. Finer or more captures replay less while respacing
+/// and hold more memory while the golden runs.
 constexpr std::uint64_t kCaptureInitialStride = 1u << 11;
 constexpr std::size_t kCapturesPerRung = 2;
 
 /// Keep rungs r2, r4, ... of r1..rk (equivalent to keeping every other rung
 /// of the base-rooted ladder [base, r1, r2, ...]).
-template <typename T>
-void drop_every_other(std::vector<T>& rungs) {
-    std::vector<T> kept;
+void drop_every_other(std::vector<sim::MachineDelta>& rungs) {
+    std::vector<sim::MachineDelta> kept;
     kept.reserve(rungs.size() / 2);
     for (std::size_t i = 1; i < rungs.size(); i += 2)
         kept.push_back(std::move(rungs[i]));
@@ -30,80 +26,54 @@ void drop_every_other(std::vector<T>& rungs) {
 } // namespace
 
 CheckpointLadder::CheckpointLadder(sim::Machine& m, const LadderOptions& opts)
-    : base_(m), delta_mode_(opts.delta_snapshots),
+    : base_(m), stride_(opts.enabled ? opts.stride : 0),
+      max_rungs_(std::max<std::size_t>(1, opts.max_checkpoints)),
       budget_bytes_(opts.memory_budget_bytes) {
     // From here on, m's dirty set is exactly "written since the base rung" —
     // what make_machine_delta() diffs against the base. The base's own set
     // is cleared too, so a clone of it tracks the same thing.
     m.mem().clear_dirty();
     base_->mem().clear_dirty();
-    if (delta_mode_) {
-        // Delta rungs have data-dependent sizes; the byte budget is enforced
-        // dynamically in enforce_budgets() instead of precomputed.
-        max_rungs_ = std::max<std::size_t>(1, opts.max_checkpoints);
-    } else {
-        const std::size_t per_rung = sim::machine_footprint_bytes(m);
-        const std::size_t by_memory =
-            std::max<std::size_t>(1, opts.memory_budget_bytes / per_rung);
-        max_rungs_ =
-            std::max<std::size_t>(1, std::min(opts.max_checkpoints, by_memory));
-    }
-    stride_ = !opts.enabled ? 0
-              : opts.stride ? opts.stride
-                            : kAutoInitialStride;
     peak_ = footprint_bytes();
 }
 
 std::uint64_t CheckpointLadder::last_retired() const noexcept {
-    if (!deltas_.empty()) return deltas_.back().retired();
-    if (!full_.empty()) return full_.back().total_retired();
+    if (!rungs_.empty()) return rungs_.back().retired();
     return base_ ? base_->total_retired() : 0;
 }
 
 void CheckpointLadder::offer(sim::Machine& m) {
     if (stride_ == 0 || !base_) return;
     if (m.total_retired() < last_retired() + stride_) return;
-    if (delta_mode_)
-        deltas_.push_back(sim::make_machine_delta(m, *base_));
-    else
-        full_.push_back(m);
+    rungs_.push_back(sim::make_machine_delta(m, *base_));
     if (telemetry::enabled()) {
         static const telemetry::MetricId kRungs =
             telemetry::counter_id("checkpoint.rungs_built");
         static const telemetry::MetricId kBytes =
             telemetry::counter_id("checkpoint.rung_bytes");
         telemetry::count(kRungs);
-        telemetry::count(kBytes,
-                         delta_mode_ ? deltas_.back().footprint_bytes()
-                                     : sim::machine_footprint_bytes(full_.back()));
+        telemetry::count(kBytes, rungs_.back().footprint_bytes());
     }
-    enforce_budgets();
+    // Delta rungs have data-dependent sizes, so the byte budget is enforced
+    // here rather than precomputed. Over budget: keep every other rung,
+    // double the effective stride.
+    while (checkpoints() > max_rungs_ ||
+           (checkpoints() > 1 && ladder_bytes() > budget_bytes_)) {
+        drop_every_other(rungs_);
+        stride_ *= 2;
+    }
     peak_ = std::max(peak_, footprint_bytes());
 }
 
-void CheckpointLadder::enforce_budgets() {
-    while (checkpoints() > max_rungs_ ||
-           (checkpoints() > 1 && ladder_bytes() > budget_bytes_)) {
-        // Over budget: keep every other rung, double the effective stride.
-        drop_every_other(full_);
-        drop_every_other(deltas_);
-        stride_ *= 2;
-    }
-}
-
-CheckpointLadder::Nearest CheckpointLadder::nearest(std::uint64_t at) const noexcept {
+const sim::MachineDelta* CheckpointLadder::nearest(std::uint64_t at) const noexcept {
     // Rungs are ascending.
-    for (std::size_t i = deltas_.size(); i-- > 0;)
-        if (deltas_[i].retired() <= at) return {&deltas_[i], nullptr};
-    for (std::size_t i = full_.size(); i-- > 0;)
-        if (full_[i].total_retired() <= at) return {nullptr, &full_[i]};
-    return {};
+    for (std::size_t i = rungs_.size(); i-- > 0;)
+        if (rungs_[i].retired() <= at) return &rungs_[i];
+    return nullptr;
 }
 
 std::uint64_t CheckpointLadder::nearest_retired(std::uint64_t at) const noexcept {
-    const Nearest n = nearest(at);
-    if (n.delta) return n.delta->retired();
-    if (n.full) return n.full->total_retired();
+    if (const sim::MachineDelta* d = nearest(at)) return d->retired();
     return base_ ? base_->total_retired() : 0;
 }
 
@@ -113,16 +83,14 @@ sim::Machine CheckpointLadder::clone_nearest(std::uint64_t at) const {
             telemetry::counter_id("checkpoint.restores");
         telemetry::count(kRestores);
     }
-    const Nearest n = nearest(at);
-    if (n.delta) return sim::restore_machine_delta(*n.delta, *base_);
-    return n.full ? *n.full : *base_;
+    const sim::MachineDelta* d = nearest(at);
+    return d ? sim::restore_machine_delta(*d, *base_) : *base_;
 }
 
 void CheckpointLadder::rewind_nearest(sim::Machine& m, std::uint64_t at) const {
-    const Nearest n = nearest(at);
-    const std::size_t pages =
-        n.delta ? sim::rewind_machine(m, *n.delta, *base_)
-                : sim::rewind_machine(m, n.full ? *n.full : *base_);
+    const sim::MachineDelta* d = nearest(at);
+    const std::size_t pages = d ? sim::rewind_machine(m, *d, *base_)
+                                : sim::rewind_machine(m, *base_);
     if (telemetry::enabled()) {
         static const telemetry::MetricId kRestores =
             telemetry::counter_id("checkpoint.restores");
@@ -137,19 +105,15 @@ void CheckpointLadder::rewind_nearest(sim::Machine& m, std::uint64_t at) const {
 }
 
 std::uint64_t CheckpointLadder::next_rung_after(std::uint64_t at) const noexcept {
-    for (const sim::MachineDelta& d : deltas_)
+    for (const sim::MachineDelta& d : rungs_)
         if (d.retired() > at) return d.retired();
-    for (const sim::Machine& r : full_)
-        if (r.total_retired() > at) return r.total_retired();
     return kNoRung;
 }
 
 bool CheckpointLadder::matches_rung(const sim::Machine& m) const {
     const std::uint64_t at = m.total_retired();
-    for (const sim::MachineDelta& d : deltas_)
+    for (const sim::MachineDelta& d : rungs_)
         if (d.retired() == at) return sim::matches_snapshot(m, d, *base_);
-    for (const sim::Machine& r : full_)
-        if (r.total_retired() == at) return sim::matches_snapshot(m, r);
     return false;
 }
 
@@ -174,21 +138,18 @@ std::uint64_t CheckpointLadder::next_boundary() const noexcept {
 
 void CheckpointLadder::release_all() {
     base_.reset();
-    full_.clear();
-    deltas_.clear();
+    rungs_.clear();
 }
 
 void CheckpointLadder::reset_base(sim::Machine m) {
-    full_.clear();
-    deltas_.clear();
+    rungs_.clear();
     base_.emplace(std::move(m));
     base_->mem().clear_dirty();
 }
 
 std::size_t CheckpointLadder::ladder_bytes() const noexcept {
     std::size_t total = base_ ? sim::machine_footprint_bytes(*base_) : 0;
-    for (const auto& r : full_) total += sim::machine_footprint_bytes(r);
-    for (const auto& d : deltas_) total += d.footprint_bytes();
+    for (const auto& d : rungs_) total += d.footprint_bytes();
     return total;
 }
 
@@ -227,10 +188,9 @@ void CheckpointLadder::capture(sim::Machine& m) {
     }
 }
 
-void CheckpointLadder::run_capturing(sim::Machine& m, std::size_t max_checkpoints) {
+void CheckpointLadder::run_capturing(sim::Machine& m) {
     // The golden pass: captures thinned like rungs, against their own cap
     // and the ladder's byte budget.
-    const std::size_t rungs = std::max<std::size_t>(1, max_checkpoints);
     std::uint64_t every = kCaptureInitialStride;
     for (;;) {
         m.run_until((captures_.empty() ? base_->total_retired()
@@ -238,7 +198,7 @@ void CheckpointLadder::run_capturing(sim::Machine& m, std::size_t max_checkpoint
                     every);
         if (m.status() != sim::RunStatus::Running) break;
         capture(m);
-        while (captures_.size() > kCapturesPerRung * rungs ||
+        while (captures_.size() > kCapturesPerRung * max_rungs_ ||
                (captures_.size() > 1 && footprint_bytes() > budget_bytes_)) {
             drop_every_other(captures_);
             every *= 2;
@@ -247,7 +207,7 @@ void CheckpointLadder::run_capturing(sim::Machine& m, std::size_t max_checkpoint
     }
     // The stride a length probe would have set.
     const std::uint64_t len = m.total_retired();
-    stride_ = len > 0 ? (len + rungs - 1) / rungs : kAutoInitialStride;
+    stride_ = std::max<std::uint64_t>(1, (len + max_rungs_ - 1) / max_rungs_);
 
     telemetry::Span span("ladder.respace");
     // Respacing moves `m` back and forth, and every rewind resets its trace
@@ -302,8 +262,8 @@ void CheckpointLadder::respace(sim::Machine& m) {
 
 CheckpointLadder run_golden_with_ladder(sim::Machine& m, const LadderOptions& opts) {
     CheckpointLadder ladder(m, opts);
-    if (opts.enabled && opts.stride == 0 && opts.adaptive)
-        ladder.run_capturing(m, opts.max_checkpoints);
+    if (opts.enabled && opts.stride == 0)
+        ladder.run_capturing(m);
     else
         ladder.run_offering(m);
     return ladder;

@@ -26,32 +26,30 @@
 // The answer is exact, so it never changes a record. run_to_matching_rung()
 // is that walk, for uncore fault runs too once their hook has settled.
 //
-// Rung representation: the base rung is a full Machine copy; deeper rungs
-// default to dirty-page delta snapshots against the base (sim/snapshot.hpp)
+// Rung representation: the base rung is a full Machine copy; every deeper
+// rung is a dirty-page delta snapshot against the base (sim/snapshot.hpp)
 // — full non-memory state plus only the memory pages that differ — so a
 // ladder costs roughly one machine plus the working set instead of
-// max_checkpoints machines. Each shard of a sharded campaign can therefore
-// afford denser rungs under the same memory budget. delta_snapshots = false
-// restores the PR-1 full-copy behaviour (used by tests to prove the two
-// modes are bit-identical and to measure the footprint win).
+// max_checkpoints machines.
 //
 // Thinning: whenever the rung count (or the byte budget) would be exceeded,
 // the ladder drops every other rung and doubles the stride, so one golden
 // pass yields at most `max_checkpoints` rungs whatever the run length.
 //
-// Auto mode (stride 0, adaptive) spaces a full-budget ladder evenly over a
-// golden run of unknown length L in one golden execution. While the golden
-// runs, it keeps fine *captures*: delta snapshots against the base at a
+// Stride 0 (the default) spaces a full-budget ladder evenly over a golden
+// run of unknown length L in one golden execution. While the golden runs,
+// the ladder keeps fine *captures*: delta snapshots against the base at a
 // stride starting at 2048 instructions, thinned by the same halving under a
-// cap of 2 x max_checkpoints (and the byte budget). At the end L is
-// known, so the ladder *respaces*: it walks the boundaries the fixed stride
+// cap of 2 x max_checkpoints (and the byte budget). At the end L is known,
+// so the ladder *respaces*: it walks the boundaries the fixed stride
 // ceil(L / max_checkpoints) would pause at, rewinds the golden machine to
 // the deepest capture at or below each one (or keeps running when it
 // already lies between them), runs it to the boundary and offers it, in
 // order. The rungs are therefore exactly those of a fixed-stride pass at
 // that stride, thinning decisions included, and the capture spacing only
-// sets how much is replayed. Captures are always deltas; only the rungs take
-// the representation the options ask for.
+// sets how much is replayed. A fixed stride offers each boundary as the
+// golden run passes it: the reference the respaced ladder is tested
+// against.
 #pragma once
 
 #include <cstdint>
@@ -65,47 +63,28 @@ namespace serep::orch {
 
 struct LadderOptions {
     bool enabled = true;
-    std::uint64_t stride = 0;  ///< retired instructions between rungs; 0 = auto
+    /// Retired instructions between rungs; 0 = ceil(golden_length /
+    /// max_checkpoints), respaced from one golden pass (see the header
+    /// comment) so the ladder comes out evenly spaced at the full rung
+    /// budget.
+    std::uint64_t stride = 0;
     std::size_t max_checkpoints = 24;  ///< rung budget (thinning halves to fit)
-    /// Auto-stride refinement: space the rungs ceil(golden_length /
-    /// max_checkpoints) apart, so the ladder comes out evenly spaced at the
-    /// full rung budget instead of whatever power-of-two multiple of a fixed
-    /// initial stride thinning lands on. The golden still runs once: rungs
-    /// are respaced from fine captures (see the header comment), at the
-    /// cost of replaying about a third of a long golden run. Only consulted
-    /// when stride == 0; false thins from a fixed initial stride instead.
-    bool adaptive = true;
     /// Cap on live snapshot bytes. BatchRunner treats this as a batch-wide
     /// cap: it divides it across the ladders concurrently in flight.
     std::size_t memory_budget_bytes = std::size_t{1} << 30;
-    /// Store rungs as dirty-page deltas against the base (default) instead
-    /// of full Machine copies. Bit-identical outcomes either way.
-    bool delta_snapshots = true;
 };
 
 class CheckpointLadder {
 public:
-    /// Captures `m`'s current (pre-run) state as the base rung and clears
-    /// the dirty-page bitmaps of `m` and of the base copy, so subsequent
-    /// offers, and every clone of any rung, see exactly the pages written
-    /// since this base.
-    CheckpointLadder(sim::Machine& m, const LadderOptions& opts);
-
-    /// Golden-run callback: consider a paused machine for the next rung.
-    /// Non-const in delta mode only to let make_machine_delta copy the
-    /// machine's shell without duplicating guest memory; `m` is unchanged
-    /// on return.
-    void offer(sim::Machine& m);
-
     /// Materialize the deepest snapshot with total_retired() <= at (the base
     /// rung at worst) as a runnable clone.
     sim::Machine clone_nearest(std::uint64_t at) const;
-    /// Move `m` in place to the rung clone_nearest(at) would clone — delta,
-    /// full-copy or base — so that it equals that clone in every field
-    /// (sim::rewind_machine). `m` must be a clone of this ladder's rungs (run,
-    /// struck or rewound any which way since): a resident fault machine
-    /// then pays for the pages it and the rung wrote, not for all of guest
-    /// memory. Counted as a restore, like a clone.
+    /// Move `m` in place to the rung clone_nearest(at) would clone, so that
+    /// it equals that clone in every field (sim::rewind_machine). `m` must
+    /// be a clone of this ladder's rungs (run, struck or rewound any which
+    /// way since): a resident fault machine then pays for the pages it and
+    /// the rung wrote, not for all of guest memory. Counted as a restore,
+    /// like a clone.
     void rewind_nearest(sim::Machine& m, std::uint64_t at) const;
     /// Retired count of the rung clone_nearest(at) would start from.
     std::uint64_t nearest_retired(std::uint64_t at) const noexcept;
@@ -134,11 +113,6 @@ public:
     /// generation reads machine geometry from it.
     const sim::Machine& base() const noexcept { return *base_; }
 
-    /// Retired-instruction count at which the next rung is due (~0 when the
-    /// ladder is disabled). Tracks thinning: the golden driver re-reads this
-    /// each pause so it never pauses finer than the current stride.
-    std::uint64_t next_boundary() const noexcept;
-
     /// Drop every rung, base included. Called once no in-flight injection
     /// run references the ladder; a later batch must reset_base() first
     /// (the base is a deterministic rebuild — npb::make_machine — so it is
@@ -146,16 +120,14 @@ public:
     void release_all();
     bool empty() const noexcept { return !base_.has_value(); }
     /// Reinstall a freshly built (pre-run) machine as the base rung (its
-    /// dirty-page bitmap cleared, as in the constructor).
+    /// dirty-page bitmap cleared, as when the ladder was built).
     void reset_base(sim::Machine m);
 
     std::uint64_t stride() const noexcept { return stride_; }
     /// Rung count above the base (0 when released).
-    std::size_t checkpoints() const noexcept {
-        return full_.size() + deltas_.size();
-    }
-    /// Host bytes held: the base, the rungs and, while auto mode builds the
-    /// ladder, its captures.
+    std::size_t checkpoints() const noexcept { return rungs_.size(); }
+    /// Host bytes held: the base, the rungs and, while a stride-0 ladder is
+    /// built, its captures.
     std::size_t footprint_bytes() const noexcept;
     /// High-water mark of footprint_bytes() across the ladder's lifetime
     /// (the number the delta-snapshot memory claim is gated on).
@@ -164,12 +136,26 @@ public:
 private:
     friend CheckpointLadder run_golden_with_ladder(sim::Machine& m,
                                                    const LadderOptions& opts);
+    /// Captures `m`'s current (pre-run) state as the base rung and clears
+    /// the dirty-page bitmaps of `m` and of the base copy, so subsequent
+    /// offers, and every clone of any rung, see exactly the pages written
+    /// since this base.
+    CheckpointLadder(sim::Machine& m, const LadderOptions& opts);
+
+    /// Golden-run callback: consider a paused machine for the next rung.
+    /// Non-const only to let make_machine_delta copy the machine's shell
+    /// without duplicating guest memory; `m` is unchanged on return.
+    void offer(sim::Machine& m);
+    /// Retired-instruction count at which the next rung is due (~0 when the
+    /// ladder is disabled). Tracks thinning: the golden driver re-reads this
+    /// each pause so it never pauses finer than the current stride.
+    std::uint64_t next_boundary() const noexcept;
     /// Offer `m` at every boundary until it ends (a fixed-stride pass).
     void run_offering(sim::Machine& m);
-    /// Auto mode: run `m` to its end once, keeping captures, then respace
+    /// Stride 0: run `m` to its end once, keeping captures, then respace
     /// them into the rungs of stride ceil(L / max_checkpoints). `m` ends in
     /// its terminal state, trace tallies included.
-    void run_capturing(sim::Machine& m, std::size_t max_checkpoints);
+    void run_capturing(sim::Machine& m);
     /// Offer every boundary below the end state (the last capture), each
     /// reached from the deepest capture at or below it; frees the captures
     /// it has passed.
@@ -179,22 +165,14 @@ private:
     /// Base and rungs: what the byte budget bounds.
     std::size_t ladder_bytes() const noexcept;
 
-    /// The deepest rung with total_retired() <= at: a delta or a full-copy
-    /// rung, or neither for the base.
-    struct Nearest {
-        const sim::MachineDelta* delta = nullptr;
-        const sim::Machine* full = nullptr;
-    };
-    Nearest nearest(std::uint64_t at) const noexcept;
-    void enforce_budgets();
+    /// The deepest rung with total_retired() <= at; null for the base.
+    const sim::MachineDelta* nearest(std::uint64_t at) const noexcept;
     std::uint64_t last_retired() const noexcept;
 
     std::optional<sim::Machine> base_;
-    std::vector<sim::Machine> full_;        ///< full-copy mode rungs, ascending
-    std::vector<sim::MachineDelta> deltas_; ///< delta mode rungs, ascending
-    /// Auto mode's golden-phase captures, ascending; empty once built.
+    std::vector<sim::MachineDelta> rungs_; ///< ascending
+    /// A stride-0 ladder's golden-phase captures, ascending; empty once built.
     std::vector<sim::MachineDelta> captures_;
-    bool delta_mode_;
     std::uint64_t stride_;
     std::size_t max_rungs_;
     std::size_t budget_bytes_;
@@ -202,8 +180,8 @@ private:
 };
 
 /// Run a freshly booted machine to completion (phase 1), building the ladder
-/// along the way; the golden program executes once in every mode. Returns
-/// the ladder; `m` finishes in its terminal state and is what
+/// along the way; the golden program executes once whatever the stride.
+/// Returns the ladder; `m` finishes in its terminal state and is what
 /// capture_golden() should consume.
 CheckpointLadder run_golden_with_ladder(sim::Machine& m, const LadderOptions& opts);
 

@@ -547,17 +547,22 @@ void merge_job_shape(ShardDb::Job& a, const ShardDb::Job& b, std::size_t j) {
 std::vector<core::CampaignResult> merge_shards(
     const std::vector<std::string>& shard_dbs, std::ostream* csv_sink,
     std::ostream* jsonl_sink) {
-    util::check_valid(!shard_dbs.empty(), "shard merge: no shard databases given");
-
     // Read every database before sizing anything by its manifests.
     std::vector<ShardDb> dbs;
-    for (const std::string& bytes : shard_dbs) {
-        const std::string label =
-            "shard merge: database " + std::to_string(dbs.size());
-        const ShardDb& db = dbs.emplace_back(read_shard_db(bytes, label));
-        util::check_valid(db.complete(),
-                          label + " is incomplete (" + db.incomplete + ")");
-    }
+    for (const std::string& bytes : shard_dbs)
+        dbs.push_back(read_shard_db(
+            bytes, "shard merge: database " + std::to_string(dbs.size())));
+    return merge_shards(dbs, csv_sink, jsonl_sink);
+}
+
+std::vector<core::CampaignResult> merge_shards(const std::vector<ShardDb>& dbs,
+                                               std::ostream* csv_sink,
+                                               std::ostream* jsonl_sink) {
+    util::check_valid(!dbs.empty(), "shard merge: no shard databases given");
+    for (std::size_t i = 0; i < dbs.size(); ++i)
+        util::check_valid(dbs[i].complete(),
+                          "shard merge: database " + std::to_string(i) +
+                              " is incomplete (" + dbs[i].incomplete + ")");
 
     const ShardDb& first = dbs.front();
     std::vector<ShardDb::Job> shape = first.jobs;
@@ -619,7 +624,7 @@ std::vector<core::CampaignResult> merge_shards(
         }
     }
 
-    // Phase 4: counts + the exact streams BatchRunner emits unsharded.
+    // Phase 4: counts + the exact streams of an unsharded run.
     for (std::size_t j = 0; j < results.size(); ++j) {
         results[j].recount();
         core::write_campaign_streams(results[j], csv_sink, jsonl_sink, j == 0);

@@ -204,13 +204,17 @@ ShardDb read_shard_db(const std::string& bytes, const std::string& label);
 /// True when decoded `text` starts with a shard-database manifest line.
 bool is_shard_db(const std::string& text) noexcept;
 
-/// Merge shard databases (file *contents*, any order), each read by
-/// read_shard_db() and refused if incomplete. Validates the set (config
-/// hash, shard count, partition, job lists, golden references, each shard
-/// once, exact record cover), returns the per-job results in job order,
-/// and — when sinks are given — streams the merged per-fault CSV and
-/// per-campaign JSONL exactly as BatchRunner does for an unsharded run.
-/// Throws util::ValidationError on any inconsistency.
+/// Merge decoded shard databases (any order), refusing an incomplete one.
+/// Validates the set (config hash, shard count, partition, job lists,
+/// golden references, each shard once, exact record cover), returns the
+/// per-job results in job order, and — when sinks are given — streams the
+/// merged per-fault CSV and per-campaign JSONL exactly as an unsharded run
+/// writes its results (core::write_campaign_streams). Throws
+/// util::ValidationError on any inconsistency.
+std::vector<core::CampaignResult> merge_shards(const std::vector<ShardDb>& dbs,
+                                               std::ostream* csv_sink = nullptr,
+                                               std::ostream* jsonl_sink = nullptr);
+/// The same over file *contents*, each read by read_shard_db() first.
 std::vector<core::CampaignResult> merge_shards(
     const std::vector<std::string>& shard_dbs, std::ostream* csv_sink = nullptr,
     std::ostream* jsonl_sink = nullptr);

@@ -1,6 +1,5 @@
 #include "sim/snapshot.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "util/check.hpp"
@@ -210,20 +209,6 @@ bool matches_snapshot(const Machine& m, const MachineDelta& d,
     return same_shell(m, d.shell) &&
            same_memory(m.mem(), d.shell.mem(), base.mem(), d.pages,
                        d.bytes.data());
-}
-
-RunStatus run_with_checkpoints(Machine& m, std::uint64_t stride,
-                               std::uint64_t stop_at,
-                               const std::function<void(const Machine&)>& on_checkpoint) {
-    if (stride == 0 || !on_checkpoint) return m.run_until(stop_at);
-    while (m.status() == RunStatus::Running && m.total_retired() < stop_at) {
-        const std::uint64_t boundary =
-            (m.total_retired() / stride + 1) * stride;
-        m.run_until(std::min(boundary, stop_at));
-        if (m.status() == RunStatus::Running && m.total_retired() < stop_at)
-            on_checkpoint(m);
-    }
-    return m.status();
 }
 
 } // namespace serep::sim

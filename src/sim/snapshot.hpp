@@ -15,7 +15,9 @@
 // "shell" whose memory payload is dropped) plus only the pages that differ
 // from a designated base snapshot, found via the Memory dirty-page bitmap
 // and confirmed by content comparison. restore_machine_delta() rebuilds a
-// Machine bit-identical to the full copy the delta was made from.
+// Machine bit-identical to the full copy the delta was made from. The
+// checkpoint ladder holds one full copy, its base rung, and stores every
+// deeper rung as a delta over it.
 //
 // The same bitmap makes it cheap to ask the converse question — is a live
 // machine bit-for-bit a snapshot? — without materializing the snapshot:
@@ -40,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -99,13 +100,5 @@ std::size_t rewind_machine(Machine& m, const Machine& snap);
 /// any machine cloned from that ladder's rungs.
 bool matches_snapshot(const Machine& m, const Machine& snap);
 bool matches_snapshot(const Machine& m, const MachineDelta& d, const Machine& base);
-
-/// Run `m` until `stop_at` or a terminal status, pausing at every multiple of
-/// `stride` retired instructions to invoke `on_checkpoint` (stride == 0 runs
-/// straight through). The callback observes the machine at the boundary; a
-/// value copy taken there is a valid resume point.
-RunStatus run_with_checkpoints(Machine& m, std::uint64_t stride,
-                               std::uint64_t stop_at,
-                               const std::function<void(const Machine&)>& on_checkpoint);
 
 } // namespace serep::sim

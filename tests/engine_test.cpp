@@ -411,19 +411,16 @@ TEST(Engine, CampaignDatabasesAreByteIdenticalAcrossEnginesAndKinds) {
 
     std::string out[3];
     for (unsigned i = 0; i < 3; ++i) {
-        std::ostringstream csv, jsonl;
         orch::BatchOptions opts;
         opts.threads = 4;
         opts.engine = kAllEngines[i];
         orch::BatchRunner runner(opts);
-        runner.set_csv_sink(&csv);
-        runner.set_json_sink(&jsonl);
         runner.add(v7, gpr);
         runner.add(v8, fp);
         runner.add(v7, mem);
         runner.add(v8, mem);
-        runner.run_all();
-        out[i] = csv.str() + "\x1e" + jsonl.str();
+        const CampaignStreams db = campaign_streams(runner.run_all());
+        out[i] = db.csv + "\x1e" + db.jsonl;
     }
     EXPECT_EQ(out[0], out[1]);
     EXPECT_EQ(out[0], out[2]);

@@ -108,8 +108,7 @@ TEST(ExperimentSpec, LoadSaveLoadIsIdentity) {
         "fault": {"kind": "gpr", "faults": 77, "seed": "0xABC",
                   "watchdog": 3.5, "target_ci": 0, "ci_confidence": 0.9,
                   "ci_batch": 40, "ci_min": 10},
-        "engine": {"engine": "switch", "threads": 3, "stride": 1000,
-                   "checkpoints": false, "delta": false, "adaptive": false},
+        "engine": {"engine": "switch", "threads": 3, "checkpoints": false},
         "shard": {"count": 3, "partition": "weighted",
                   "weights": [1.5, 2.0, 3.0]},
         "report": {"markdown": "a.md", "csv": "b.csv",
@@ -157,7 +156,7 @@ TEST(ExperimentSpec, HashIgnoresPresentationButTracksIdentity) {
     cosmetic.report_md = "report.md";
     cosmetic.engine = "switch";
     cosmetic.threads = 16;
-    cosmetic.stride = 12345;
+    cosmetic.checkpoints = false;
     EXPECT_EQ(cosmetic.spec_hash(), h)
         << "presentation/execution knobs must not invalidate finished work";
 
@@ -223,6 +222,18 @@ TEST(ExperimentSpec, RejectsMalformedSpecsNamingTheOffender) {
     // report paths must be rejected, not silently dropped.
     expect_reject(R"({"out": "", "report": {"markdown": "lost.md"}})",
                   "spec.out");
+}
+
+TEST(ExperimentSpec, RejectsTheRetiredLadderKeys) {
+    // The checkpoint ladder has one schedule and one rung representation;
+    // the engine keys that once chose a fixed stride, full-copy rungs or
+    // the older thinning are unknown keys like any typo.
+    const std::pair<std::string, std::string> retired[] = {
+        {"stride", "5000"}, {"delta", "false"}, {"adaptive", "false"}};
+    for (const auto& [key, value] : retired)
+        expect_reject(R"({"engine": {"threads": 2, ")" + key + "\": " + value +
+                          "}}",
+                      "unknown key '" + key + "' in engine");
 }
 
 TEST(ExperimentPlan, RejectsImpossibleMatrices) {

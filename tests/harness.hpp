@@ -1,9 +1,14 @@
-// Shared helpers for simulator-level tests: assemble a snippet and run it.
+// Shared helpers for simulator-level tests: assemble a snippet and run it;
+// write a batch's results as the streams a campaign writes.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "core/campaign.hpp"
 #include "kasm/assembler.hpp"
 #include "sim/machine.hpp"
 
@@ -49,6 +54,19 @@ inline void finish(Assembler& a, unsigned code = 0) {
     const auto t = a.tmp(0);
     a.movi(t, code);
     a.syswr(isa::SysReg::SHUTDOWN, t);
+}
+
+/// The merged per-fault CSV (one header) and per-campaign JSONL of
+/// `results`, in order — the bytes a campaign writes for them.
+struct CampaignStreams {
+    std::string csv, jsonl;
+};
+inline CampaignStreams campaign_streams(
+    const std::vector<core::CampaignResult>& results) {
+    std::ostringstream csv, jsonl;
+    for (std::size_t j = 0; j < results.size(); ++j)
+        core::write_campaign_streams(results[j], &csv, &jsonl, j == 0);
+    return {csv.str(), jsonl.str()};
 }
 
 } // namespace serep::test

@@ -1,8 +1,8 @@
-// Orchestration layer: work-stealing scheduler, checkpoint ladder (full and
-// delta-snapshot rungs), BatchRunner golden cache, fault-space sharding with
+// Orchestration layer: work-stealing scheduler, checkpoint ladder
+// (delta-snapshot rungs), BatchRunner golden cache, fault-space sharding with
 // mergeable outcome databases, and the campaign determinism invariant
-// (bit-identical outcomes for any pool width, checkpoint stride, snapshot
-// representation, and shard count).
+// (bit-identical outcomes for any pool width, checkpoint stride, engine and
+// shard count).
 //
 // Every campaign in this file pins its seed explicitly and asserts outcome
 // counts / database bytes — never scheduler log order — so results are
@@ -23,6 +23,7 @@
 #include <tuple>
 
 #include "core/campaign.hpp"
+#include "harness.hpp"
 #include "orch/batch_runner.hpp"
 #include "orch/checkpoint.hpp"
 #include "orch/scheduler.hpp"
@@ -95,68 +96,61 @@ TEST(Scheduler, PropagatesBodyExceptions) {
 }
 
 TEST(CheckpointLadder, RungCountRespectsBudgetAndNearestIsOrdered) {
-    for (const bool delta : {true, false}) {
-        sim::Machine m = npb::make_machine(kSmall, false);
-        orch::LadderOptions opts;
-        opts.stride = 500; // absurdly fine: forces thinning
-        opts.max_checkpoints = 8;
-        opts.delta_snapshots = delta;
-        orch::CheckpointLadder ladder = orch::run_golden_with_ladder(m, opts);
-        EXPECT_EQ(m.status(), sim::RunStatus::Shutdown);
-        EXPECT_LE(ladder.checkpoints(), 8u);
-        EXPECT_GT(ladder.checkpoints(), 0u);
-        EXPECT_GT(ladder.stride(), 500u); // thinning doubled it
-        for (std::uint64_t at : {std::uint64_t{0}, m.total_retired() / 3,
-                                 m.total_retired() - 1}) {
-            EXPECT_LE(ladder.nearest_retired(at), at) << "delta=" << delta;
-            const sim::Machine clone = ladder.clone_nearest(at);
-            EXPECT_EQ(clone.total_retired(), ladder.nearest_retired(at));
-        }
-        EXPECT_GT(ladder.footprint_bytes(), 0u);
-        EXPECT_GE(ladder.peak_footprint_bytes(), ladder.footprint_bytes());
+    sim::Machine m = npb::make_machine(kSmall, false);
+    orch::LadderOptions opts;
+    opts.stride = 500; // absurdly fine: forces thinning
+    opts.max_checkpoints = 8;
+    orch::CheckpointLadder ladder = orch::run_golden_with_ladder(m, opts);
+    EXPECT_EQ(m.status(), sim::RunStatus::Shutdown);
+    EXPECT_LE(ladder.checkpoints(), 8u);
+    EXPECT_GT(ladder.checkpoints(), 0u);
+    EXPECT_GT(ladder.stride(), 500u); // thinning doubled it
+    for (std::uint64_t at : {std::uint64_t{0}, m.total_retired() / 3,
+                             m.total_retired() - 1}) {
+        EXPECT_LE(ladder.nearest_retired(at), at);
+        const sim::Machine clone = ladder.clone_nearest(at);
+        EXPECT_EQ(clone.total_retired(), ladder.nearest_retired(at));
     }
+    EXPECT_GT(ladder.footprint_bytes(), 0u);
+    EXPECT_GE(ladder.peak_footprint_bytes(), ladder.footprint_bytes());
 }
 
-TEST(CheckpointLadder, DeltaLaddersMatchFullLaddersAndShrinkPeakBytes) {
-    // The tentpole memory claim, on a class-S campaign: with identical
-    // stride/rung budgets, delta-snapshot rungs must reproduce the same
-    // checkpoint positions as full Machine copies while cutting the peak
-    // snapshot footprint by at least 2x.
+TEST(CheckpointLadder, RungClonesEqualRunsFromResetAndShrinkPeakBytes) {
+    // The ladder's contract on a class-S golden run: a clone of the rung
+    // nearest any instant is the machine a run from reset reaches at that
+    // rung. And the memory claim: the ladder's peak, captures included,
+    // stays at most half of what a full Machine copy per rung would hold.
     npb::Scenario s = kSmall;
     s.klass = npb::Klass::S;
 
     orch::LadderOptions opts;
     opts.max_checkpoints = 12;
+    sim::Machine golden = npb::make_machine(s, false);
+    const orch::CheckpointLadder ladder = orch::run_golden_with_ladder(golden, opts);
+    ASSERT_GE(ladder.checkpoints(), 2u);
 
-    sim::Machine m_full = npb::make_machine(s, false);
-    opts.delta_snapshots = false;
-    orch::CheckpointLadder full = orch::run_golden_with_ladder(m_full, opts);
-
-    sim::Machine m_delta = npb::make_machine(s, false);
-    opts.delta_snapshots = true;
-    orch::CheckpointLadder delta = orch::run_golden_with_ladder(m_delta, opts);
-
-    ASSERT_EQ(m_full.total_retired(), m_delta.total_retired());
-    ASSERT_EQ(full.checkpoints(), delta.checkpoints());
-    ASSERT_GE(full.checkpoints(), 2u);
-    EXPECT_EQ(full.stride(), delta.stride());
-
-    // Same rung positions, bit-identical clones at arbitrary instants.
-    const std::uint64_t total = m_full.total_retired();
-    for (std::uint64_t at : {total / 7, total / 2, total - 1}) {
-        ASSERT_EQ(full.nearest_retired(at), delta.nearest_retired(at));
-        const sim::Machine a = full.clone_nearest(at);
-        const sim::Machine b = delta.clone_nearest(at);
-        EXPECT_EQ(a.total_retired(), b.total_retired());
-        EXPECT_EQ(core::arch_state_hash(a), core::arch_state_hash(b));
-        EXPECT_EQ(a.mem().hash_range(0, a.mem().phys_size()),
-                  b.mem().hash_range(0, b.mem().phys_size()));
+    const std::uint64_t total = golden.total_retired();
+    for (std::uint64_t at : {std::uint64_t{0}, total / 7, total / 2, total - 1}) {
+        const sim::Machine clone = ladder.clone_nearest(at);
+        sim::Machine from_reset = npb::make_machine(s, false);
+        from_reset.run_until(ladder.nearest_retired(at));
+        ASSERT_EQ(from_reset.status(), sim::RunStatus::Running) << at;
+        EXPECT_EQ(clone.total_retired(), from_reset.total_retired()) << at;
+        EXPECT_TRUE(sim::matches_snapshot(clone, from_reset)) << at;
+        EXPECT_TRUE(sim::matches_snapshot(from_reset, clone)) << at;
+        EXPECT_EQ(core::arch_state_hash(clone), core::arch_state_hash(from_reset))
+            << at;
+        EXPECT_EQ(clone.mem().hash_range(0, clone.mem().phys_size()),
+                  from_reset.mem().hash_range(0, from_reset.mem().phys_size()))
+            << at;
     }
 
-    // The acceptance gate: >= 2x peak snapshot bytes.
-    EXPECT_GE(full.peak_footprint_bytes(), 2 * delta.peak_footprint_bytes())
-        << "full peak " << full.peak_footprint_bytes() << " vs delta peak "
-        << delta.peak_footprint_bytes();
+    // The acceptance gate: >= 2x below one full copy per rung and the base.
+    const std::size_t full_copies = (ladder.checkpoints() + 1) *
+                                    sim::machine_footprint_bytes(ladder.base());
+    EXPECT_LE(2 * ladder.peak_footprint_bytes(), full_copies)
+        << "peak " << ladder.peak_footprint_bytes() << " vs full copies "
+        << full_copies;
 }
 
 TEST(CheckpointLadder, BaseRungClonesStartWithACleanDirtyBitmap) {
@@ -190,110 +184,105 @@ TEST(CheckpointLadder, BaseRungClonesStartWithACleanDirtyBitmap) {
 }
 
 TEST(CheckpointLadder, RungComparisonSeesSteeringStateAndIgnoresAccelerators) {
-    // Both directions of the convergence test, on delta and full-copy rungs
-    // alike: a clone of a rung matches it; one change to any state that can
-    // steer later execution does not; clearing the MRU filters, which only
-    // moves the credit statistics, does.
-    for (const bool delta : {true, false}) {
-        SCOPED_TRACE(delta ? "delta rungs" : "full-copy rungs");
-        sim::Machine golden = npb::make_machine(kSmallV8, false);
-        orch::LadderOptions opts;
-        opts.max_checkpoints = 8;
-        opts.delta_snapshots = delta;
-        const orch::CheckpointLadder ladder =
-            orch::run_golden_with_ladder(golden, opts);
-        const std::uint64_t r1 = ladder.next_rung_after(0);
-        const std::uint64_t r2 = ladder.next_rung_after(r1);
-        ASSERT_NE(r2, orch::CheckpointLadder::kNoRung);
-        EXPECT_EQ(ladder.nearest_retired(r2 - 1), r1);
-        EXPECT_EQ(ladder.next_rung_after(golden.total_retired()),
-                  orch::CheckpointLadder::kNoRung);
-        EXPECT_TRUE(ladder.matches_rung(ladder.clone_nearest(r2)));
+    // Both directions of the convergence test: a clone of a rung matches
+    // it; one change to any state that can steer later execution does not;
+    // clearing the MRU filters, which only moves the credit statistics,
+    // does.
+    sim::Machine golden = npb::make_machine(kSmallV8, false);
+    orch::LadderOptions opts;
+    opts.max_checkpoints = 8;
+    const orch::CheckpointLadder ladder =
+        orch::run_golden_with_ladder(golden, opts);
+    const std::uint64_t r1 = ladder.next_rung_after(0);
+    const std::uint64_t r2 = ladder.next_rung_after(r1);
+    ASSERT_NE(r2, orch::CheckpointLadder::kNoRung);
+    EXPECT_EQ(ladder.nearest_retired(r2 - 1), r1);
+    EXPECT_EQ(ladder.next_rung_after(golden.total_retired()),
+              orch::CheckpointLadder::kNoRung);
+    EXPECT_TRUE(ladder.matches_rung(ladder.clone_nearest(r2)));
 
-        const auto differs = [&](const char* what, auto&& change) {
-            sim::Machine m = ladder.clone_nearest(r2);
-            change(m);
-            EXPECT_FALSE(ladder.matches_rung(m)) << what;
-        };
-        differs("gpr bit", [](sim::Machine& m) { m.flip_gpr(0, 3, 7); });
-        differs("fp bit", [](sim::Machine& m) { m.flip_fp(0, 2, 51); });
-        differs("nzcv", [](sim::Machine& m) {
-            m.core(0).regs.flags().z = !m.core(0).regs.flags().z;
-        });
-        differs("memory byte", [](sim::Machine& m) {
-            m.mem().flip_phys_bit(m.mem().kern_size() + 8, 0);
-        });
-        differs("text byte", [](sim::Machine& m) {
-            m.mem().flip_phys_bit(m.mem().text_base(), 0); // clean in the rung
-        });
-        differs("memory only the golden run wrote", [&](sim::Machine& m) {
-            // Rung state over base memory, with a clean bitmap: the pages
-            // to compare come from the rung's side alone.
-            m.mem().clear_dirty();
-            m.mem().set_payload(ladder.clone_nearest(0).mem().take_payload());
-        });
-        differs("user page map", [](sim::Machine& m) {
-            namespace layout = isa::layout;
-            for (std::uint64_t va = layout::kUserBase;
-                 va < layout::kUserBase + m.mem().user_size();
-                 va += layout::kPageSize)
-                if (!m.mem().user_page_mapped(0, va)) {
-                    m.mem().map_user_range(0, va, va + layout::kPageSize);
-                    return;
-                }
-            FAIL() << "every user page is mapped";
-        });
-        differs("local_tick", [](sim::Machine& m) { ++m.core(0).local_tick; });
-        differs("retired (INSTRET)", [](sim::Machine& m) { ++m.core(0).retired; });
-        differs("pending_ipi", [](sim::Machine& m) {
-            m.core(0).pending_ipi = !m.core(0).pending_ipi;
-        });
-        differs("l2 retag", [](sim::Machine& m) {
-            sim::Cache& l2 = m.l2_cache();
-            for (std::uint32_t cell = 0; cell < l2.sets() * l2.ways(); ++cell) {
-                const std::uint64_t line =
-                    l2.line_at(cell / l2.ways(), cell % l2.ways());
-                if (line == ~0ULL) continue;
-                const std::uint64_t alias =
-                    line + (std::uint64_t{l2.sets()} << l2.line_shift());
-                ASSERT_TRUE(l2.retag(line, alias));
+    const auto differs = [&](const char* what, auto&& change) {
+        sim::Machine m = ladder.clone_nearest(r2);
+        change(m);
+        EXPECT_FALSE(ladder.matches_rung(m)) << what;
+    };
+    differs("gpr bit", [](sim::Machine& m) { m.flip_gpr(0, 3, 7); });
+    differs("fp bit", [](sim::Machine& m) { m.flip_fp(0, 2, 51); });
+    differs("nzcv", [](sim::Machine& m) {
+        m.core(0).regs.flags().z = !m.core(0).regs.flags().z;
+    });
+    differs("memory byte", [](sim::Machine& m) {
+        m.mem().flip_phys_bit(m.mem().kern_size() + 8, 0);
+    });
+    differs("text byte", [](sim::Machine& m) {
+        m.mem().flip_phys_bit(m.mem().text_base(), 0); // clean in the rung
+    });
+    differs("memory only the golden run wrote", [&](sim::Machine& m) {
+        // Rung state over base memory, with a clean bitmap: the pages
+        // to compare come from the rung's side alone.
+        m.mem().clear_dirty();
+        m.mem().set_payload(ladder.clone_nearest(0).mem().take_payload());
+    });
+    differs("user page map", [](sim::Machine& m) {
+        namespace layout = isa::layout;
+        for (std::uint64_t va = layout::kUserBase;
+             va < layout::kUserBase + m.mem().user_size();
+             va += layout::kPageSize)
+            if (!m.mem().user_page_mapped(0, va)) {
+                m.mem().map_user_range(0, va, va + layout::kPageSize);
                 return;
             }
-            FAIL() << "no resident L2 line";
-        });
+        FAIL() << "every user page is mapped";
+    });
+    differs("local_tick", [](sim::Machine& m) { ++m.core(0).local_tick; });
+    differs("retired (INSTRET)", [](sim::Machine& m) { ++m.core(0).retired; });
+    differs("pending_ipi", [](sim::Machine& m) {
+        m.core(0).pending_ipi = !m.core(0).pending_ipi;
+    });
+    differs("l2 retag", [](sim::Machine& m) {
+        sim::Cache& l2 = m.l2_cache();
+        for (std::uint32_t cell = 0; cell < l2.sets() * l2.ways(); ++cell) {
+            const std::uint64_t line =
+                l2.line_at(cell / l2.ways(), cell % l2.ways());
+            if (line == ~0ULL) continue;
+            const std::uint64_t alias =
+                line + (std::uint64_t{l2.sets()} << l2.line_shift());
+            ASSERT_TRUE(l2.retag(line, alias));
+            return;
+        }
+        FAIL() << "no resident L2 line";
+    });
 
-        sim::Machine cleared = ladder.clone_nearest(r2);
-        cleared.set_uncore_hook(nullptr); // clears the MRU line filters
-        EXPECT_TRUE(ladder.matches_rung(cleared));
+    sim::Machine cleared = ladder.clone_nearest(r2);
+    cleared.set_uncore_hook(nullptr); // clears the MRU line filters
+    EXPECT_TRUE(ladder.matches_rung(cleared));
 
-        // The same instructions run with the filters cleared: the replay
-        // looks up what the golden run credited, so the hit totals agree
-        // and only the credit counters differ.
-        sim::Machine replay = ladder.clone_nearest(r1);
-        replay.set_uncore_hook(nullptr);
-        replay.run_until(r2);
-        EXPECT_TRUE(ladder.matches_rung(replay));
-        const sim::Machine rung = ladder.clone_nearest(r2);
-        const auto hits = [](const sim::Machine& m) {
-            return m.l1i(0).hits() + m.l1d(0).hits();
-        };
-        const auto credits = [](const sim::Machine& m) {
-            return m.l1i(0).credits() + m.l1d(0).credits();
-        };
-        EXPECT_EQ(hits(replay), hits(rung));
-        EXPECT_LT(credits(replay), credits(rung));
+    // The same instructions run with the filters cleared: the replay
+    // looks up what the golden run credited, so the hit totals agree
+    // and only the credit counters differ.
+    sim::Machine replay = ladder.clone_nearest(r1);
+    replay.set_uncore_hook(nullptr);
+    replay.run_until(r2);
+    EXPECT_TRUE(ladder.matches_rung(replay));
+    const sim::Machine rung = ladder.clone_nearest(r2);
+    const auto hits = [](const sim::Machine& m) {
+        return m.l1i(0).hits() + m.l1d(0).hits();
+    };
+    const auto credits = [](const sim::Machine& m) {
+        return m.l1i(0).credits() + m.l1d(0).credits();
+    };
+    EXPECT_EQ(hits(replay), hits(rung));
+    EXPECT_LT(credits(replay), credits(rung));
 
-        // Off a rung instant there is nothing to match.
-        replay.run_until(r2 + 1);
-        EXPECT_FALSE(ladder.matches_rung(replay));
-    }
+    // Off a rung instant there is nothing to match.
+    replay.run_until(r2 + 1);
+    EXPECT_FALSE(ladder.matches_rung(replay));
 }
 
-TEST(BatchRunner, OutcomesIdenticalAcrossThreadCountsStridesSnapshotsAndEngines) {
+TEST(BatchRunner, OutcomesIdenticalAcrossThreadCountsStridesAndEngines) {
     // The header's hard invariant: same seed => byte-identical counts and
-    // CSV whatever the pool width, checkpoint stride (including disabled and
-    // the adaptive auto-stride), snapshot representation (full copies vs
-    // dirty-page deltas), or execution engine (cached dispatch, legacy
+    // CSV whatever the pool width, checkpoint stride (fixed, the default
+    // stride 0, or disabled) or execution engine (cached dispatch, legacy
     // switch, trace superblocks). Every laddered variant closes some runs at
     // a rung where they converged to the golden machine; the ladder-disabled
     // variant has no rungs, simulates every run to the end, and so is the
@@ -302,20 +291,17 @@ TEST(BatchRunner, OutcomesIdenticalAcrossThreadCountsStridesSnapshotsAndEngines)
         unsigned threads;
         std::uint64_t stride;
         bool enabled;
-        bool delta;
-        bool adaptive = true;
         sim::Engine engine = sim::Engine::Cached;
     };
     const Variant variants[] = {
-        {1, 30'000, true, true}, {2, 30'000, true, true}, {8, 30'000, true, true},
-        {2, 30'000, true, false}, {2, 7'000, true, true}, {8, 911, true, false},
-        {2, 0, false, true},
-        {2, 0, true, true, true},                        // adaptive auto stride
-        {2, 0, true, true, false},                       // legacy auto thinning
-        {2, 30'000, true, true, true, sim::Engine::Switch}, // legacy engine
-        {2, 0, true, true, true, sim::Engine::Switch},
-        {2, 30'000, true, true, true, sim::Engine::Trace},
-        {2, 0, true, true, true, sim::Engine::Trace},
+        {1, 30'000, true}, {2, 30'000, true}, {8, 30'000, true},
+        {2, 7'000, true},  {8, 911, true},
+        {2, 0, false},
+        {2, 0, true},                          // the default ladder
+        {2, 30'000, true, sim::Engine::Switch}, // legacy engine
+        {2, 0, true, sim::Engine::Switch},
+        {2, 30'000, true, sim::Engine::Trace},
+        {2, 0, true, sim::Engine::Trace},
     };
     std::vector<std::array<std::uint64_t, core::kOutcomeCount>> counts;
     std::vector<std::string> csvs, jsons;
@@ -324,18 +310,13 @@ TEST(BatchRunner, OutcomesIdenticalAcrossThreadCountsStridesSnapshotsAndEngines)
         opts.threads = v.threads;
         opts.ladder.stride = v.stride;
         opts.ladder.enabled = v.enabled;
-        opts.ladder.delta_snapshots = v.delta;
-        opts.ladder.adaptive = v.adaptive;
         opts.engine = v.engine;
         orch::BatchRunner runner(opts);
         runner.add(kSmall, small_config(40, 0xDAC2018));
         const auto results = runner.run_all();
         ASSERT_EQ(results.size(), 1u);
-        // Runs converge only at rungs. Besides the disabled oracle, the
-        // legacy auto stride has none here: its first rung would lie past
-        // this short golden run.
-        sim::Machine golden = npb::make_machine(kSmall, false);
-        if (orch::run_golden_with_ladder(golden, opts.ladder).checkpoints() > 0)
+        // Runs converge only at rungs: never without a ladder.
+        if (v.enabled)
             EXPECT_GT(runner.converged_runs(), 0u) << "variant " << counts.size();
         else
             EXPECT_EQ(runner.converged_runs(), 0u) << "variant " << counts.size();
@@ -351,12 +332,10 @@ TEST(BatchRunner, OutcomesIdenticalAcrossThreadCountsStridesSnapshotsAndEngines)
 }
 
 TEST(CheckpointLadder, AdaptiveStrideTracksGoldenRunLength) {
-    // Auto mode with adaptation: the rungs are spaced ceil(len /
-    // max_checkpoints) apart, len being the golden length — a full-budget,
-    // evenly spaced ladder instead of whatever power-of-two multiple of the
-    // fixed initial stride thinning would leave.
+    // Stride 0: the rungs are spaced ceil(len / max_checkpoints) apart, len
+    // being the golden length — a full-budget, evenly spaced ladder.
     sim::Machine m = npb::make_machine(kSmall, false);
-    orch::LadderOptions opts; // stride = 0 (auto), adaptive = true
+    orch::LadderOptions opts; // stride = 0
     opts.max_checkpoints = 16;
     orch::CheckpointLadder ladder = orch::run_golden_with_ladder(m, opts);
     ASSERT_EQ(m.status(), sim::RunStatus::Shutdown);
@@ -364,26 +343,17 @@ TEST(CheckpointLadder, AdaptiveStrideTracksGoldenRunLength) {
     EXPECT_EQ(ladder.stride(), (len + 15) / 16);
     EXPECT_LE(ladder.checkpoints(), 16u);
     EXPECT_GE(ladder.checkpoints(), 8u); // evenly spaced => near-full budget
-
-    // Without adaptation the stride falls back to the fixed initial one.
-    sim::Machine m2 = npb::make_machine(kSmall, false);
-    opts.adaptive = false;
-    orch::CheckpointLadder fixed = orch::run_golden_with_ladder(m2, opts);
-    EXPECT_EQ(m2.total_retired(), len);
-    EXPECT_NE(fixed.stride(), ladder.stride());
-    // The adaptive ladder never fast-forwards more than its (tighter) stride.
+    // The ladder never fast-forwards more than its stride.
     EXPECT_LE(ladder.stride(), std::max<std::uint64_t>(1, len / 8));
 }
 
-/// The ladder auto mode built when it ran the golden twice: a probe copy of
-/// `m` ran to its end, `len` instructions, and the ladder then took the
-/// fixed-stride path at stride ceil(len / max_checkpoints) (or the fixed
-/// initial stride for len = 0).
+/// The ladder stride 0 would build if it ran the golden twice: a probe copy
+/// of `m` ran to its end, `len` instructions, and the ladder then took the
+/// fixed-stride path at stride ceil(len / max_checkpoints).
 orch::CheckpointLadder probe_ladder(sim::Machine& m, std::uint64_t len,
                                     orch::LadderOptions opts) {
     const std::uint64_t rungs = std::max<std::size_t>(1, opts.max_checkpoints);
-    if (len > 0) opts.stride = (len + rungs - 1) / rungs;
-    opts.adaptive = false;
+    opts.stride = (len + rungs - 1) / rungs;
     return orch::run_golden_with_ladder(m, opts);
 }
 
@@ -396,11 +366,11 @@ std::vector<std::uint64_t> rung_positions(const orch::CheckpointLadder& l) {
 }
 
 TEST(CheckpointLadder, OnePassLadderEqualsTheProbeLadder) {
-    // Auto mode runs the golden once and respaces its captures into rungs.
+    // Stride 0 runs the golden once and respaces its captures into rungs.
     // Those rungs must be the two-pass probe ladder's — positions, stride,
     // state and telemetry — and the golden machine must end exactly where
-    // a straight run to the end does, for every engine, rung
-    // representation, rung budget and a byte budget that forces thinning.
+    // a straight run to the end does, for every engine, rung budget and a
+    // byte budget that forces thinning.
     npb::Scenario class_s = kSmall;
     class_s.klass = npb::Klass::S;
     const npb::Scenario scenarios[] = {
@@ -446,82 +416,75 @@ TEST(CheckpointLadder, OnePassLadderEqualsTheProbeLadder) {
             ASSERT_EQ(straight.status(), sim::RunStatus::Shutdown);
             const std::uint64_t len = straight.total_retired();
 
-            for (const bool delta : {true, false}) {
-                // 32 MiB holds every delta ladder here; full copies thin to
-                // the rung count it buys. The last budget admits about eight
-                // rung shells over the base, so the ladder thins by bytes
-                // (delta) or keeps a single full-copy rung.
-                const std::size_t roomy = std::size_t{32} << 20;
-                const std::size_t tight =
-                    sim::machine_footprint_bytes(straight) + (512u << 10);
-                const std::pair<std::size_t, std::size_t> budgets[] = {
-                    {1, roomy},  {2, roomy},  {8, roomy},
-                    {24, roomy}, {64, roomy}, {24, tight}};
-                for (const auto& [max_rungs, bytes] : budgets) {
-                    SCOPED_TRACE(s.name() + " engine " +
-                                 std::to_string(static_cast<int>(engine)) +
-                                 (delta ? " delta" : " full") + " max " +
-                                 std::to_string(max_rungs) + " budget " +
-                                 std::to_string(bytes));
-                    orch::LadderOptions opts;
-                    opts.max_checkpoints = max_rungs;
-                    opts.memory_budget_bytes = bytes;
-                    opts.delta_snapshots = delta;
+            // 32 MiB holds every ladder here. The last budget admits about
+            // eight rung shells over the base, so the ladder thins by bytes.
+            const std::size_t roomy = std::size_t{32} << 20;
+            const std::size_t tight =
+                sim::machine_footprint_bytes(straight) + (512u << 10);
+            const std::pair<std::size_t, std::size_t> budgets[] = {
+                {1, roomy},  {2, roomy},  {8, roomy},
+                {24, roomy}, {64, roomy}, {24, tight}};
+            for (const auto& [max_rungs, bytes] : budgets) {
+                SCOPED_TRACE(s.name() + " engine " +
+                             std::to_string(static_cast<int>(engine)) +
+                             " max " + std::to_string(max_rungs) +
+                             " budget " + std::to_string(bytes));
+                orch::LadderOptions opts;
+                opts.max_checkpoints = max_rungs;
+                opts.memory_budget_bytes = bytes;
 
-                    sim::Machine m = booted;
-                    std::optional<orch::CheckpointLadder> one;
-                    const Built one_built = counted(
-                        [&] { one.emplace(orch::run_golden_with_ladder(m, opts)); });
-                    sim::Machine m_probe = booted;
-                    std::optional<orch::CheckpointLadder> probe;
-                    const Built probe_built = counted(
-                        [&] { probe.emplace(probe_ladder(m_probe, len, opts)); });
+                sim::Machine m = booted;
+                std::optional<orch::CheckpointLadder> one;
+                const Built one_built = counted(
+                    [&] { one.emplace(orch::run_golden_with_ladder(m, opts)); });
+                sim::Machine m_probe = booted;
+                std::optional<orch::CheckpointLadder> probe;
+                const Built probe_built = counted(
+                    [&] { probe.emplace(probe_ladder(m_probe, len, opts)); });
 
-                    // The golden machine at its end, as if run straight.
-                    EXPECT_TRUE(sim::matches_snapshot(m, straight));
-                    EXPECT_TRUE(sim::matches_snapshot(straight, m));
-                    EXPECT_EQ(cache_counts(m), cache_counts(straight));
-                    EXPECT_EQ(m.trace_stats().chain_links,
-                              straight.trace_stats().chain_links);
-                    EXPECT_EQ(m.trace_stats().fallbacks,
-                              straight.trace_stats().fallbacks);
-                    // A pause can split a superblock on every core: each
-                    // capture the pass paused for may add one burst per
-                    // core, never remove one.
-                    EXPECT_GE(m.trace_stats().bursts, straight.trace_stats().bursts);
-                    EXPECT_LE(m.trace_stats().bursts,
-                              straight.trace_stats().bursts +
-                                  one_built.captures * m.cores());
+                // The golden machine at its end, as if run straight.
+                EXPECT_TRUE(sim::matches_snapshot(m, straight));
+                EXPECT_TRUE(sim::matches_snapshot(straight, m));
+                EXPECT_EQ(cache_counts(m), cache_counts(straight));
+                EXPECT_EQ(m.trace_stats().chain_links,
+                          straight.trace_stats().chain_links);
+                EXPECT_EQ(m.trace_stats().fallbacks,
+                          straight.trace_stats().fallbacks);
+                // A pause can split a superblock on every core: each
+                // capture the pass paused for may add one burst per
+                // core, never remove one.
+                EXPECT_GE(m.trace_stats().bursts, straight.trace_stats().bursts);
+                EXPECT_LE(m.trace_stats().bursts,
+                          straight.trace_stats().bursts +
+                              one_built.captures * m.cores());
 
-                    // The same rungs.
-                    ASSERT_EQ(one->stride(), probe->stride());
-                    ASSERT_EQ(one->checkpoints(), probe->checkpoints());
-                    const std::vector<std::uint64_t> at = rung_positions(*one);
-                    ASSERT_EQ(at, rung_positions(*probe));
-                    ASSERT_EQ(at.size(), one->checkpoints());
-                    // Each side's rung, materialized, is the other's. The
-                    // golden machines descend from their ladders' bases, so
-                    // they rewind to a rung as a clone of it would start.
-                    for (const std::uint64_t r : at) {
-                        one->rewind_nearest(m, r);
-                        probe->rewind_nearest(m_probe, r);
-                        EXPECT_TRUE(probe->matches_rung(m)) << r;
-                        EXPECT_TRUE(one->matches_rung(m_probe)) << r;
-                    }
-                    EXPECT_EQ(one_built.rungs_built, probe_built.rungs_built);
-                    EXPECT_EQ(one_built.rung_bytes, probe_built.rung_bytes);
-                    // The captures count toward the peak and are gone once
-                    // the ladder is built.
-                    EXPECT_GT(one->peak_footprint_bytes(), probe->peak_footprint_bytes());
-                    EXPECT_EQ(one->footprint_bytes(), probe->footprint_bytes());
-                    const std::uint64_t even = (len + max_rungs - 1) / max_rungs;
-                    if (delta && bytes == roomy) {
-                        EXPECT_EQ(one->stride(), even);
-                    }
-                    if (delta && bytes == tight) {
-                        EXPECT_GT(one->stride(), even)
-                            << "the byte budget did not thin the ladder";
-                    }
+                // The same rungs.
+                ASSERT_EQ(one->stride(), probe->stride());
+                ASSERT_EQ(one->checkpoints(), probe->checkpoints());
+                const std::vector<std::uint64_t> at = rung_positions(*one);
+                ASSERT_EQ(at, rung_positions(*probe));
+                ASSERT_EQ(at.size(), one->checkpoints());
+                // Each side's rung, materialized, is the other's. The
+                // golden machines descend from their ladders' bases, so
+                // they rewind to a rung as a clone of it would start.
+                for (const std::uint64_t r : at) {
+                    one->rewind_nearest(m, r);
+                    probe->rewind_nearest(m_probe, r);
+                    EXPECT_TRUE(probe->matches_rung(m)) << r;
+                    EXPECT_TRUE(one->matches_rung(m_probe)) << r;
+                }
+                EXPECT_EQ(one_built.rungs_built, probe_built.rungs_built);
+                EXPECT_EQ(one_built.rung_bytes, probe_built.rung_bytes);
+                // The captures count toward the peak and are gone once
+                // the ladder is built.
+                EXPECT_GT(one->peak_footprint_bytes(), probe->peak_footprint_bytes());
+                EXPECT_EQ(one->footprint_bytes(), probe->footprint_bytes());
+                const std::uint64_t even = (len + max_rungs - 1) / max_rungs;
+                if (bytes == roomy) {
+                    EXPECT_EQ(one->stride(), even);
+                } else {
+                    EXPECT_GT(one->stride(), even)
+                        << "the byte budget did not thin the ladder";
                 }
             }
         }
@@ -607,17 +570,15 @@ TEST(BatchRunner, GoldenCacheDistinguishesProblemClass) {
 }
 
 TEST(BatchRunner, StreamsMergedCsvAndJsonlInJobOrder) {
-    std::ostringstream csv, jsonl;
     orch::BatchRunner runner;
-    runner.set_csv_sink(&csv);
-    runner.set_json_sink(&jsonl);
     runner.add(kSmall, small_config(15, 0xDAC2018));
     runner.add(kSmallV8, small_config(25, 0xDAC2018));
     const auto results = runner.run_all();
     ASSERT_EQ(results.size(), 2u);
+    const test::CampaignStreams out = test::campaign_streams(results);
 
     // One header, then 15 + 25 data rows, jobs in add() order.
-    std::istringstream lines(csv.str());
+    std::istringstream lines(out.csv);
     std::string line;
     std::vector<std::string> rows;
     while (std::getline(lines, line)) rows.push_back(line);
@@ -626,7 +587,7 @@ TEST(BatchRunner, StreamsMergedCsvAndJsonlInJobOrder) {
     EXPECT_NE(rows[1].find(kSmall.name()), std::string::npos);
     EXPECT_NE(rows[16].find(kSmallV8.name()), std::string::npos);
 
-    std::istringstream jlines(jsonl.str());
+    std::istringstream jlines(out.jsonl);
     std::vector<std::string> jrows;
     while (std::getline(jlines, line)) jrows.push_back(line);
     ASSERT_EQ(jrows.size(), 2u);
@@ -756,16 +717,14 @@ TEST(BatchRunner, KindMajorBatchGivesEveryJobItsScenariosFullLadder) {
     const auto run = [&](const orch::BatchOptions& opts,
                          std::initializer_list<bool> mem_kinds) {
         orch::BatchRunner runner(opts);
-        std::ostringstream csv;
-        runner.set_csv_sink(&csv);
         for (const bool mem : mem_kinds)
             for (const npb::Scenario& s : scenarios) {
                 core::CampaignConfig cfg = small_config(3, 0x5CA1E);
                 cfg.memory_faults = mem;
                 runner.add(s, cfg);
             }
-        runner.run_all();
-        return Batch{csv.str(), runner.fast_forward_retired(),
+        const std::string csv = test::campaign_streams(runner.run_all()).csv;
+        return Batch{csv, runner.fast_forward_retired(),
                      runner.golden_executions()};
     };
     orch::BatchOptions opts;
@@ -807,15 +766,12 @@ std::vector<orch::ShardJobSpec> shard_jobs() {
 
 /// The unsharded reference streams (what BatchRunner emits in one process).
 void reference_streams(std::string& csv, std::string& jsonl) {
-    std::ostringstream c, j;
     orch::BatchRunner runner;
-    runner.set_csv_sink(&c);
-    runner.set_json_sink(&j);
     for (const orch::ShardJobSpec& spec : shard_jobs())
         runner.add(spec.scenario, spec.cfg);
-    runner.run_all();
-    csv = c.str();
-    jsonl = j.str();
+    test::CampaignStreams out = test::campaign_streams(runner.run_all());
+    csv = std::move(out.csv);
+    jsonl = std::move(out.jsonl);
 }
 
 std::vector<std::string> run_all_shards(unsigned count) {

@@ -241,8 +241,14 @@ TEST(CheckpointInvariants, StrideDrivenRunMatchesStraightRun) {
 
     sim::Machine chunked = npb::make_machine(s, false);
     unsigned checkpoints = 0;
-    sim::run_with_checkpoints(chunked, 1000, ~0ULL >> 1,
-                              [&](const sim::Machine&) { ++checkpoints; });
+    for (std::uint64_t at = 1000; chunked.status() == sim::RunStatus::Running;
+         at += 1000) {
+        chunked.run_until(at);
+        if (chunked.status() == sim::RunStatus::Running) {
+            EXPECT_EQ(chunked.total_retired(), at);
+            ++checkpoints;
+        }
+    }
 
     EXPECT_GT(checkpoints, 0u);
     EXPECT_EQ(chunked.status(), straight.status());

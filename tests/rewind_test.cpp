@@ -7,11 +7,10 @@
 // set, code generation and overlay, MRU and translation filters, cache,
 // engine and trace statistics, the observer and uncore-hook slots). Then it
 // must run to the same end. The table covers Mini SER-1, OMP-4 and MPI-4
-// (four address spaces), all three engines, delta and full-copy ladders,
-// residents left behind every way a fault run can end, and rewinds to an
-// earlier rung, the same rung, a later rung and the base. In each
-// configuration one resident serves every row, rewound from row to row, as
-// in a campaign.
+// (four address spaces), all three engines, residents left behind every
+// way a fault run can end, and rewinds to an earlier rung, the same rung, a
+// later rung and the base. In each configuration one resident serves every
+// row, rewound from row to row, as in a campaign.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +23,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "harness.hpp"
 #include "isa/encode.hpp"
 #include "npb/npb.hpp"
 #include "orch/batch_runner.hpp"
@@ -288,66 +288,62 @@ TEST(Rewind, ARewoundResidentIsAFreshCloneOfTheRung) {
     for (const Config& cfg : kConfigs) {
         for (const sim::Engine engine :
              {sim::Engine::Switch, sim::Engine::Cached, sim::Engine::Trace}) {
-            for (const bool delta : {true, false}) {
-                SCOPED_TRACE(std::string(cfg.name) + ", " + engine_name(engine) +
-                             (delta ? ", delta rungs" : ", full-copy rungs"));
-                sim::Machine golden = npb::make_machine(cfg.scenario, false);
-                golden.set_engine(engine);
-                orch::LadderOptions opts;
-                opts.max_checkpoints = 8;
-                opts.delta_snapshots = delta;
-                const orch::CheckpointLadder ladder =
-                    orch::run_golden_with_ladder(golden, opts);
-                ASSERT_EQ(golden.status(), sim::RunStatus::Shutdown);
-                const std::uint64_t total = golden.total_retired();
-                const std::uint64_t budget = 2 * total + 100'000;
+            SCOPED_TRACE(std::string(cfg.name) + ", " + engine_name(engine));
+            sim::Machine golden = npb::make_machine(cfg.scenario, false);
+            golden.set_engine(engine);
+            orch::LadderOptions opts;
+            opts.max_checkpoints = 8;
+            const orch::CheckpointLadder ladder =
+                orch::run_golden_with_ladder(golden, opts);
+            ASSERT_EQ(golden.status(), sim::RunStatus::Shutdown);
+            const std::uint64_t total = golden.total_retired();
+            const std::uint64_t budget = 2 * total + 100'000;
 
-                // The three deepest rungs: earlier, middle, later.
-                std::vector<std::uint64_t> rungs;
-                for (std::uint64_t r = ladder.next_rung_after(0);
-                     r != orch::CheckpointLadder::kNoRung;
-                     r = ladder.next_rung_after(r))
-                    rungs.push_back(r);
-                ASSERT_GE(rungs.size(), 3u);
-                const std::uint64_t later = rungs.back();
-                const std::uint64_t middle = rungs[rungs.size() - 2];
-                const std::uint64_t earlier = rungs[rungs.size() - 3];
-                const struct {
-                    const char* name;
-                    std::uint64_t at;
-                } targets[] = {{"earlier rung", earlier + 1},
-                               {"same rung", middle},
-                               {"later rung", later},
-                               {"base", 0}};
+            // The three deepest rungs: earlier, middle, later.
+            std::vector<std::uint64_t> rungs;
+            for (std::uint64_t r = ladder.next_rung_after(0);
+                 r != orch::CheckpointLadder::kNoRung;
+                 r = ladder.next_rung_after(r))
+                rungs.push_back(r);
+            ASSERT_GE(rungs.size(), 3u);
+            const std::uint64_t later = rungs.back();
+            const std::uint64_t middle = rungs[rungs.size() - 2];
+            const std::uint64_t earlier = rungs[rungs.size() - 3];
+            const struct {
+                const char* name;
+                std::uint64_t at;
+            } targets[] = {{"earlier rung", earlier + 1},
+                           {"same rung", middle},
+                           {"later rung", later},
+                           {"base", 0}};
 
-                // Where a clone of each target runs to.
-                std::vector<EndState> clone_end;
-                for (const auto& target : targets) {
-                    sim::Machine c = ladder.clone_nearest(target.at);
-                    clone_end.push_back(run_to_end(c, budget));
-                }
+            // Where a clone of each target runs to.
+            std::vector<EndState> clone_end;
+            for (const auto& target : targets) {
+                sim::Machine c = ladder.clone_nearest(target.at);
+                clone_end.push_back(run_to_end(c, budget));
+            }
 
-                sim::Machine resident = ladder.clone_nearest(middle);
-                for (const Damage& d : damages((middle + later) / 2)) {
-                    for (std::size_t t = 0; t < std::size(targets); ++t) {
-                        SCOPED_TRACE(std::string(d.name) + " -> " +
-                                     targets[t].name);
-                        // Back to the middle rung, then left behind by the
-                        // damage row.
-                        ladder.rewind_nearest(resident, middle);
-                        expect_identical(resident, ladder.clone_nearest(middle));
-                        d.leave(resident, budget);
-                        if (d.check_status) {
-                            ASSERT_EQ(resident.status(), d.status);
-                        }
-
-                        ladder.rewind_nearest(resident, targets[t].at);
-                        const sim::Machine fresh =
-                            ladder.clone_nearest(targets[t].at);
-                        expect_identical(resident, fresh);
-                        EXPECT_TRUE(run_to_end(resident, budget) == clone_end[t])
-                            << "the rewound run ends elsewhere";
+            sim::Machine resident = ladder.clone_nearest(middle);
+            for (const Damage& d : damages((middle + later) / 2)) {
+                for (std::size_t t = 0; t < std::size(targets); ++t) {
+                    SCOPED_TRACE(std::string(d.name) + " -> " +
+                                 targets[t].name);
+                    // Back to the middle rung, then left behind by the
+                    // damage row.
+                    ladder.rewind_nearest(resident, middle);
+                    expect_identical(resident, ladder.clone_nearest(middle));
+                    d.leave(resident, budget);
+                    if (d.check_status) {
+                        ASSERT_EQ(resident.status(), d.status);
                     }
+
+                    ladder.rewind_nearest(resident, targets[t].at);
+                    const sim::Machine fresh =
+                        ladder.clone_nearest(targets[t].at);
+                    expect_identical(resident, fresh);
+                    EXPECT_TRUE(run_to_end(resident, budget) == clone_end[t])
+                        << "the rewound run ends elsewhere";
                 }
             }
         }
@@ -377,12 +373,10 @@ TEST(Rewind, ResidentsServeEveryRunOfAScenarioAfterTheFirst) {
         orch::BatchOptions opts;
         opts.threads = threads;
         orch::BatchRunner runner(opts);
-        std::ostringstream out;
-        runner.set_csv_sink(&out);
         runner.add(a, gpr);
         runner.add(b, gpr);
         runner.add(a, mem);
-        runner.run_all();
+        const std::string out = test::campaign_streams(runner.run_all()).csv;
         const std::uint64_t restores =
             telemetry::counter_value("checkpoint.restores");
         const std::uint64_t rewinds =
@@ -394,7 +388,7 @@ TEST(Rewind, ResidentsServeEveryRunOfAScenarioAfterTheFirst) {
         if (threads == 1) {
             EXPECT_EQ(restores - rewinds, 2u) << "one clone per scenario";
         }
-        csv[threads == 1 ? 0 : 1] = out.str();
+        csv[threads == 1 ? 0 : 1] = out;
     }
     telemetry::reset();
     EXPECT_EQ(csv[0], csv[1]);

@@ -20,6 +20,7 @@
 #include <set>
 #include <sstream>
 
+#include "harness.hpp"
 #include "orch/batch_runner.hpp"
 #include "orch/shard.hpp"
 #include "stats/ci.hpp"
@@ -244,15 +245,12 @@ std::vector<orch::ShardJobSpec> tally_jobs() {
 
 /// The unsharded reference streams (what BatchRunner emits in one process).
 void reference_streams(std::string& csv, std::string& jsonl) {
-    std::ostringstream c, j;
     orch::BatchRunner runner;
-    runner.set_csv_sink(&c);
-    runner.set_json_sink(&j);
     for (const orch::ShardJobSpec& spec : tally_jobs())
         runner.add(spec.scenario, spec.cfg);
-    runner.run_all();
-    csv = c.str();
-    jsonl = j.str();
+    test::CampaignStreams out = test::campaign_streams(runner.run_all());
+    csv = std::move(out.csv);
+    jsonl = std::move(out.jsonl);
 }
 
 /// The weighted cut over the job order — the scenario-major line of every

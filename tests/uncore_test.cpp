@@ -618,7 +618,6 @@ TEST(UncoreModel, BusStrikeArmedAcrossARungIsNotComparedThere) {
         golden.set_engine(e);
         orch::LadderOptions lopts;
         lopts.stride = 16;
-        lopts.adaptive = false;
         const orch::CheckpointLadder ladder =
             orch::run_golden_with_ladder(golden, lopts);
         ASSERT_EQ(golden.status(), sim::RunStatus::Shutdown);
@@ -691,18 +690,15 @@ std::vector<orch::ShardJobSpec> uncore_jobs() {
 TEST(UncoreCampaign, DatabasesAreByteIdenticalAcrossEngines) {
     std::string out[3];
     for (unsigned i = 0; i < 3; ++i) {
-        std::ostringstream csv, jsonl;
         orch::BatchOptions opts;
         opts.threads = 4;
         opts.engine = kAllEngines[i];
         orch::BatchRunner runner(opts);
-        runner.set_csv_sink(&csv);
-        runner.set_json_sink(&jsonl);
         runner.add(kV7EP, uncore_cfg(core::FaultTarget::Kind::CacheTag, 20, 0xA));
         runner.add(kV7EP, uncore_cfg(core::FaultTarget::Kind::CacheData, 20, 0xB));
         runner.add(kV8IS, uncore_cfg(core::FaultTarget::Kind::Bus, 15, 0xC));
-        runner.run_all();
-        out[i] = csv.str() + "\x1e" + jsonl.str();
+        const CampaignStreams db = campaign_streams(runner.run_all());
+        out[i] = db.csv + "\x1e" + db.jsonl;
     }
     EXPECT_EQ(out[0], out[1]);
     EXPECT_EQ(out[0], out[2]);
@@ -713,13 +709,11 @@ TEST(UncoreCampaign, DatabasesAreByteIdenticalAcrossEngines) {
 
 TEST(UncoreCampaign, ShardsMergeByteIdenticalWithZstdMixedIn) {
     // Unsharded reference.
-    std::ostringstream ref_csv, ref_jsonl;
+    CampaignStreams ref;
     {
         orch::BatchRunner runner{orch::BatchOptions{}};
-        runner.set_csv_sink(&ref_csv);
-        runner.set_json_sink(&ref_jsonl);
         for (const auto& j : uncore_jobs()) runner.add(j.scenario, j.cfg);
-        runner.run_all();
+        ref = campaign_streams(runner.run_all());
     }
     // 3-way sharded, shard 1 zstd-framed.
     std::vector<std::string> dbs;
@@ -732,8 +726,8 @@ TEST(UncoreCampaign, ShardsMergeByteIdenticalWithZstdMixedIn) {
     std::ostringstream csv, jsonl;
     const auto merged = orch::merge_shards(dbs, &csv, &jsonl);
     ASSERT_EQ(merged.size(), 2u);
-    EXPECT_EQ(csv.str(), ref_csv.str());
-    EXPECT_EQ(jsonl.str(), ref_jsonl.str());
+    EXPECT_EQ(csv.str(), ref.csv);
+    EXPECT_EQ(jsonl.str(), ref.jsonl);
 }
 
 TEST(UncoreCampaign, AnsweredAtInjectionRecordsEqualFullSimulation) {
@@ -804,21 +798,19 @@ TEST(UncoreCampaign, AnsweredAtInjectionRecordsEqualFullSimulation) {
 TEST(UncoreCampaign, PruningDeclinesUncoreJobsButStillSimulatesThem) {
     const auto run = [&](bool prune, std::size_t* declined,
                          std::size_t* inferred) {
-        std::ostringstream csv;
         orch::BatchOptions opts;
         opts.prune = prune;
         orch::BatchRunner runner(opts);
-        runner.set_csv_sink(&csv);
         runner.add(kV7EP, uncore_cfg(core::FaultTarget::Kind::CacheData, 25,
                                      0xD0D0));
         core::CampaignConfig gpr;
         gpr.n_faults = 25;
         gpr.seed = 0xD0D0;
         runner.add(kV7EP, gpr);
-        runner.run_all();
+        const std::string csv = campaign_streams(runner.run_all()).csv;
         if (declined) *declined = runner.prune_declined();
         if (inferred) *inferred = runner.inferred_records();
-        return csv.str();
+        return csv;
     };
     const std::string plain = run(false, nullptr, nullptr);
     std::size_t declined = 0, inferred = 0;
