@@ -41,9 +41,8 @@ orch::BatchOptions batch_options_impl(const ExperimentSpec& spec) {
     orch::BatchOptions opts;
     opts.threads = spec.threads < 1 ? 1 : spec.threads;
     opts.ladder.enabled = spec.checkpoints;
-    opts.engine = spec.engine == "switch"  ? sim::Engine::Switch
-                  : spec.engine == "trace" ? sim::Engine::Trace
-                                           : sim::Engine::Cached;
+    opts.engine =
+        spec.engine == "switch" ? sim::Engine::Switch : sim::Engine::Trace;
     opts.prune = spec.prune;
     return opts;
 }

@@ -466,9 +466,8 @@ void ExperimentSpec::validate() const {
                                   "infer cache/bus outcomes (drop "
                                   "prune.enabled or the uncore kind)");
 
-    util::check_usage(
-        engine == "cached" || engine == "switch" || engine == "trace",
-        "spec: engine.engine '" + engine + "' (cached | switch | trace)");
+    util::check_usage(engine == "trace" || engine == "switch",
+                      "spec: engine.engine '" + engine + "' (trace | switch)");
     util::check_usage(threads >= 1, "spec: engine.threads must be >= 1");
 
     util::check_usage(shards >= 1 && shards <= orch::kMaxShardCount,

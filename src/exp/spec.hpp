@@ -95,7 +95,7 @@ struct ExperimentSpec {
     unsigned ci_min = 20;
 
     // ---- engine / checkpoint knobs (not part of the spec hash) ---------
-    std::string engine = "cached"; ///< "cached" / "switch" / "trace"
+    std::string engine = "trace"; ///< "trace" / "switch" (the reference)
     unsigned threads = 2;
     /// Checkpoint ladder; false replays every fault run from reset (the
     /// oracle the laddered runs are compared against).

@@ -3,7 +3,7 @@
 // eval_int_data() is the single transcription of every integer ALU, flag and
 // conditional-select op (MOVI..CSET), with the ALU primitives it is built
 // from. Two clients share it:
-//  * the cached/trace engines' handlers (sim/exec_ops.cpp) evaluate it under
+//  * the trace engine's handlers (sim/exec_ops.cpp) evaluate it under
 //    the core's live registers and apply the effect;
 //  * the prune walker (prune/prune.cpp) evaluates it under golden and faulty
 //    register readers to compute a fault's exact XOR diff.

@@ -68,14 +68,12 @@ struct BatchOptions {
     unsigned threads = 0; ///< pool width; 0 = the shared process-wide pool
     LadderOptions ladder; ///< checkpoint-ladder knobs (batch-wide)
     /// Execution engine for golden and fault runs. Outcomes are bit-identical
-    /// across all three (gated in tests and CI); Cached is ~1.5-2x faster
-    /// than Switch, and Trace (superblocks + tick-horizon bursts) measured
-    /// ~1.32x over Cached solo-core and ~1.16x multi-core — the multi-core
-    /// ceiling under bit-identity is explained in bench/bench_micro.cpp and
-    /// the trajectory lives in BENCH_engines.json. The scenario's decode-once
-    /// ExecCache is built with the golden machine and shared by every clone
-    /// the checkpoint ladder materializes.
-    sim::Engine engine = sim::Engine::Cached;
+    /// across both (gated in tests and CI); Trace, the production engine,
+    /// measured ~2.2x over the Switch reference solo-core and ~1.5x
+    /// multi-core (bench_micro --engines, BENCH_engines.json). The scenario's
+    /// decode-once ExecCache is built with the golden machine and shared by
+    /// every clone the checkpoint ladder materializes.
+    sim::Engine engine = sim::Engine::Trace;
     /// Keep each scenario's checkpoint ladder alive after its last job of a
     /// run_all() completes, so a later batch on the same runner resumes from
     /// real rungs instead of a from-reset base. Used by the sequential

@@ -165,11 +165,11 @@ void CheckpointLadder::run_offering(sim::Machine& m) {
     // so a fine starting stride costs O(max_checkpoints * log) pauses, not
     // O(run_length / initial_stride).
     //
-    // Rung alignment holds under every engine: run_until(boundary) stops at
+    // Rung alignment holds under both engines: run_until(boundary) stops at
     // exactly `boundary` retired instructions — the trace engine clips its
     // superblock budget to the instructions left before stop_at (a rung
-    // never lands mid-trace), and the cached engine's burst re-checks the
-    // budget per step — so rung snapshots are engine-independent states.
+    // never lands mid-trace) — so rung snapshots are engine-independent
+    // states.
     while (m.status() == sim::RunStatus::Running) {
         m.run_until(next_boundary());
         if (m.status() == sim::RunStatus::Running) offer(m);

@@ -40,7 +40,7 @@ public:
     /// Look up `addr`; allocates on miss. Returns true on hit.
     bool access(std::uint64_t addr) noexcept;
 
-    /// Count a hit that was filtered out before the lookup. The cached
+    /// Count a hit that was filtered out before the lookup. The trace
     /// execution engine keeps a per-core MRU line filter in front of L1:
     /// re-touching the most-recently-used line is an LRU no-op (ages are
     /// already 0-rooted at that way), so skipping the lookup leaves tags and

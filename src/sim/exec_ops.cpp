@@ -23,9 +23,9 @@ static_assert(kL1Config.line_bytes == 64 && kL2Config.line_bytes == 64,
 
 } // namespace
 
-/// The cached engine's per-op handler implementations. A friend of Machine:
-/// handlers are the moral equivalent of the legacy switch's case bodies and
-/// need the same access to interpreter state.
+/// The trace engine's per-op handler implementations. A friend of Machine:
+/// handlers are the moral equivalent of the reference switch's case bodies
+/// and need the same access to interpreter state.
 struct ExecOps {
     // ---- shared helpers -------------------------------------------------
     static std::uint64_t x(StepCtx& cx, unsigned r) noexcept {

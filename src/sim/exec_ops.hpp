@@ -1,10 +1,10 @@
-// Per-op execution handlers for the cached engine's dispatch table.
+// Per-op execution handlers for the trace engine's dispatch table.
 //
 // One function per µISA opcode, semantically identical to the corresponding
-// case of the legacy switch in sim/machine.cpp (kept behind
-// Machine::set_engine(Engine::Switch) as the reference implementation; the
-// two are cross-checked instruction-by-instruction and campaign-by-campaign
-// in tests/engine_test.cpp). The integer data ops (MOVI..CSET) are not
+// case of the reference switch in sim/machine.cpp (kept behind
+// Machine::set_engine(Engine::Switch) as the independent oracle; the two
+// are cross-checked instruction-by-instruction and campaign-by-campaign in
+// tests/engine_test.cpp). The integer data ops (MOVI..CSET) are not
 // written here: each is an instance of the shared evaluator in isa/alu.hpp,
 // which the prune walker evaluates too. So the handlers are independent of
 // the switch — sharing with it would turn the differential tests into

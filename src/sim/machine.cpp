@@ -333,8 +333,8 @@ bool Machine::sysreg_write(CoreState& core, SysReg sr, std::uint64_t value) {
                         std::max(cores_[c].wake_tick, core.local_tick);
                 }
             }
-            // Another core may be runnable now: the cached engine's burst
-            // loop must fall back to the scheduler scan.
+            // Another core may be runnable now: the trace engine's burst
+            // loops must fall back to the scheduler scan.
             sched_event_ = true;
             return true;
         case SysReg::CONSOLE:
@@ -388,21 +388,6 @@ RunStatus Machine::run_until(std::uint64_t stop_at) {
             status_ = RunStatus::Deadlock;
             break;
         }
-        if (engine_ == Engine::Cached && runnable == 1) {
-            // Burst: with every other core halted or sleeping without a
-            // pending wake, the scan above would re-select this core until
-            // it sleeps, halts, or posts an IPI (sched_event_) — so skip
-            // the scan entirely. The schedule is exactly the reference one:
-            // no other core can become runnable during the burst.
-            CoreState& k = cores_[static_cast<unsigned>(best)];
-            sched_event_ = false;
-            do {
-                step_cached(static_cast<unsigned>(best));
-            } while (status_ == RunStatus::Running &&
-                     total_retired_ < stop_at && !sched_event_ &&
-                     !k.sleeping && !k.halted);
-            continue;
-        }
         if (engine_ == Engine::Trace) {
             if (runnable == 1) {
                 // Solo regime: no rival can claim the scan (sleepers stay
@@ -420,23 +405,12 @@ RunStatus Machine::run_until(std::uint64_t stop_at) {
             }
             continue;
         }
-        step(static_cast<unsigned>(best));
+        step_switch(static_cast<unsigned>(best));
     }
     // Settle deferred uncore corruption (pending bus flips/restores) at the
     // run boundary, before the caller hashes or classifies machine state.
     if (uncore_.ptr) uncore_.ptr->on_run_boundary(*this);
     return status_;
-}
-
-void Machine::step(unsigned ci) {
-    // The trace engine single-steps through step_cached (same ExecCache
-    // facts, same step mechanics) — burst_trace falls back to it for trace
-    // enders, overlaid pages, and interrupt delivery.
-    if (engine_ == Engine::Switch) {
-        step_switch(ci);
-    } else {
-        step_cached(ci);
-    }
 }
 
 const DecodedInstr* Machine::fetch_decoded(std::size_t idx) {
@@ -625,11 +599,11 @@ template <bool kMayBranch>
     return true;
 }
 
-/// The cached engine's step: identical semantics to step_switch(), with the
-/// per-instruction facts read from the DecodedInstr instead of re-derived,
-/// dispatch through the pre-resolved handler pointer, and MRU line filters
-/// in front of the L1 models (bit-identical cache evolution, see
-/// Cache::credit_hit).
+/// The trace engine's single step, its fallback for non-chainable enders,
+/// overlaid pages and wild pcs: identical semantics to step_switch(), with
+/// the per-instruction facts read from the DecodedInstr, dispatch through
+/// the pre-resolved handler pointer, and MRU line filters in front of the
+/// L1 models (bit-identical cache evolution, see Cache::credit_hit).
 void Machine::step_cached(unsigned ci) {
     CoreState& core = cores_[ci];
     if (deliver_pending_irq(core)) return;

@@ -29,19 +29,17 @@ namespace serep::sim {
 
 enum class Mode : std::uint8_t { USER, KERNEL };
 
-/// Execution engine selection. All engines are bit-identical in every
+/// Execution engine selection. Both engines are bit-identical in every
 /// observable (registers, memory, outcome databases, counters, ticks) —
 /// gated by tests/engine_test.cpp — so the choice is purely about speed:
-///  * Switch — the legacy single-switch interpreter, kept as the reference
-///    implementation for differential testing.
-///  * Cached — decode-once engine: pre-resolved handler dispatch through the
-///    shared ExecCache, MRU line filters in front of the L1 models, and a
-///    solo-core burst loop in run_until().
-///  * Trace — superblock engine on top of the same ExecCache: straight-line
-///    runs of predecoded handlers (ExecCache::run_len) execute as a unit
-///    with hoisted per-trace checks, and run_until() gives *every* runnable
-///    core a tick-horizon burst between scheduler scans (see run_until).
-enum class Engine : std::uint8_t { Switch, Cached, Trace };
+///  * Switch — the single-switch interpreter, kept as the independent
+///    reference that differential tests compare against.
+///  * Trace — the production engine (default): decode-once handlers from
+///    the shared ExecCache, MRU line filters, superblocks of straight-line
+///    records (ExecCache::run_len) with hoisted checks, and tick-horizon
+///    bursts for every runnable core (see run_until); step_cached is its
+///    single-step fallback.
+enum class Engine : std::uint8_t { Switch, Trace };
 
 enum class RunStatus : std::uint8_t {
     Running,      ///< stopped because the instruction budget was reached
@@ -76,7 +74,7 @@ public:
 /// uncore::inject, never present on golden runs or checkpoint rungs (the
 /// slot has copy-reset semantics like StepObserver: neither a copy nor a
 /// copy assignment carries it). Callbacks fire on the machine's stepping
-/// thread at points that are bit-identical across all three engines:
+/// thread at points that are bit-identical across both engines:
 ///  * on_data_access — once per retiring data transaction (load or store),
 ///    after the address is resolved and the cache model updated, before the
 ///    bytes move. `l1_hit` is the L1D lookup result (true for MRU-filtered
@@ -132,14 +130,14 @@ struct CoreState {
     std::uint64_t wake_tick = 0; ///< earliest tick a WFI wake may resume at
     std::uint64_t retired = 0;
 
-    /// Cached-engine MRU line filters (see Cache::credit_hit): the line of
+    /// Trace-engine MRU line filters (see Cache::credit_hit): the line of
     /// this core's most recent I/D access, or kNoLine. Purely an accelerator
     /// — filtered hits leave cache tags, ages and counters bit-identical.
     static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
     std::uint64_t last_iline = kNoLine;
     std::uint64_t last_dline = kNoLine;
 
-    /// Cached-engine one-entry translation filter. Sound because address
+    /// Trace-engine one-entry translation filter. Sound because address
     /// maps are monotone: map_user_range only ever maps pages, so a
     /// successful translation can never become stale. Key packs
     /// vpage | proc<<52 | kernel<<55 (all real keys < 2^56; kNoTrans has
@@ -168,8 +166,8 @@ struct MachineCounters {
     std::uint64_t ctx_switches = 0;              ///< TLS retarget count
 };
 
-/// Per-step execution context handed to the cached engine's op handlers
-/// (sim/exec_ops.cpp). Mirrors the locals of the legacy switch body.
+/// Per-step execution context handed to the trace engine's op handlers
+/// (sim/exec_ops.cpp). Mirrors the locals of the reference switch body.
 struct StepCtx {
     CoreState& core;
     CoreCounters& cnt;
@@ -286,8 +284,8 @@ public:
     // ---- uncore fault injection (src/uncore/) ----
     /// Attach the uncore hook (nullptr detaches) and reset the MRU line
     /// filters. The reset is mandatory for tag faults: retagging a way away
-    /// from the filtered line would otherwise let the cached/trace engines
-    /// credit a hit the switch engine's real lookup no longer sees. Clearing
+    /// from the filtered line would otherwise let the trace engine credit
+    /// a hit the switch engine's real lookup no longer sees. Clearing
     /// the filters is observable-neutral (the next touch re-looks-up a line
     /// that is still MRU, so tags/ages/hit counts stay bit-identical; only
     /// the telemetry-only credit split moves). Like StepObserver, the slot
@@ -307,9 +305,8 @@ public:
     const Cache& l2_cache() const noexcept { return l2_; }
 
 private:
-    friend struct ExecOps; ///< per-op handlers of the cached engine
+    friend struct ExecOps; ///< per-op handlers of the trace engine
 
-    void step(unsigned c);
     void step_switch(unsigned c);
     void step_cached(unsigned c);
     // The step skeleton every engine shares (machine.cpp, force-inlined).
@@ -417,7 +414,7 @@ private:
     bool branch_taken_ = false;
 
     // ---- execution engine state ----
-    Engine engine_ = Engine::Cached;
+    Engine engine_ = Engine::Trace;
     std::shared_ptr<const ExecCache> xcache_; ///< shared, immutable
     /// Copy-on-write re-decode of text pages this machine's fault dirtied.
     struct OverlayPage {
@@ -470,12 +467,11 @@ private:
     std::uint64_t code_gen_seen_ = 0;
     /// Burst-break flag — the contract between sysreg_write(IPI_SEND) and
     /// the burst loops in run_until(): cleared when a scheduler scan hands
-    /// a core its burst, set by any IPI post, and checked after every step
-    /// (cached engine) or trace unit (trace engine). An IPI posted
-    /// mid-burst therefore ends the burst at the next unit boundary and
-    /// forces a fresh scan — which recomputes the runnable set and the next
-    /// tick horizon with the newly woken core included. Never consulted
-    /// while the per-instruction scheduler scan is in charge.
+    /// a core its burst, set by any IPI post, and checked after every trace
+    /// unit. An IPI posted mid-burst therefore ends the burst at the next
+    /// unit boundary and forces a fresh scan — which recomputes the runnable
+    /// set and the next tick horizon with the newly woken core included.
+    /// Never consulted while the per-instruction scan is in charge.
     bool sched_event_ = false;
     // Profile-wide constants hoisted out of the per-step path.
     std::uint64_t width_mask_ = 0;

@@ -1,5 +1,8 @@
 #include "util/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/check.hpp"
@@ -39,14 +42,36 @@ std::string Cli::get(const std::string& key, const std::string& dflt) const {
 
 std::int64_t Cli::get_int(const std::string& key, std::int64_t dflt) const {
     const auto it = kv_.find(key);
-    // Base 0 auto-detects 0x-prefixed hex, so `--seed=0xDAC2018` means what
-    // it says instead of silently parsing as 0.
-    return it == kv_.end() ? dflt : std::strtoll(it->second.c_str(), nullptr, 0);
+    if (it == kv_.end()) return dflt;
+    // The whole value, decimal or 0x-hex (`--seed=0xDAC2018`): strtoll alone
+    // stops at the first stray byte (`8x` is 8), clamps on overflow, skips
+    // blanks and a `+`, and base 0 reads `010` as octal 8.
+    const std::string& v = it->second;
+    const std::size_t sign = v.rfind('-', 0) == 0 ? 1 : 0;
+    const bool hex =
+        v.compare(sign, 2, "0x") == 0 || v.compare(sign, 2, "0X") == 0;
+    const std::size_t first = sign + (hex ? 2 : 0); // the first digit
+    char* end = nullptr;
+    errno = 0;
+    const long long n = std::strtoll(v.c_str(), &end, hex ? 16 : 10);
+    check_usage(first < v.size() &&
+                    std::isxdigit(static_cast<unsigned char>(v[first])) &&
+                    end == v.c_str() + v.size() && errno != ERANGE,
+                "--" + key + " must be a decimal or 0x-hex 64-bit integer, "
+                "got '" + v + "'");
+    return n;
 }
 
 double Cli::get_double(const std::string& key, double dflt) const {
     const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::strtod(it->second.c_str(), nullptr);
+    if (it == kv_.end()) return dflt;
+    const std::string& v = it->second;
+    char* end = nullptr;
+    const double d = std::strtod(v.c_str(), &end);
+    check_usage(!v.empty() && !std::isspace(static_cast<unsigned char>(v[0])) &&
+                    end == v.c_str() + v.size() && std::isfinite(d),
+                "--" + key + " must be a finite number, got '" + v + "'");
+    return d;
 }
 
 void Cli::require_known(std::initializer_list<const char*> known) const {

@@ -27,6 +27,8 @@ public:
 
     bool has(const std::string& key) const { return kv_.count(key) != 0; }
     std::string get(const std::string& key, const std::string& dflt) const;
+    /// The whole value must be a decimal or 0x-hex int64 (get_int) or a
+    /// finite number (get_double); else a util::UsageError names the flag.
     std::int64_t get_int(const std::string& key, std::int64_t dflt) const;
     double get_double(const std::string& key, double dflt) const;
 

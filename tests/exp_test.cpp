@@ -236,6 +236,19 @@ TEST(ExperimentSpec, RejectsTheRetiredLadderKeys) {
                       "unknown key '" + key + "' in engine");
 }
 
+TEST(ExperimentSpec, TraceIsTheDefaultAndOnlyProductionEngine) {
+    // Trace is the production engine and switch the reference interpreter;
+    // the retired "cached" mode is refused like any unknown value.
+    expect_reject(R"({"engine": {"engine": "cached"}})", "'cached'");
+    const exp::ExperimentSpec empty = exp::ExperimentSpec::load("{}");
+    EXPECT_EQ(empty.engine, "trace");
+    EXPECT_EQ(exp::batch_options(empty).engine, sim::Engine::Trace);
+    EXPECT_EQ(orch::BatchOptions{}.engine, sim::Engine::Trace);
+    exp::ExperimentSpec reference = empty;
+    reference.engine = "switch";
+    EXPECT_EQ(exp::batch_options(reference).engine, sim::Engine::Switch);
+}
+
 TEST(ExperimentPlan, RejectsImpossibleMatrices) {
     // Valid names, empty intersection: UA exists but has no MPI variant.
     exp::ExperimentSpec s;

@@ -539,6 +539,72 @@ TEST(FleetE2E, WorkerRunsCountShardsShorterThanOneHeartbeat) {
     EXPECT_EQ(telemetry::counter_value("fleet.worker_runs"), lines - 1);
     EXPECT_GT(telemetry::counter_value("fleet.worker_steps"), 0u);
 }
+
+TEST(FleetCli, MalformedFlagsExitTwoBeforeAnyWorkerLaunches) {
+    // `serep fleet`'s topology flags pass the spec's own validate(), and
+    // numeric flags take their whole value: each case exits 2 naming the
+    // flag or its spec key, and the controller launches no worker.
+    const std::string prefix = tmp_prefix("badflags");
+    const std::string spec_path = prefix + ".spec.json";
+    spit(spec_path, spec_json(prefix));
+    const struct {
+        const char* flag;
+        const char* named;
+    } cases[] = {
+        {"--max-retries=101", "fleet.max_retries"},
+        {"--heartbeat-interval=0", "fleet.heartbeat_interval"},
+        {"--workers=4294967297", "--workers"},
+        {"--kill-shard=x", "--kill-shard"},
+    };
+    const std::string out = prefix + ".out", err = prefix + ".err";
+    fleet::ProcBackend be;
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.flag);
+        const int id = be.launch(
+            {{SEREP_TEST_BIN, "fleet", spec_path, c.flag}, "", out, err});
+        while (be.poll(id).running) be.wait(10);
+        EXPECT_EQ(be.poll(id).exit_code, 2);
+        const std::string msg = slurp(err);
+        EXPECT_NE(msg.find(c.named), std::string::npos) << msg;
+        EXPECT_EQ(slurp(out), "");
+        for (unsigned k = 0; k < 3; ++k) {
+            const std::string db =
+                prefix + "_shard" + std::to_string(k) + ".jsonl";
+            for (const std::string& f :
+                 {db + ".worker.log", db, db + ".zst"})
+                EXPECT_FALSE(std::ifstream(f).good()) << f << " exists";
+        }
+    }
+    std::remove(out.c_str());
+    std::remove(err.c_str());
+}
+
+TEST(FleetCli, LocalBackendFlagRunsAnSshSpecLocally) {
+    // Hosts only address the ssh backend, so `--backend=local-proc` on a
+    // spec that names ssh hosts passes validate() and runs every shard on
+    // this machine (the one host is localhost all the same).
+    const std::string prefix = tmp_prefix("local_override");
+    const std::string spec_path = prefix + ".spec.json";
+    exp::ExperimentSpec spec = exp::ExperimentSpec::load(spec_json(prefix));
+    spec.fleet_backend = "ssh";
+    spec.fleet_hosts = {"localhost"};
+    spit(spec_path, spec.canonical_json());
+
+    const std::string out = prefix + ".out", err = prefix + ".err";
+    fleet::ProcBackend be;
+    const int id = be.launch({{SEREP_TEST_BIN, "fleet", spec_path,
+                               "--backend=local-proc"},
+                              "", out, err});
+    while (be.poll(id).running) be.wait(10);
+    EXPECT_EQ(be.poll(id).exit_code, 0) << slurp(err);
+    EXPECT_NE(slurp(out).find("0 resumed, 3 launched, 0 reassigned, "
+                              "databases merged"),
+              std::string::npos)
+        << slurp(out);
+    EXPECT_NE(slurp(prefix + "_faults.csv"), "");
+    std::remove(out.c_str());
+    std::remove(err.c_str());
+}
 #endif
 
 // --------------------------------------------------- spec: fleet block

@@ -282,8 +282,8 @@ TEST(CheckpointLadder, RungComparisonSeesSteeringStateAndIgnoresAccelerators) {
 TEST(BatchRunner, OutcomesIdenticalAcrossThreadCountsStridesAndEngines) {
     // The header's hard invariant: same seed => byte-identical counts and
     // CSV whatever the pool width, checkpoint stride (fixed, the default
-    // stride 0, or disabled) or execution engine (cached dispatch, legacy
-    // switch, trace superblocks). Every laddered variant closes some runs at
+    // stride 0, or disabled) or execution engine (trace superblocks, the
+    // reference switch). Every laddered variant closes some runs at
     // a rung where they converged to the golden machine; the ladder-disabled
     // variant has no rungs, simulates every run to the end, and so is the
     // full-simulation oracle the others are compared against.
@@ -291,17 +291,15 @@ TEST(BatchRunner, OutcomesIdenticalAcrossThreadCountsStridesAndEngines) {
         unsigned threads;
         std::uint64_t stride;
         bool enabled;
-        sim::Engine engine = sim::Engine::Cached;
+        sim::Engine engine = sim::Engine::Trace;
     };
     const Variant variants[] = {
         {1, 30'000, true}, {2, 30'000, true}, {8, 30'000, true},
         {2, 7'000, true},  {8, 911, true},
         {2, 0, false},
         {2, 0, true},                          // the default ladder
-        {2, 30'000, true, sim::Engine::Switch}, // legacy engine
+        {2, 30'000, true, sim::Engine::Switch}, // reference engine
         {2, 0, true, sim::Engine::Switch},
-        {2, 30'000, true, sim::Engine::Trace},
-        {2, 0, true, sim::Engine::Trace},
     };
     std::vector<std::array<std::uint64_t, core::kOutcomeCount>> counts;
     std::vector<std::string> csvs, jsons;
@@ -407,7 +405,7 @@ TEST(CheckpointLadder, OnePassLadderEqualsTheProbeLadder) {
 
     for (const npb::Scenario& s : scenarios) {
         for (const sim::Engine engine :
-             {sim::Engine::Switch, sim::Engine::Cached, sim::Engine::Trace}) {
+             {sim::Engine::Switch, sim::Engine::Trace}) {
             sim::Machine booted = npb::make_machine(s, false);
             booted.set_engine(engine);
             // Also the probe: the run to the end that measured the length.
@@ -982,10 +980,10 @@ TEST(Shard, ShardedRunsMergeByteIdenticalToUnsharded) {
 
 TEST(Shard, ShardDatabasesIdenticalAcrossEngines) {
     // Engine choice must not leak into shard outcome databases either: a
-    // shard run on the legacy switch interpreter emits the same bytes.
+    // shard run on the reference switch interpreter emits the same bytes.
     for (unsigned index : {0u, 1u}) {
         std::string db[2];
-        for (const sim::Engine e : {sim::Engine::Cached, sim::Engine::Switch}) {
+        for (const sim::Engine e : {sim::Engine::Trace, sim::Engine::Switch}) {
             orch::BatchOptions opts;
             opts.engine = e;
             std::ostringstream os;

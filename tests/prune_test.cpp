@@ -152,7 +152,6 @@ TEST(PruneAnalyze, InferredAndFollowedOutcomesMatchSimulation) {
     // and every Follow to land in a class whose representative really does
     // share its simulated future.
     sim::Machine base = npb::make_machine(kSmall, false);
-    base.set_engine(sim::Engine::Cached);
     sim::Machine g = base;
     g.run_until(std::numeric_limits<std::uint64_t>::max() >> 1);
     const core::GoldenRef ref = core::capture_golden(g);
@@ -163,7 +162,7 @@ TEST(PruneAnalyze, InferredAndFollowedOutcomesMatchSimulation) {
     const std::vector<core::Fault> faults =
         core::make_fault_list(base, ref, cfg);
     const prune::PruneAnalysis pa =
-        prune::analyze(kSmall, sim::Engine::Cached, faults);
+        prune::analyze(kSmall, sim::Engine::Trace, faults);
     ASSERT_EQ(pa.plan.size(), faults.size());
     EXPECT_EQ(pa.n_simulate + pa.n_follow + pa.n_infer, faults.size());
     EXPECT_GT(pa.n_infer, 0u);            // pruning must actually prune
@@ -209,9 +208,9 @@ TEST(PruneAnalyze, PlanIsDeterministic) {
     const std::vector<core::Fault> faults =
         core::make_fault_list(base, ref, cfg);
     const prune::PruneAnalysis a =
-        prune::analyze(kSmallV7, sim::Engine::Cached, faults);
+        prune::analyze(kSmallV7, sim::Engine::Trace, faults);
     const prune::PruneAnalysis b =
-        prune::analyze(kSmallV7, sim::Engine::Cached, faults);
+        prune::analyze(kSmallV7, sim::Engine::Trace, faults);
     ASSERT_EQ(a.plan.size(), b.plan.size());
     for (std::size_t i = 0; i < a.plan.size(); ++i) {
         EXPECT_EQ(a.plan[i].action, b.plan[i].action) << i;

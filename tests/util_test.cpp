@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -183,6 +185,50 @@ TEST(Cli, RequireKnownEmptySetSaysNoFlagsTaken) {
                   std::string::npos)
             << e.what();
     }
+}
+
+// Numeric flags take the whole value or refuse it by name: a stray suffix,
+// a word, an overflow or a non-finite number must never run as some other
+// value (`--kill-shard=x` as shard 0, `--top-regs=8x` as 8).
+TEST(Cli, NumericFlagsRefuseMalformedValuesNamingTheFlag) {
+    const auto cli_for = [](const std::string& value) {
+        const std::string arg = "--n=" + value;
+        const char* argv[] = {"prog", arg.c_str()};
+        return su::Cli(2, argv);
+    };
+    const auto refused = [&](const std::string& value, bool integer) {
+        try {
+            const su::Cli cli = cli_for(value);
+            if (integer)
+                cli.get_int("n", 0);
+            else
+                cli.get_double("n", 0);
+        } catch (const su::UsageError& e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("--n "), std::string::npos) << msg;
+            EXPECT_NE(msg.find("'" + value + "'"), std::string::npos) << msg;
+            return true;
+        }
+        return false;
+    };
+    for (const char* bad : {"8x", "abc", "", "3.5", "99999999999999999999",
+                            "-99999999999999999999", "nan", "inf", "1e999",
+                            " 8", "+8", "0x", "-", "0xg"})
+        EXPECT_TRUE(refused(bad, true)) << "get_int accepted '" << bad << "'";
+    for (const char* bad : {"nan", "inf", "-inf", "1e999", "", "abc", "8x",
+                            " 8"})
+        EXPECT_TRUE(refused(bad, false))
+            << "get_double accepted '" << bad << "'";
+
+    EXPECT_EQ(cli_for("0x10").get_int("n", 0), 16);
+    EXPECT_EQ(cli_for("0XdAc2018").get_int("n", 0), 0xDAC2018);
+    EXPECT_EQ(cli_for("-1").get_int("n", 0), -1);
+    EXPECT_EQ(cli_for("010").get_int("n", 0), 10); // decimal, not octal
+    EXPECT_EQ(cli_for("-9223372036854775808").get_int("n", 0),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_DOUBLE_EQ(cli_for("1e-3").get_double("n", 0), 1e-3);
+    EXPECT_DOUBLE_EQ(cli_for("-2").get_double("n", 0), -2.0);
+    EXPECT_EQ(cli_for("7").get_int("missing", 5), 5);
 }
 
 TEST(Rng, BelowZeroBoundReturnsZeroWithoutDraw) {

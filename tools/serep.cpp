@@ -232,57 +232,60 @@ int cmd_fleet(const util::Cli& cli) {
                       "re-read it, so stdin is not accepted)");
     exp::ExperimentSpec spec = load_spec_operand(cli, "fleet");
 
-    fleet::FleetOptions opts = fleet::fleet_options_from_spec(spec);
-    opts.spec_path = pos[1];
-    if (cli.has("backend")) opts.backend = cli.get("backend", opts.backend);
+    // The topology flags override the spec's hash-neutral fleet block and
+    // pass the same validate() as its keys: `--max-retries=101` is refused
+    // like `"fleet": {"max_retries": 101}`.
+    if (cli.has("backend")) spec.fleet_backend = cli.get("backend", "");
     const std::string hosts = cli.get("hosts", "");
     if (!hosts.empty()) {
-        opts.hosts.clear();
+        spec.fleet_hosts.clear();
         std::size_t at = 0;
         while (at <= hosts.size()) {
             const std::size_t comma = hosts.find(',', at);
-            opts.hosts.push_back(hosts.substr(
+            spec.fleet_hosts.push_back(hosts.substr(
                 at, comma == std::string::npos ? std::string::npos
                                                : comma - at));
             if (comma == std::string::npos) break;
             at = comma + 1;
         }
-        if (!cli.has("backend")) opts.backend = "ssh";
+        if (!cli.has("backend")) spec.fleet_backend = "ssh";
     }
-    if (cli.has("workers")) {
-        const std::int64_t w = cli.get_int("workers", 0);
-        util::check_usage(w >= 0, "fleet: --workers must be >= 0");
-        opts.workers = static_cast<unsigned>(w);
-    }
-    if (cli.has("workers-per-host")) {
-        const std::int64_t w = cli.get_int("workers-per-host", 1);
-        util::check_usage(w >= 1, "fleet: --workers-per-host must be >= 1");
-        opts.workers_per_host = static_cast<unsigned>(w);
-    }
-    if (cli.has("heartbeat-interval"))
-        opts.heartbeat_interval = cli.get_double("heartbeat-interval", 1.0);
-    if (cli.has("heartbeat-timeout"))
-        opts.heartbeat_timeout = cli.get_double("heartbeat-timeout", 30.0);
-    if (cli.has("max-retries")) {
-        const std::int64_t r = cli.get_int("max-retries", 3);
-        util::check_usage(r >= 1, "fleet: --max-retries must be >= 1");
-        opts.max_retries = static_cast<unsigned>(r);
-    }
-    if (cli.has("no-compress")) opts.compress = false;
+    // Hosts only address the ssh backend: `--backend=local-proc` runs an
+    // ssh spec on this machine.
+    if (cli.has("backend") && spec.fleet_backend != "ssh")
+        spec.fleet_hosts.clear();
+    const auto count = [&](const char* flag, unsigned& field) {
+        const std::int64_t v = cli.get_int(flag, field);
+        util::check_usage(v >= 0 && v <= 0xFFFFFFFF,
+                          std::string("fleet: --") + flag +
+                              " must be in [0, 4294967295]");
+        field = static_cast<unsigned>(v);
+    };
+    count("workers", spec.fleet_workers);
+    count("workers-per-host", spec.fleet_workers_per_host);
+    count("max-retries", spec.fleet_max_retries);
+    spec.fleet_heartbeat_interval =
+        cli.get_double("heartbeat-interval", spec.fleet_heartbeat_interval);
+    spec.fleet_heartbeat_timeout =
+        cli.get_double("heartbeat-timeout", spec.fleet_heartbeat_timeout);
+    if (cli.has("no-compress")) spec.fleet_compress = false;
+    spec.fleet_remote_cmd = cli.get("remote-cmd", spec.fleet_remote_cmd);
+
+    exp::ExperimentPlan plan(std::move(spec)); // validate()s the overrides
+    fleet::FleetOptions opts = fleet::fleet_options_from_spec(plan.spec());
+    opts.spec_path = pos[1];
     if (cli.has("serep-exe")) opts.serep_exe = cli.get("serep-exe", "");
-    if (cli.has("remote-cmd"))
-        opts.remote_cmd = cli.get("remote-cmd", opts.remote_cmd);
     if (cli.has("kill-shard")) {
         // CI/chaos hook: SIGKILL the first attempt at this shard right
         // after launch, proving the reassignment path end to end.
         const std::int64_t k = cli.get_int("kill-shard", -1);
-        util::check_usage(k >= 0, "fleet: --kill-shard must be >= 0");
+        util::check_usage(k >= 0 && k <= 0x7FFFFFFF,
+                          "fleet: --kill-shard must be a shard index >= 0");
         opts.kill_shard = static_cast<int>(k);
     }
     opts.metrics_out = cli.get("metrics-out", "");
     opts.trace_out = cli.get("trace-out", "");
 
-    exp::ExperimentPlan plan(std::move(spec));
     const fleet::FleetResult res = fleet::run_fleet(plan, opts);
     std::printf("fleet: %zu shard(s) — %zu resumed, %zu launched, "
                 "%zu reassigned%s%s\n",
