@@ -480,20 +480,33 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
     // Merge — a cheap pure function of the shard databases; always re-run
     // so the canonical CSV/JSONL and reports exist even when every shard
     // resumed. read_shard_db reads zstd-framed databases itself.
+    std::vector<orch::ShardDb> dbs(n);
+    for (unsigned k = 0; k < n; ++k) {
+        if (resumed[k]) {
+            dbs[k] = std::move(*resumed[k]);
+            continue;
+        }
+        std::string bytes;
+        util::check(read_file(db_paths[k], bytes),
+                    "cannot read shard database " + db_paths[k]);
+        dbs[k] = orch::read_shard_db(bytes,
+                                     "shard merge: database " + std::to_string(k));
+    }
+    merge_and_report(plan, dbs, res, opts.log);
+    return res;
+}
+
+} // namespace
+
+orch::BatchOptions batch_options(const ExperimentSpec& spec) {
+    return batch_options_impl(spec);
+}
+
+void merge_and_report(ExperimentPlan& plan,
+                      const std::vector<orch::ShardDb>& dbs, DriverResult& res,
+                      std::FILE* log) {
     {
         telemetry::Span merge_span("merge");
-        std::vector<orch::ShardDb> dbs(n);
-        for (unsigned k = 0; k < n; ++k) {
-            if (resumed[k]) {
-                dbs[k] = std::move(*resumed[k]);
-                continue;
-            }
-            std::string bytes;
-            util::check(read_file(db_paths[k], bytes),
-                        "cannot read shard database " + db_paths[k]);
-            dbs[k] = orch::read_shard_db(
-                bytes, "shard merge: database " + std::to_string(k));
-        }
         std::ofstream csv(plan.csv_path());
         std::ofstream jsonl(plan.jsonl_path());
         util::check(csv.good(), "cannot open output file " + plan.csv_path());
@@ -509,17 +522,10 @@ DriverResult run_sharded(ExperimentPlan& plan, const DriverOptions& opts) {
                     "error writing campaign databases");
     }
     res.merged = true;
-    logf(opts.log, "merge: %u shard databases, %zu jobs -> %s, %s\n", n,
+    logf(log, "merge: %zu shard databases, %zu jobs -> %s, %s\n", dbs.size(),
          res.results.size(), plan.csv_path().c_str(),
          plan.jsonl_path().c_str());
-    render_reports(plan, res, opts.log);
-    return res;
-}
-
-} // namespace
-
-orch::BatchOptions batch_options(const ExperimentSpec& spec) {
-    return batch_options_impl(spec);
+    render_reports(plan, res, log);
 }
 
 DriverResult run_experiment(ExperimentPlan& plan, const DriverOptions& opts) {

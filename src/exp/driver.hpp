@@ -1,8 +1,8 @@
 // exp::Driver (layer 3 of src/exp/): execute a planned experiment end to
 // end — golden runs, shard/fault runs, merge, report — with resume. It is
-// the one campaign front door: `serep run`, `serep fleet` (whose final
-// merge is one resume run of this driver), examples/full_campaign and the
-// bench drivers all go through run_experiment().
+// the one campaign front door: `serep run`, examples/full_campaign and the
+// bench drivers all go through run_experiment(), and `serep fleet` closes
+// with its merge_and_report() step.
 //
 // Three execution paths, chosen by the spec:
 //
@@ -99,6 +99,16 @@ struct DriverResult {
 /// corrupt shard databases), util::Error on I/O failure.
 DriverResult run_experiment(ExperimentPlan& plan,
                             const DriverOptions& opts = {});
+
+/// Close a sharded experiment: merge the shard databases (shard k at index
+/// k, each already decoded by orch::read_shard_db) into the plan's
+/// canonical CSV/JSONL and render the spec's reports, under the `merge`
+/// and `report` spans. Sets res.results, res.merged and
+/// res.report_written. run_experiment ends a sharded run with it, and the
+/// fleet controller with the databases it decoded as the shards landed.
+void merge_and_report(ExperimentPlan& plan,
+                      const std::vector<orch::ShardDb>& dbs, DriverResult& res,
+                      std::FILE* log);
 
 /// Resume-probe verdict for one shard database (file or payload).
 enum class ShardDbState {

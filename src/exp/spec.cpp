@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "core/fault.hpp"
 #include "npb/npb.hpp"
 #include "orch/shard.hpp"
 #include "util/check.hpp"
+#include "util/cli.hpp"
 #include "util/hash.hpp"
 
 namespace serep::exp {
@@ -73,15 +73,15 @@ std::uint64_t get_u64(const JsonValue& obj, const char* key,
                                              " must be a non-negative integer");
         return v->u64;
     }
-    // Hex spelling, for seeds: "0xDAC2018".
+    // Hex spelling, for seeds: "0xDAC2018". The whole string, as a --flag
+    // takes it: decimal or 0x-hex, no sign, blank or overflow.
     if (v->type == JsonValue::Type::String) {
-        const std::string& s = v->str;
-        char* end = nullptr;
-        const unsigned long long parsed = std::strtoull(s.c_str(), &end, 0);
-        util::check_usage(!s.empty() && end && *end == '\0',
+        const std::optional<std::uint64_t> parsed = util::parse_u64(v->str);
+        util::check_usage(parsed.has_value(),
                           std::string("spec: ") + where + "." + key +
-                              ": bad integer '" + s + "'");
-        return parsed;
+                              ": bad integer '" + v->str +
+                              "' (a decimal or 0x-hex 64-bit integer)");
+        return *parsed;
     }
     util::fail_usage(std::string("spec: ") + where + "." + key +
                      " must be an integer (or a \"0x...\" string)");

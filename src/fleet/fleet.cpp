@@ -137,6 +137,8 @@ FleetResult run_fleet(exp::ExperimentPlan& plan, const FleetOptions& opts,
     res.shards_total = n;
 
     // ---- phase 0: resume probe — landed shards never launch ------------
+    // Each shard's database, decoded once: here or as its payload lands.
+    std::vector<orch::ShardDb> dbs(n);
     stats::OutcomeTally tally;
     std::deque<PendingShard> queue;
     std::size_t landed = 0;
@@ -150,6 +152,7 @@ FleetResult run_fleet(exp::ExperimentPlan& plan, const FleetOptions& opts,
                 logf(opts.log, "[skip] shard %u/%u: %s matches spec %s\n", k,
                      n, found.c_str(), plan.spec_hash_hex().c_str());
                 tally.add_shard_db(db, found);
+                dbs[k] = std::move(db);
                 ++res.resumed;
                 ++landed;
             } else {
@@ -264,6 +267,7 @@ FleetResult run_fleet(exp::ExperimentPlan& plan, const FleetOptions& opts,
                             " to " + dest);
             std::remove(lease.job.log_path.c_str());
             tally.add_shard_db(db, dest);
+            dbs[k] = std::move(db);
             ++landed;
             if (telemetry::enabled()) {
                 telemetry::count("fleet.landed");
@@ -473,17 +477,14 @@ FleetResult run_fleet(exp::ExperimentPlan& plan, const FleetOptions& opts,
         }
     }
 
-    // ---- final merge: ONE resume run of the ordinary driver ------------
-    // Every shard probes as Match, so merge + report reuse the exact
+    // ---- final merge: the driver's own merge + report step ------------
+    // Every shard landed as a Match, so merge + report reuse the exact
     // single-process machinery — byte-identity is inherited, not re-proven.
-    exp::DriverOptions dopts;
-    dopts.compress_shards = opts.compress;
-    dopts.log = opts.log;
-    res.final = exp::run_experiment(plan, dopts);
+    exp::merge_and_report(plan, dbs, res.final, opts.log);
 
-    // The merge ran in-process, so its merge/report spans and counters sit
-    // in this registry alongside the fleet.* aggregates — one fleet-wide
-    // export covers controller and (committed) worker totals.
+    // The merge ran in-process, so its merge/report spans sit in this
+    // registry alongside the fleet.* aggregates — one fleet-wide export
+    // covers controller and (committed) worker totals.
     if (want_export) {
         const telemetry::Provenance prov{"serep fleet",
                                          plan.spec_hash_hex()};

@@ -20,11 +20,12 @@
 //   live     each committed shard folds into a rolling stats::OutcomeTally;
 //            the log shows CI convergence mid-flight, and the partial shard
 //            set on disk is readable by `serep report --partial` at any time
-//   merge    when every shard has landed, the final merge + report is ONE
-//            resume run of the ordinary driver (exp::run_experiment) — every
-//            shard probes as Match, so the merged CSV/JSONL/report bytes are
-//            identical to the single-process run by construction, and the
-//            spec-hash refusal machinery guards the fleet path for free
+//   merge    when every shard has landed, the databases the probe and the
+//            commits decoded go through the ordinary driver's closing step
+//            (exp::merge_and_report) — every shard landed as a Match, so
+//            the merged CSV/JSONL/report bytes are identical to the
+//            single-process run by construction, and the spec-hash refusal
+//            machinery that vetted them guards the fleet path for free
 //
 // Determinism note: a shard database's bytes depend only on (spec, k, n) —
 // not on which host ran it, how many times it was retried, or in what order
@@ -75,7 +76,7 @@ struct FleetResult {
     std::size_t resumed = 0;    ///< landed before any worker launched
     std::size_t launched = 0;   ///< worker launches, including retries
     std::size_t reassigned = 0; ///< failed attempts that were re-queued
-    exp::DriverResult final;    ///< the closing merge + report run
+    exp::DriverResult final;    ///< the closing merge + report
 };
 
 /// Run the experiment across the fleet. `backend_override` substitutes the

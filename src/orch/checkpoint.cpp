@@ -8,12 +8,6 @@
 namespace serep::orch {
 
 namespace {
-/// A stride-0 ladder's captures: their starting stride, and their cap per
-/// rung of the budget. Finer or more captures replay less while respacing
-/// and hold more memory while the golden runs.
-constexpr std::uint64_t kCaptureInitialStride = 1u << 11;
-constexpr std::size_t kCapturesPerRung = 2;
-
 /// Keep rungs r2, r4, ... of r1..rk (equivalent to keeping every other rung
 /// of the base-rooted ladder [base, r1, r2, ...]).
 void drop_every_other(std::vector<sim::MachineDelta>& rungs) {
@@ -29,6 +23,9 @@ CheckpointLadder::CheckpointLadder(sim::Machine& m, const LadderOptions& opts)
     : base_(m), stride_(opts.enabled ? opts.stride : 0),
       max_rungs_(std::max<std::size_t>(1, opts.max_checkpoints)),
       budget_bytes_(opts.memory_budget_bytes) {
+    util::check(!opts.enabled || opts.stride > 0,
+                "checkpoint ladder: LadderOptions::stride is 0 with the ladder "
+                "enabled (the first rung interval must be > 0)");
     // From here on, m's dirty set is exactly "written since the base rung" —
     // what make_machine_delta() diffs against the base. The base's own set
     // is cleared too, so a clone of it tracks the same thing.
@@ -58,7 +55,7 @@ void CheckpointLadder::offer(sim::Machine& m) {
     // here rather than precomputed. Over budget: keep every other rung,
     // double the effective stride.
     while (checkpoints() > max_rungs_ ||
-           (checkpoints() > 1 && ladder_bytes() > budget_bytes_)) {
+           (checkpoints() > 1 && footprint_bytes() > budget_bytes_)) {
         drop_every_other(rungs_);
         stride_ *= 2;
     }
@@ -147,15 +144,9 @@ void CheckpointLadder::reset_base(sim::Machine m) {
     base_->mem().clear_dirty();
 }
 
-std::size_t CheckpointLadder::ladder_bytes() const noexcept {
+std::size_t CheckpointLadder::footprint_bytes() const noexcept {
     std::size_t total = base_ ? sim::machine_footprint_bytes(*base_) : 0;
     for (const auto& d : rungs_) total += d.footprint_bytes();
-    return total;
-}
-
-std::size_t CheckpointLadder::footprint_bytes() const noexcept {
-    std::size_t total = ladder_bytes();
-    for (const auto& c : captures_) total += c.footprint_bytes();
     return total;
 }
 
@@ -176,96 +167,9 @@ void CheckpointLadder::run_offering(sim::Machine& m) {
     }
 }
 
-void CheckpointLadder::capture(sim::Machine& m) {
-    captures_.push_back(sim::make_machine_delta(m, *base_));
-    if (telemetry::enabled()) {
-        static const telemetry::MetricId kCaptures =
-            telemetry::counter_id("checkpoint.captures");
-        static const telemetry::MetricId kBytes =
-            telemetry::counter_id("checkpoint.capture_bytes");
-        telemetry::count(kCaptures);
-        telemetry::count(kBytes, captures_.back().footprint_bytes());
-    }
-}
-
-void CheckpointLadder::run_capturing(sim::Machine& m) {
-    // The golden pass: captures thinned like rungs, against their own cap
-    // and the ladder's byte budget.
-    std::uint64_t every = kCaptureInitialStride;
-    for (;;) {
-        m.run_until((captures_.empty() ? base_->total_retired()
-                                       : captures_.back().retired()) +
-                    every);
-        if (m.status() != sim::RunStatus::Running) break;
-        capture(m);
-        while (captures_.size() > kCapturesPerRung * max_rungs_ ||
-               (captures_.size() > 1 && footprint_bytes() > budget_bytes_)) {
-            drop_every_other(captures_);
-            every *= 2;
-        }
-        peak_ = std::max(peak_, footprint_bytes());
-    }
-    // The stride a length probe would have set.
-    const std::uint64_t len = m.total_retired();
-    stride_ = std::max<std::uint64_t>(1, (len + max_rungs_ - 1) / max_rungs_);
-
-    telemetry::Span span("ladder.respace");
-    // Respacing moves `m` back and forth, and every rewind resets its trace
-    // tallies: set aside the pass's tallies and its end state, the last
-    // capture, to put back afterwards.
-    sim::Machine::TraceStats pass;
-    m.swap_trace_stats(pass);
-    capture(m);
-    peak_ = std::max(peak_, footprint_bytes());
-    respace(m);
-    sim::rewind_machine(m, captures_.back(), *base_);
-    m.swap_trace_stats(pass);
-    captures_ = {};
-}
-
-void CheckpointLadder::respace(sim::Machine& m) {
-    // Every boundary offered lies below the end state, captures_.back().
-    const std::uint64_t len = captures_.back().retired();
-    std::uint64_t replayed = 0;
-    for (std::uint64_t b = next_boundary(); b < len; b = next_boundary()) {
-        // The deepest capture at or below b, or the base: resume there
-        // unless `m` already lies between it and b.
-        const auto above = std::upper_bound(
-            captures_.begin(), captures_.end(), b,
-            [](std::uint64_t at, const sim::MachineDelta& c) {
-                return at < c.retired();
-            });
-        const sim::MachineDelta* from =
-            above == captures_.begin() ? nullptr : &*(above - 1);
-        const std::uint64_t from_at =
-            from ? from->retired() : base_->total_retired();
-        if (m.total_retired() > b || m.total_retired() < from_at) {
-            if (from)
-                sim::rewind_machine(m, *from, *base_);
-            else
-                sim::rewind_machine(m, *base_);
-        }
-        replayed += b - m.total_retired();
-        m.run_until(b);
-        util::check(m.status() == sim::RunStatus::Running && m.total_retired() == b,
-                    "respace: the golden run did not reproduce");
-        offer(m);
-        // Later boundaries lie above b, so the captures below `from` are passed.
-        if (from) captures_.erase(captures_.begin(), above - 1);
-    }
-    if (telemetry::enabled()) {
-        static const telemetry::MetricId kReplayed =
-            telemetry::counter_id("checkpoint.catchup_steps");
-        telemetry::count(kReplayed, replayed);
-    }
-}
-
 CheckpointLadder run_golden_with_ladder(sim::Machine& m, const LadderOptions& opts) {
     CheckpointLadder ladder(m, opts);
-    if (opts.enabled && opts.stride == 0)
-        ladder.run_capturing(m);
-    else
-        ladder.run_offering(m);
+    ladder.run_offering(m);
     return ladder;
 }
 

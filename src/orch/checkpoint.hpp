@@ -4,7 +4,7 @@
 // and advancing one base machine per worker monotonically — which ties the
 // fault-to-worker assignment to the fast-forward state and rules out work
 // stealing. The ladder decouples them: during the golden execution we keep
-// snapshots of the machine at a fixed retired-instruction stride, and every
+// snapshots of the machine at a retired-instruction stride, and every
 // injection run clones the deepest snapshot at or before its strike instant,
 // replaying at most one stride of instructions instead of the whole prefix.
 // Snapshot positions depend only on the deterministic instruction stream, so
@@ -32,24 +32,15 @@
 // ladder costs roughly one machine plus the working set instead of
 // max_checkpoints machines.
 //
-// Thinning: whenever the rung count (or the byte budget) would be exceeded,
-// the ladder drops every other rung and doubles the stride, so one golden
-// pass yields at most `max_checkpoints` rungs whatever the run length.
-//
-// Stride 0 (the default) spaces a full-budget ladder evenly over a golden
-// run of unknown length L in one golden execution. While the golden runs,
-// the ladder keeps fine *captures*: delta snapshots against the base at a
-// stride starting at 2048 instructions, thinned by the same halving under a
-// cap of 2 x max_checkpoints (and the byte budget). At the end L is known,
-// so the ladder *respaces*: it walks the boundaries the fixed stride
-// ceil(L / max_checkpoints) would pause at, rewinds the golden machine to
-// the deepest capture at or below each one (or keeps running when it
-// already lies between them), runs it to the boundary and offers it, in
-// order. The rungs are therefore exactly those of a fixed-stride pass at
-// that stride, thinning decisions included, and the capture spacing only
-// sets how much is replayed. A fixed stride offers each boundary as the
-// golden run passes it: the reference the respaced ladder is tested
-// against.
+// Schedule: the golden run pauses at every stride boundary and offers its
+// machine as the next rung, starting at LadderOptions::stride. Whenever the
+// rung count (or the byte budget) would be exceeded, the ladder drops every
+// other rung and doubles the stride, and the golden run pauses that much
+// coarser from then on. So one golden pass yields at most `max_checkpoints`
+// rungs whatever the run length, each at a multiple of the final stride.
+// Unless the byte budget thins it further, a run longer than
+// max_checkpoints first strides keeps at least half that many. Every
+// snapshot the pass takes is offered as a rung.
 #pragma once
 
 #include <cstdint>
@@ -63,12 +54,10 @@ namespace serep::orch {
 
 struct LadderOptions {
     bool enabled = true;
-    /// Retired instructions between rungs; 0 = ceil(golden_length /
-    /// max_checkpoints), respaced from one golden pass (see the header
-    /// comment) so the ladder comes out evenly spaced at the full rung
-    /// budget.
-    std::uint64_t stride = 0;
-    std::size_t max_checkpoints = 24;  ///< rung budget (thinning halves to fit)
+    /// Retired instructions to the first rung, and between rungs until
+    /// thinning doubles it. Must be > 0 while the ladder is enabled.
+    std::uint64_t stride = 512;
+    std::size_t max_checkpoints = 36;  ///< rung budget (thinning halves to fit)
     /// Cap on live snapshot bytes. BatchRunner treats this as a batch-wide
     /// cap: it divides it across the ladders concurrently in flight.
     std::size_t memory_budget_bytes = std::size_t{1} << 30;
@@ -123,11 +112,13 @@ public:
     /// dirty-page bitmap cleared, as when the ladder was built).
     void reset_base(sim::Machine m);
 
+    /// The current rung interval: the first stride, doubled at each
+    /// thinning (0 for a disabled ladder).
     std::uint64_t stride() const noexcept { return stride_; }
     /// Rung count above the base (0 when released).
     std::size_t checkpoints() const noexcept { return rungs_.size(); }
-    /// Host bytes held: the base, the rungs and, while a stride-0 ladder is
-    /// built, its captures.
+    /// Host bytes held by the base and the rungs: what the byte budget
+    /// bounds.
     std::size_t footprint_bytes() const noexcept;
     /// High-water mark of footprint_bytes() across the ladder's lifetime
     /// (the number the delta-snapshot memory claim is gated on).
@@ -139,7 +130,7 @@ private:
     /// Captures `m`'s current (pre-run) state as the base rung and clears
     /// the dirty-page bitmaps of `m` and of the base copy, so subsequent
     /// offers, and every clone of any rung, see exactly the pages written
-    /// since this base.
+    /// since this base. Refuses an enabled ladder with a zero stride.
     CheckpointLadder(sim::Machine& m, const LadderOptions& opts);
 
     /// Golden-run callback: consider a paused machine for the next rung.
@@ -150,20 +141,8 @@ private:
     /// ladder is disabled). Tracks thinning: the golden driver re-reads this
     /// each pause so it never pauses finer than the current stride.
     std::uint64_t next_boundary() const noexcept;
-    /// Offer `m` at every boundary until it ends (a fixed-stride pass).
+    /// Offer `m` at every boundary until it ends: the golden pass.
     void run_offering(sim::Machine& m);
-    /// Stride 0: run `m` to its end once, keeping captures, then respace
-    /// them into the rungs of stride ceil(L / max_checkpoints). `m` ends in
-    /// its terminal state, trace tallies included.
-    void run_capturing(sim::Machine& m);
-    /// Offer every boundary below the end state (the last capture), each
-    /// reached from the deepest capture at or below it; frees the captures
-    /// it has passed.
-    void respace(sim::Machine& m);
-    /// Append `m` to the captures as a delta against the base.
-    void capture(sim::Machine& m);
-    /// Base and rungs: what the byte budget bounds.
-    std::size_t ladder_bytes() const noexcept;
 
     /// The deepest rung with total_retired() <= at; null for the base.
     const sim::MachineDelta* nearest(std::uint64_t at) const noexcept;
@@ -171,8 +150,6 @@ private:
 
     std::optional<sim::Machine> base_;
     std::vector<sim::MachineDelta> rungs_; ///< ascending
-    /// A stride-0 ladder's golden-phase captures, ascending; empty once built.
-    std::vector<sim::MachineDelta> captures_;
     std::uint64_t stride_;
     std::size_t max_rungs_;
     std::size_t budget_bytes_;
@@ -180,7 +157,7 @@ private:
 };
 
 /// Run a freshly booted machine to completion (phase 1), building the ladder
-/// along the way; the golden program executes once whatever the stride.
+/// along the way; the golden program executes once.
 /// Returns the ladder; `m` finishes in its terminal state and is what
 /// capture_golden() should consume.
 CheckpointLadder run_golden_with_ladder(sim::Machine& m, const LadderOptions& opts);

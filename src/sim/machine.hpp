@@ -259,10 +259,6 @@ public:
         TraceStats& operator=(TraceStats&&) noexcept = default;
     };
     const TraceStats& trace_stats() const noexcept { return tstats_; }
-    /// Exchange the tallies with `s` (a swap moves, so nothing resets): a
-    /// caller that rewinds a machine whose own run it keeps counting takes
-    /// them out first and swaps them back in afterwards.
-    void swap_trace_stats(TraceStats& s) noexcept { std::swap(tstats_, s); }
     const Cache& l1i(unsigned c) const { return l1i_[c]; }
     const Cache& l1d(unsigned c) const { return l1d_[c]; }
     const Cache& l2() const noexcept { return l2_; }

@@ -1,13 +1,26 @@
 #include "util/cli.hpp"
 
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "util/check.hpp"
 
 namespace serep::util {
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+    const bool hex = text.size() >= 2 && text[0] == '0' &&
+                     (text[1] == 'x' || text[1] == 'X');
+    if (hex) text.remove_prefix(2);
+    // from_chars takes no blank, sign or prefix, and reports overflow.
+    std::uint64_t n = 0;
+    const char* last = text.data() + text.size();
+    const auto [end, err] = std::from_chars(text.data(), last, n, hex ? 16 : 10);
+    if (text.empty() || err != std::errc() || end != last) return std::nullopt;
+    return n;
+}
 
 Cli::Cli(int argc, const char* const* argv,
          std::initializer_list<const char*> bool_flags) {
@@ -43,23 +56,19 @@ std::string Cli::get(const std::string& key, const std::string& dflt) const {
 std::int64_t Cli::get_int(const std::string& key, std::int64_t dflt) const {
     const auto it = kv_.find(key);
     if (it == kv_.end()) return dflt;
-    // The whole value, decimal or 0x-hex (`--seed=0xDAC2018`): strtoll alone
-    // stops at the first stray byte (`8x` is 8), clamps on overflow, skips
-    // blanks and a `+`, and base 0 reads `010` as octal 8.
+    // The whole value, decimal or 0x-hex (`--seed=0xDAC2018`), or its
+    // negation: a magnitude up to 2^63 - 1, or 2^63 after a `-`.
     const std::string& v = it->second;
-    const std::size_t sign = v.rfind('-', 0) == 0 ? 1 : 0;
-    const bool hex =
-        v.compare(sign, 2, "0x") == 0 || v.compare(sign, 2, "0X") == 0;
-    const std::size_t first = sign + (hex ? 2 : 0); // the first digit
-    char* end = nullptr;
-    errno = 0;
-    const long long n = std::strtoll(v.c_str(), &end, hex ? 16 : 10);
-    check_usage(first < v.size() &&
-                    std::isxdigit(static_cast<unsigned char>(v[first])) &&
-                    end == v.c_str() + v.size() && errno != ERANGE,
+    const bool neg = v.rfind('-', 0) == 0;
+    const std::optional<std::uint64_t> mag =
+        parse_u64(std::string_view(v).substr(neg ? 1 : 0));
+    const std::uint64_t limit =
+        std::uint64_t{std::numeric_limits<std::int64_t>::max()} + (neg ? 1 : 0);
+    check_usage(mag && *mag <= limit,
                 "--" + key + " must be a decimal or 0x-hex 64-bit integer, "
                 "got '" + v + "'");
-    return n;
+    if (!neg) return static_cast<std::int64_t>(*mag);
+    return *mag == 0 ? 0 : -static_cast<std::int64_t>(*mag - 1) - 1;
 }
 
 double Cli::get_double(const std::string& key, double dflt) const {

@@ -13,10 +13,19 @@
 #include <cstdint>
 #include <initializer_list>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace serep::util {
+
+/// The whole of `text` as a decimal or 0x-hex unsigned 64-bit integer, or
+/// nullopt. Every integer a flag or a spec spells as text reads through
+/// this: strtoull alone stops at the first stray byte (`8x` is 8), clamps
+/// on overflow, skips blanks, takes a `+` or a negating `-`, and base 0
+/// reads `010` as octal 8 (here it is decimal 10).
+std::optional<std::uint64_t> parse_u64(std::string_view text);
 
 class Cli {
 public:

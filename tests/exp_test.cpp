@@ -224,6 +224,32 @@ TEST(ExperimentSpec, RejectsMalformedSpecsNamingTheOffender) {
                   "spec.out");
 }
 
+TEST(ExperimentSpec, StringIntegersReadTheWholeValueLikeAFlag) {
+    // A string-spelled integer is read whole, decimal or 0x-hex, as
+    // util::Cli::get_int reads a --flag: an overflow, a sign, a blank or a
+    // stray byte is refused by key, never clamped, negated or cut short
+    // into some other experiment's seed.
+    for (const char* bad :
+         {"99999999999999999999", "0x10000000000000000", "-1", "-0x1", "+1",
+          " 0x10", "0x10 ", "", "0x", "8x", "1e3", "0x1g", "1_000"})
+        expect_reject(R"({"fault": {"seed": ")" + std::string(bad) + "\"}}",
+                      "fault.seed: bad integer '" + std::string(bad) + "'");
+    expect_reject(R"({"fault": {"faults": "-1"}})", "fault.faults");
+
+    const auto seed = [](const std::string& spelled) {
+        return exp::ExperimentSpec::load(R"({"fault": {"seed": ")" + spelled +
+                                         "\"}}")
+            .seed;
+    };
+    EXPECT_EQ(seed("0x10"), 0x10u);
+    EXPECT_EQ(seed("0XdAc2018"), 0xDAC2018u);
+    EXPECT_EQ(seed("010"), 10u); // decimal, as --seed=010 reads
+    EXPECT_EQ(seed("18446744073709551615"), ~std::uint64_t{0});
+    EXPECT_EQ(seed("0xffffffffffffffff"), ~std::uint64_t{0});
+    EXPECT_EQ(exp::ExperimentSpec::load(R"({"fault": {"faults": "010"}})").faults,
+              10u);
+}
+
 TEST(ExperimentSpec, RejectsTheRetiredLadderKeys) {
     // The checkpoint ladder has one schedule and one rung representation;
     // the engine keys that once chose a fixed stride, full-copy rungs or

@@ -118,8 +118,8 @@ TEST(CheckpointLadder, RungCountRespectsBudgetAndNearestIsOrdered) {
 TEST(CheckpointLadder, RungClonesEqualRunsFromResetAndShrinkPeakBytes) {
     // The ladder's contract on a class-S golden run: a clone of the rung
     // nearest any instant is the machine a run from reset reaches at that
-    // rung. And the memory claim: the ladder's peak, captures included,
-    // stays at most half of what a full Machine copy per rung would hold.
+    // rung. And the memory claim: the ladder's peak stays at most half of
+    // what a full Machine copy per rung would hold.
     npb::Scenario s = kSmall;
     s.klass = npb::Klass::S;
 
@@ -281,40 +281,45 @@ TEST(CheckpointLadder, RungComparisonSeesSteeringStateAndIgnoresAccelerators) {
 
 TEST(BatchRunner, OutcomesIdenticalAcrossThreadCountsStridesAndEngines) {
     // The header's hard invariant: same seed => byte-identical counts and
-    // CSV whatever the pool width, checkpoint stride (fixed, the default
-    // stride 0, or disabled) or execution engine (trace superblocks, the
-    // reference switch). Every laddered variant closes some runs at
+    // CSV whatever the pool width, checkpoint stride (a first stride, the
+    // default ladder, or disabled) or execution engine (trace superblocks,
+    // the reference switch). Every laddered variant closes some runs at
     // a rung where they converged to the golden machine; the ladder-disabled
     // variant has no rungs, simulates every run to the end, and so is the
     // full-simulation oracle the others are compared against.
     struct Variant {
         unsigned threads;
-        std::uint64_t stride;
-        bool enabled;
+        orch::LadderOptions ladder;
         sim::Engine engine = sim::Engine::Trace;
     };
+    const auto stride = [](std::uint64_t first) {
+        orch::LadderOptions l;
+        l.stride = first;
+        return l;
+    };
+    orch::LadderOptions off;
+    off.enabled = false;
     const Variant variants[] = {
-        {1, 30'000, true}, {2, 30'000, true}, {8, 30'000, true},
-        {2, 7'000, true},  {8, 911, true},
-        {2, 0, false},
-        {2, 0, true},                          // the default ladder
-        {2, 30'000, true, sim::Engine::Switch}, // reference engine
-        {2, 0, true, sim::Engine::Switch},
+        {1, stride(30'000)}, {2, stride(30'000)}, {8, stride(30'000)},
+        {2, stride(7'000)},  {8, stride(911)},
+        {2, off},
+        {2, {}},                                  // the default ladder
+        {2, stride(30'000), sim::Engine::Switch}, // reference engine
+        {2, {}, sim::Engine::Switch},
     };
     std::vector<std::array<std::uint64_t, core::kOutcomeCount>> counts;
     std::vector<std::string> csvs, jsons;
     for (const Variant& v : variants) {
         orch::BatchOptions opts;
         opts.threads = v.threads;
-        opts.ladder.stride = v.stride;
-        opts.ladder.enabled = v.enabled;
+        opts.ladder = v.ladder;
         opts.engine = v.engine;
         orch::BatchRunner runner(opts);
         runner.add(kSmall, small_config(40, 0xDAC2018));
         const auto results = runner.run_all();
         ASSERT_EQ(results.size(), 1u);
         // Runs converge only at rungs: never without a ladder.
-        if (v.enabled)
+        if (v.ladder.enabled)
             EXPECT_GT(runner.converged_runs(), 0u) << "variant " << counts.size();
         else
             EXPECT_EQ(runner.converged_runs(), 0u) << "variant " << counts.size();
@@ -329,32 +334,6 @@ TEST(BatchRunner, OutcomesIdenticalAcrossThreadCountsStridesAndEngines) {
     }
 }
 
-TEST(CheckpointLadder, AdaptiveStrideTracksGoldenRunLength) {
-    // Stride 0: the rungs are spaced ceil(len / max_checkpoints) apart, len
-    // being the golden length — a full-budget, evenly spaced ladder.
-    sim::Machine m = npb::make_machine(kSmall, false);
-    orch::LadderOptions opts; // stride = 0
-    opts.max_checkpoints = 16;
-    orch::CheckpointLadder ladder = orch::run_golden_with_ladder(m, opts);
-    ASSERT_EQ(m.status(), sim::RunStatus::Shutdown);
-    const std::uint64_t len = m.total_retired();
-    EXPECT_EQ(ladder.stride(), (len + 15) / 16);
-    EXPECT_LE(ladder.checkpoints(), 16u);
-    EXPECT_GE(ladder.checkpoints(), 8u); // evenly spaced => near-full budget
-    // The ladder never fast-forwards more than its stride.
-    EXPECT_LE(ladder.stride(), std::max<std::uint64_t>(1, len / 8));
-}
-
-/// The ladder stride 0 would build if it ran the golden twice: a probe copy
-/// of `m` ran to its end, `len` instructions, and the ladder then took the
-/// fixed-stride path at stride ceil(len / max_checkpoints).
-orch::CheckpointLadder probe_ladder(sim::Machine& m, std::uint64_t len,
-                                    orch::LadderOptions opts) {
-    const std::uint64_t rungs = std::max<std::size_t>(1, opts.max_checkpoints);
-    opts.stride = (len + rungs - 1) / rungs;
-    return orch::run_golden_with_ladder(m, opts);
-}
-
 std::vector<std::uint64_t> rung_positions(const orch::CheckpointLadder& l) {
     std::vector<std::uint64_t> at;
     for (std::uint64_t r = l.next_rung_after(0); r != orch::CheckpointLadder::kNoRung;
@@ -363,12 +342,11 @@ std::vector<std::uint64_t> rung_positions(const orch::CheckpointLadder& l) {
     return at;
 }
 
-TEST(CheckpointLadder, OnePassLadderEqualsTheProbeLadder) {
-    // Stride 0 runs the golden once and respaces its captures into rungs.
-    // Those rungs must be the two-pass probe ladder's — positions, stride,
-    // state and telemetry — and the golden machine must end exactly where
-    // a straight run to the end does, for every engine, rung budget and a
-    // byte budget that forces thinning.
+TEST(CheckpointLadder, OnePassLadderEndsLikeAStraightRunAndThinsToItsBudget) {
+    // The golden runs once, pausing at each stride boundary to offer a rung.
+    // It must end exactly where a straight run to the end does, and its
+    // rungs must sit at multiples of the final stride within the rung and
+    // byte budgets, for every engine.
     npb::Scenario class_s = kSmall;
     class_s.klass = npb::Klass::S;
     const npb::Scenario scenarios[] = {
@@ -390,25 +368,12 @@ TEST(CheckpointLadder, OnePassLadderEqualsTheProbeLadder) {
         add(m.l2());
         return n;
     };
-    struct Built {
-        std::uint64_t rungs_built, rung_bytes, captures;
-    };
-    const auto counted = [](auto&& build) {
-        telemetry::reset();
-        telemetry::set_enabled(true);
-        build();
-        telemetry::set_enabled(false);
-        return Built{telemetry::counter_value("checkpoint.rungs_built"),
-                     telemetry::counter_value("checkpoint.rung_bytes"),
-                     telemetry::counter_value("checkpoint.captures")};
-    };
 
     for (const npb::Scenario& s : scenarios) {
         for (const sim::Engine engine :
              {sim::Engine::Switch, sim::Engine::Trace}) {
             sim::Machine booted = npb::make_machine(s, false);
             booted.set_engine(engine);
-            // Also the probe: the run to the end that measured the length.
             sim::Machine straight = booted;
             straight.run_until(~0ULL >> 1);
             ASSERT_EQ(straight.status(), sim::RunStatus::Shutdown);
@@ -421,7 +386,8 @@ TEST(CheckpointLadder, OnePassLadderEqualsTheProbeLadder) {
                 sim::machine_footprint_bytes(straight) + (512u << 10);
             const std::pair<std::size_t, std::size_t> budgets[] = {
                 {1, roomy},  {2, roomy},  {8, roomy},
-                {24, roomy}, {64, roomy}, {24, tight}};
+                {36, roomy}, {64, roomy}, {36, tight}};
+            std::uint64_t roomy36_stride = 0;
             for (const auto& [max_rungs, bytes] : budgets) {
                 SCOPED_TRACE(s.name() + " engine " +
                              std::to_string(static_cast<int>(engine)) +
@@ -432,13 +398,13 @@ TEST(CheckpointLadder, OnePassLadderEqualsTheProbeLadder) {
                 opts.memory_budget_bytes = bytes;
 
                 sim::Machine m = booted;
-                std::optional<orch::CheckpointLadder> one;
-                const Built one_built = counted(
-                    [&] { one.emplace(orch::run_golden_with_ladder(m, opts)); });
-                sim::Machine m_probe = booted;
-                std::optional<orch::CheckpointLadder> probe;
-                const Built probe_built = counted(
-                    [&] { probe.emplace(probe_ladder(m_probe, len, opts)); });
+                telemetry::reset();
+                telemetry::set_enabled(true);
+                const orch::CheckpointLadder ladder =
+                    orch::run_golden_with_ladder(m, opts);
+                telemetry::set_enabled(false);
+                const std::uint64_t rungs_built =
+                    telemetry::counter_value("checkpoint.rungs_built");
 
                 // The golden machine at its end, as if run straight.
                 EXPECT_TRUE(sim::matches_snapshot(m, straight));
@@ -448,45 +414,59 @@ TEST(CheckpointLadder, OnePassLadderEqualsTheProbeLadder) {
                           straight.trace_stats().chain_links);
                 EXPECT_EQ(m.trace_stats().fallbacks,
                           straight.trace_stats().fallbacks);
-                // A pause can split a superblock on every core: each
-                // capture the pass paused for may add one burst per
-                // core, never remove one.
+                // A pause can split a superblock on every core: each rung
+                // the pass paused for may add one burst per core, never
+                // remove one.
                 EXPECT_GE(m.trace_stats().bursts, straight.trace_stats().bursts);
                 EXPECT_LE(m.trace_stats().bursts,
-                          straight.trace_stats().bursts +
-                              one_built.captures * m.cores());
+                          straight.trace_stats().bursts + rungs_built * m.cores());
 
-                // The same rungs.
-                ASSERT_EQ(one->stride(), probe->stride());
-                ASSERT_EQ(one->checkpoints(), probe->checkpoints());
-                const std::vector<std::uint64_t> at = rung_positions(*one);
-                ASSERT_EQ(at, rung_positions(*probe));
-                ASSERT_EQ(at.size(), one->checkpoints());
-                // Each side's rung, materialized, is the other's. The
-                // golden machines descend from their ladders' bases, so
-                // they rewind to a rung as a clone of it would start.
-                for (const std::uint64_t r : at) {
-                    one->rewind_nearest(m, r);
-                    probe->rewind_nearest(m_probe, r);
-                    EXPECT_TRUE(probe->matches_rung(m)) << r;
-                    EXPECT_TRUE(one->matches_rung(m_probe)) << r;
-                }
-                EXPECT_EQ(one_built.rungs_built, probe_built.rungs_built);
-                EXPECT_EQ(one_built.rung_bytes, probe_built.rung_bytes);
-                // The captures count toward the peak and are gone once
-                // the ladder is built.
-                EXPECT_GT(one->peak_footprint_bytes(), probe->peak_footprint_bytes());
-                EXPECT_EQ(one->footprint_bytes(), probe->footprint_bytes());
-                const std::uint64_t even = (len + max_rungs - 1) / max_rungs;
-                if (bytes == roomy) {
-                    EXPECT_EQ(one->stride(), even);
-                } else {
-                    EXPECT_GT(one->stride(), even)
+                // Rungs at multiples of the final stride, within budget.
+                const std::vector<std::uint64_t> at = rung_positions(ladder);
+                ASSERT_EQ(at.size(), ladder.checkpoints());
+                ASSERT_GE(rungs_built, at.size());
+                for (const std::uint64_t r : at)
+                    EXPECT_EQ(r % ladder.stride(), 0u) << r;
+                EXPECT_LE(ladder.checkpoints(), max_rungs);
+                EXPECT_GE(ladder.peak_footprint_bytes(), ladder.footprint_bytes());
+                if (bytes == tight) {
+                    if (ladder.checkpoints() > 1) {
+                        EXPECT_LE(ladder.footprint_bytes(), bytes);
+                    }
+                    EXPECT_GT(ladder.stride(), roomy36_stride)
                         << "the byte budget did not thin the ladder";
+                    continue;
+                }
+                if (max_rungs == 36) roomy36_stride = ladder.stride();
+                if (len > max_rungs * opts.stride) {
+                    EXPECT_GE(ladder.checkpoints(), (max_rungs + 1) / 2);
+                } else {
+                    // Never over the cap: a rung at every first stride.
+                    EXPECT_EQ(ladder.stride(), opts.stride);
+                    EXPECT_EQ(ladder.checkpoints(), (len - 1) / opts.stride);
                 }
             }
         }
     }
+
+    // A zero first stride would offer no rung: refused by name, unless the
+    // ladder is off (the from-reset oracle), which builds none anyway.
+    sim::Machine m = npb::make_machine(kSmall, false);
+    orch::LadderOptions zero;
+    zero.stride = 0;
+    try {
+        (void)orch::run_golden_with_ladder(m, zero);
+        ADD_FAILURE() << "an enabled ladder with stride 0 was built";
+    } catch (const util::Error& e) {
+        EXPECT_NE(std::string(e.what()).find("LadderOptions::stride"),
+                  std::string::npos)
+            << e.what();
+    }
+    zero.enabled = false;
+    sim::Machine off = npb::make_machine(kSmall, false);
+    const orch::CheckpointLadder none = orch::run_golden_with_ladder(off, zero);
+    EXPECT_EQ(off.status(), sim::RunStatus::Shutdown);
+    EXPECT_EQ(none.checkpoints(), 0u);
 }
 
 TEST(BatchRunner, CampaignKindsAllProduceClassifiedOutcomes) {
