@@ -8,9 +8,10 @@
 //               [--tolerance=0.2]
 // runs a fixed matrix of serial and multi-core scenarios on both execution
 // engines (the switch reference and the trace production engine; each rep
-// runs both, in alternating order, and the best rep per engine counts) and
-// emits a stable machine-readable JSON report of steps/sec (retired guest
-// instructions per second) per engine x scenario. Exit is non-zero when:
+// alternates them run by run until each has run for 0.2 s, and a scenario
+// reports its median rep) and emits a stable machine-readable JSON report
+// of steps/sec (retired guest instructions per second) per engine x
+// scenario. Exit is non-zero when:
 //   * the trace/switch geomean falls below kGateSolo (1.56) on the
 //     solo-core scenarios or kGateMulti (1.17) on the multi-core ones,
 //   * the engines retired different instruction counts (engines must only
@@ -56,6 +57,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "npb/npb.hpp"
@@ -129,33 +131,52 @@ void BM_GoldenPlusInjection(benchmark::State& state) {
 // ---- engine-comparison mode (--engines) --------------------------------
 
 struct EngineRun {
-    double steps_per_sec = 0; ///< best of --reps
+    double steps_per_sec = 0; ///< over the median rep
     std::uint64_t retired = 0;
 };
 
-/// Time both engines on `s` interleaved: every rep runs switch and trace
-/// once each, in an order that alternates from rep to rep, so host drift
-/// spreads over both engines instead of landing on one. Best of reps per
-/// engine, indexed like kEngineOrder.
+/// Time both engines on `s`, indexed like kEngineOrder. A class S run takes
+/// tens of milliseconds, and a shared host's speed drifts by more than the
+/// gates allow from one fraction of a second to the next. So a rep
+/// alternates the engines run by run (each first every other time) until
+/// each has run for kMinRepSeconds: both sample the same drift. What drift
+/// is left differs from rep to rep, so the rep with the median
+/// trace/switch ratio is the one reported, not the best of each engine
+/// taken from different reps.
 constexpr sim::Engine kEngineOrder[] = {sim::Engine::Switch, sim::Engine::Trace};
 
 std::array<EngineRun, 2> measure(const npb::Scenario& s, unsigned reps) {
-    std::array<EngineRun, 2> best{};
+    constexpr double kMinRepSeconds = 0.2;
+    const auto ratio = [](const std::array<EngineRun, 2>& r) {
+        return r[1].steps_per_sec / r[0].steps_per_sec;
+    };
+    std::vector<std::array<EngineRun, 2>> runs;
     for (unsigned r = 0; r < reps; ++r) {
-        for (unsigned k = 0; k < 2; ++k) {
-            const unsigned e = (r + k) % 2;
-            sim::Machine m = npb::make_machine(s, false);
-            m.set_engine(kEngineOrder[e]);
-            const auto t0 = std::chrono::steady_clock::now();
-            m.run_until(~0ULL >> 1);
-            const auto t1 = std::chrono::steady_clock::now();
-            const double secs = std::chrono::duration<double>(t1 - t0).count();
-            const double rate = static_cast<double>(m.total_retired()) / secs;
-            best[e].steps_per_sec = std::max(best[e].steps_per_sec, rate);
-            best[e].retired = m.total_retired();
+        double seconds[2] = {0, 0};
+        double steps[2] = {0, 0};
+        std::array<EngineRun, 2> rep{};
+        for (unsigned n = 0; std::min(seconds[0], seconds[1]) < kMinRepSeconds;
+             ++n) {
+            for (unsigned k = 0; k < 2; ++k) {
+                const unsigned e = (n + k) % 2;
+                sim::Machine m = npb::make_machine(s, false);
+                m.set_engine(kEngineOrder[e]);
+                const auto t0 = std::chrono::steady_clock::now();
+                m.run_until(~0ULL >> 1);
+                seconds[e] += std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+                steps[e] += static_cast<double>(m.total_retired());
+                rep[e].retired = m.total_retired();
+            }
         }
+        for (unsigned e = 0; e < 2; ++e)
+            rep[e].steps_per_sec = steps[e] / seconds[e];
+        runs.push_back(rep);
     }
-    return best;
+    std::sort(runs.begin(), runs.end(),
+              [&](const auto& a, const auto& b) { return ratio(a) < ratio(b); });
+    return runs[runs.size() / 2];
 }
 
 /// One row of the comparison matrix. `multi` marks multi-core scenarios,

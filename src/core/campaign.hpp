@@ -43,10 +43,9 @@ struct FaultRecord {
     Outcome outcome = Outcome::Vanished;
     std::uint64_t retired = 0; ///< instructions retired by the faulty run
     /// Outcome provenance: false = the fault run was actually simulated;
-    /// true = the outcome was derived by equivalence pruning (src/prune/) —
-    /// either inferred from the golden run's diff walk or copied from the
-    /// simulated representative of the fault's equivalence class. Reports
-    /// can gate on this (`serep report --no-inferred`).
+    /// true = the outcome was inferred by pruning (src/prune/) from the
+    /// golden run's diff walk: the fault's corruption never reached a real
+    /// use. Reports can gate on this (`serep report --no-inferred`).
     bool inferred = false;
 };
 

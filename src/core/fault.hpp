@@ -49,7 +49,8 @@ const char* fault_kind_name(FaultTarget::Kind k) noexcept;
 bool fault_kind_from_name(const std::string& name, FaultTarget::Kind& out) noexcept;
 
 /// The kinds src/uncore/ injects (cache-tag / cache-data / bus). Pruning's
-/// register-diff def-use walk cannot reason about them and must decline.
+/// register-diff def-use walk cannot reason about them, so a pruned batch
+/// refuses them.
 bool is_uncore_kind(FaultTarget::Kind k) noexcept;
 /// Does a record of this kind carry an architectural register index in
 /// `reg`? (The uncore kinds reuse `reg` as a cache level.)

@@ -72,11 +72,13 @@ orch::BatchOptions resolved_batch_options(const ExperimentSpec& spec,
     case PruneMode::Verify:
         // Mirror of the spec-level prune+uncore rejection (ValidationError,
         // exit 3), for the CLI override spelling: pruning has no theory of
-        // cache/bus faults and must decline rather than silently mis-infer.
+        // cache/bus faults and must refuse rather than silently mis-infer.
+        // Checked here, before any shard file is opened; BatchRunner::add
+        // refuses such a job too.
         util::check_valid(
             !has_uncore_kind(spec),
             "--prune: uncore fault kinds (cache-tag | cache-data | bus) "
-            "cannot be pruned — equivalence pruning reasons over "
+            "cannot be pruned — pruning reasons over "
             "architectural def-use chains and cannot infer cache/bus "
             "outcomes; run without --prune");
         b.prune = true;
@@ -89,14 +91,9 @@ orch::BatchOptions resolved_batch_options(const ExperimentSpec& spec,
 void log_prune(const orch::BatchRunner& runner, const orch::BatchOptions& b,
                std::FILE* log) {
     if (!b.prune) return;
-    if (runner.prune_declined() > 0)
-        logf(log,
-             "prune: declined for %zu uncore fault runs (no equivalence "
-             "theory for cache/bus faults) — all simulated\n",
-             runner.prune_declined());
     logf(log,
          "prune: %zu of %zu fault records simulated, %zu inferred from "
-         "equivalence classes%s",
+         "the golden run's diff walk%s",
          runner.simulated_runs(),
          runner.simulated_runs() + runner.inferred_records(),
          runner.inferred_records(),

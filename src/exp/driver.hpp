@@ -43,7 +43,7 @@
 
 namespace serep::exp {
 
-/// CLI override of the spec's equivalence-pruning block
+/// CLI override of the spec's pruning block
 /// (`serep run --prune=off|on|verify`).
 enum class PruneMode : std::uint8_t {
     Spec,   ///< follow spec.prune (the default: no flag given)
@@ -88,7 +88,7 @@ struct DriverResult {
     std::size_t injected = 0;    ///< fault records written by this invocation
     std::size_t simulated = 0;   ///< injection runs actually executed (equals
                                  ///< injected unless pruning inferred some)
-    std::size_t inferred = 0;    ///< records derived by equivalence pruning
+    std::size_t inferred = 0;    ///< records inferred by pruning
     std::size_t fault_space = 0; ///< total fault space of the experiment
     bool merged = false;         ///< canonical CSV/JSONL were (re)written
     bool report_written = false; ///< at least one report file was rendered

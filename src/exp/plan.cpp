@@ -192,8 +192,8 @@ std::string ExperimentPlan::listing() {
     // spec (tests/golden/plan_paper_mini.txt) must stay byte-identical.
     if (spec_.prune) {
         std::snprintf(buf, sizeof buf,
-                      "prune: fault-equivalence classes on (verify sample "
-                      "%u/job)\n",
+                      "prune: infer faults that never reach a real use "
+                      "(verify sample %u/job)\n",
                       spec_.prune_verify);
         os << buf;
     }

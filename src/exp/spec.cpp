@@ -455,13 +455,13 @@ void ExperimentSpec::validate() const {
     // ValidationError (exit 3), not UsageError: the spec is syntactically
     // fine, but pruning's register-diff def-use walk has no theory of
     // cache-tag/cache-data/bus faults and would silently mis-infer
-    // outcomes. The runner also declines at run time for CLI overrides.
+    // outcomes. The driver refuses the CLI override (`--prune=on`) too.
     if (prune)
         for (const std::string& k : kinds)
             util::check_valid(!uncore_kind_name(k),
                               "spec: prune.enabled cannot be combined with "
                               "uncore fault kind '" + k +
-                                  "' — equivalence pruning reasons over "
+                                  "' — pruning reasons over "
                                   "architectural def-use chains and cannot "
                                   "infer cache/bus outcomes (drop "
                                   "prune.enabled or the uncore kind)");

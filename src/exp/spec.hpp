@@ -101,13 +101,13 @@ struct ExperimentSpec {
     /// oracle the laddered runs are compared against).
     bool checkpoints = true;
 
-    // ---- equivalence pruning ------------------------------------------
-    /// Simulate one representative per fault-equivalence class and infer
-    /// the rest from the golden run's def-use walk (src/prune/). Outcome
-    /// counts and report bytes match the unpruned run exactly; records gain
-    /// an "inferred" provenance flag. Part of the spec hash ONLY when
-    /// enabled, so every existing spec's hash (and its finished shard
-    /// databases) is untouched.
+    // ---- pruning -------------------------------------------------------
+    /// Infer the outcome of every fault whose corruption never reaches a
+    /// real use from the golden run's def-use walk (src/prune/), and
+    /// simulate the rest. Outcome counts and report bytes match the
+    /// unpruned run exactly; inferred records gain an "inferred" provenance
+    /// flag. Part of the spec hash ONLY when enabled, so every existing
+    /// spec's hash (and its finished shard databases) is untouched.
     bool prune = false;
     /// Sample size for `serep run --prune=verify`: per job, up to this many
     /// pruning-derived records are re-simulated and compared. Not part of

@@ -100,11 +100,9 @@ struct BatchRunner::JobState {
     std::vector<std::uint32_t> ordinals; ///< full-list position per fault (sharding)
     std::uint32_t fault_space = 0;       ///< full (pre-filter) fault-list size
     std::uint64_t budget = 0;
-    /// Equivalence-pruning plan (parallel to `faults`); null when pruning is
-    /// off. With pruning, `remaining` counts class representatives only.
+    /// Pruning plan (parallel to `faults`); null when pruning is off. With
+    /// pruning, `remaining` counts the faults planned Simulate only.
     std::unique_ptr<prune::PruneAnalysis> prune;
-    /// followers[i]: fault indices that copy representative i's record.
-    std::vector<std::vector<std::uint32_t>> followers;
     std::atomic<std::size_t> remaining{0};
     core::CampaignResult result;
 };
@@ -152,6 +150,14 @@ BatchRunner::~BatchRunner() = default;
 
 std::size_t BatchRunner::add(const npb::Scenario& s, const core::CampaignConfig& cfg,
                              JobFaultFilter filter) {
+    // Pruning's register-diff def-use walk has no theory of cache-tag,
+    // cache-data or bus faults; refuse them rather than mis-infer.
+    if (opts_.prune && core::is_uncore_kind(cfg.uncore_kind))
+        throw util::ValidationError(
+            std::string("prune: uncore fault kind '") +
+            core::fault_kind_name(cfg.uncore_kind) +
+            "' cannot be pruned (the def-use walk cannot infer cache/bus "
+            "outcomes); run it in a batch without pruning");
     auto job = std::make_unique<JobState>();
     job->scenario = s;
     job->cfg = cfg;
@@ -273,20 +279,8 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
                          job.cfg.watchdog_factor) +
                      200'000;
         if (opts_.prune && !job.faults.empty()) {
-            if (core::is_uncore_kind(job.cfg.uncore_kind)) {
-                // Pruning's register-diff def-use walk has no theory of
-                // cache-tag/cache-data/bus faults: decline cleanly and
-                // simulate this job's whole fault list rather than risk a
-                // silently mis-inferred outcome. The serep front end already
-                // rejects prune+uncore (exit 3); this guards programmatic
-                // callers.
-                prune_declined_ += job.faults.size();
-                if (tm::enabled())
-                    tm::count("prune.uncore_declined", job.faults.size());
-            } else {
-                to_analyze.push_back(&job);
-                continue; // tasks queued after the analysis phase below
-            }
+            to_analyze.push_back(&job);
+            continue; // tasks queued after the analysis phase below
         }
         job.remaining.store(job.faults.size(), std::memory_order_relaxed);
         if (job.faults.empty()) {
@@ -300,11 +294,10 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
     }
 
     // Phase 2.5 (pruning only): one instrumented golden replay per job
-    // classifies its whole fault list into equivalence classes — jobs in
-    // parallel, like the golden runs themselves. Faults whose corruption
-    // never reaches a "real use" get their records written here (inferred);
-    // only class representatives join the injection task list, and each
-    // representative's record is copied to its followers when it lands.
+    // plans each fault of its list on its own — jobs in parallel, like the
+    // golden runs themselves. Faults whose corruption never reaches a "real
+    // use" get their records written here (inferred); the rest join the
+    // injection task list.
     {
         tm::Span phase("batch.prune_analyze");
         pool.parallel_for(to_analyze.size(), [&](std::size_t a, unsigned) {
@@ -317,44 +310,30 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
     for (JobState* jp : to_analyze) {
         JobState& job = *jp;
         const prune::PruneAnalysis& pa = *job.prune;
-        job.followers.assign(job.faults.size(), {});
-        std::size_t reps = 0, follows = 0;
         for (std::uint32_t i = 0; i < job.faults.size(); ++i) {
             const prune::FaultPlan& p = pa.plan[i];
-            switch (p.action) {
-            case prune::FaultPlan::Action::Simulate:
-                ++reps;
-                break;
-            case prune::FaultPlan::Action::Follow:
-                ++follows;
-                job.followers[p.rep].push_back(i);
-                break;
-            case prune::FaultPlan::Action::Infer: {
-                core::FaultRecord rec;
-                rec.fault = job.faults[i];
-                rec.outcome = p.outcome;
-                rec.retired = p.retired;
-                rec.inferred = true;
-                job.result.records[i] = rec;
-                break;
-            }
-            }
+            if (p.action != prune::FaultPlan::Action::Infer) continue;
+            core::FaultRecord rec;
+            rec.fault = job.faults[i];
+            rec.outcome = p.outcome;
+            rec.retired = p.retired;
+            rec.inferred = true;
+            job.result.records[i] = rec;
         }
-        simulated_runs_ += reps;
-        inferred_records_ += job.faults.size() - reps;
+        simulated_runs_ += pa.n_simulate;
+        inferred_records_ += pa.n_infer;
         if (tm::enabled()) {
-            tm::count("prune.simulated", reps);
-            tm::count("prune.followed", follows);
-            tm::count("prune.inferred", job.faults.size() - reps - follows);
-            tm::count("batch.runs_planned", reps);
+            tm::count("prune.simulated", pa.n_simulate);
+            tm::count("prune.inferred", pa.n_infer);
+            tm::count("batch.runs_planned", pa.n_simulate);
         }
         // The verify sample clones from this job's ladder after the job
         // completes; hold an extra golden reference so complete_job cannot
         // trim the rungs first.
         if (opts_.prune_verify > 0)
             job.golden->active_jobs.fetch_add(1, std::memory_order_relaxed);
-        job.remaining.store(reps, std::memory_order_relaxed);
-        if (reps == 0) {
+        job.remaining.store(pa.n_simulate, std::memory_order_relaxed);
+        if (pa.n_simulate == 0) {
             complete_job(job);
             continue;
         }
@@ -455,16 +434,6 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
                 if (!live) tm::count(kAnswered);
                 if (converged) tm::count(kConverged);
             }
-            // Pruning: every member of this representative's equivalence class
-            // has a bit-identical faulty future, so its record is this one
-            // with the fault field swapped and inferred provenance.
-            if (job.prune)
-                for (std::uint32_t fi : job.followers[i]) {
-                    core::FaultRecord frec = rec;
-                    frec.fault = job.faults[fi];
-                    frec.inferred = true;
-                    job.result.records[fi] = frec;
-                }
             res.ladder = &ladder;
             // Phase 4: the finisher merges the job's counts.
             if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
@@ -488,8 +457,8 @@ void BatchRunner::run_wave(const std::vector<std::size_t>& wave_jobs,
             if (!job.prune) continue;
             std::vector<std::uint32_t> derived;
             for (std::uint32_t i = 0; i < job.faults.size(); ++i)
-                if (job.prune->plan[i].action !=
-                    prune::FaultPlan::Action::Simulate)
+                if (job.prune->plan[i].action ==
+                    prune::FaultPlan::Action::Infer)
                     derived.push_back(i);
             // Partial Fisher-Yates: the first k entries become the sample.
             util::Rng rng(job.cfg.seed ^ 0x7072756e65ULL); // "prune"

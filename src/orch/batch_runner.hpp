@@ -81,12 +81,13 @@ struct BatchOptions {
     /// scenarios round after round; costs one ladder of memory per distinct
     /// scenario until the runner dies, so leave it off for one-shot batches.
     bool retain_ladders = false;
-    /// Fault-equivalence pruning (src/prune/): replay each job's golden run
-    /// once with the def-use tracer attached, simulate one representative
-    /// per equivalence class, and derive the rest — records carry
-    /// FaultRecord::inferred. Outcome counts and report bytes are identical
-    /// to the unpruned run (the analyzer is exact, and gated in CI); only
-    /// per-fault provenance differs.
+    /// Pruning (src/prune/): replay each job's golden run once with the
+    /// def-use tracer attached, infer the outcome of every fault whose
+    /// corruption never reaches a real use — those records carry
+    /// FaultRecord::inferred — and simulate the rest. Outcome counts and
+    /// report bytes are identical to the unpruned run (the analyzer is
+    /// exact, and gated in CI); only per-fault provenance differs. add()
+    /// refuses uncore jobs (util::ValidationError) when this is set.
     bool prune = false;
     /// With prune: re-simulate up to this many pruning-derived records per
     /// job (seeded, deterministic sample) after the job completes and
@@ -109,7 +110,9 @@ public:
     /// Queue one campaign; returns its job index (also its result index).
     /// A `filter` injects only the faults of the full fault list it accepts;
     /// their positions are kept (job_ordinals) so a merger can reassemble
-    /// the unsharded record array. Golden runs are unaffected.
+    /// the unsharded record array. Golden runs are unaffected. Throws
+    /// util::ValidationError, naming the kind, for an uncore job when
+    /// BatchOptions::prune is set.
     std::size_t add(const npb::Scenario& s, const core::CampaignConfig& cfg,
                     JobFaultFilter filter = nullptr);
 
@@ -134,9 +137,9 @@ public:
     }
 
     /// Injection runs actually executed across all jobs so far. Without
-    /// pruning this equals the total record count; with pruning it is the
-    /// number of class representatives (the denominator of the >= 3.5x
-    /// job-reduction gate in CI).
+    /// pruning this equals the total record count; with pruning it counts
+    /// the faults whose corruption reached a real use (the denominator of
+    /// the >= 3.5x job-reduction gate in CI).
     std::size_t simulated_runs() const noexcept { return simulated_runs_; }
     /// Of those, runs closed at a checkpoint rung where their machine was
     /// bit-for-bit the golden one (see run_wave phase 3).
@@ -145,10 +148,6 @@ public:
     }
     /// Records whose outcome was derived by pruning instead of simulated.
     std::size_t inferred_records() const noexcept { return inferred_records_; }
-    /// Fault runs pruning declined to analyze because their job targets an
-    /// uncore fault space (they were all simulated; see run_wave). The
-    /// driver logs the decline reason when this is non-zero.
-    std::size_t prune_declined() const noexcept { return prune_declined_; }
     /// Pruning-derived records re-simulated by the verify sample (and found
     /// to match — a mismatch throws from run_all()).
     std::size_t verified_records() const noexcept { return verified_records_; }
@@ -184,7 +183,6 @@ private:
     std::size_t simulated_runs_ = 0;
     std::atomic<std::size_t> converged_runs_{0};
     std::size_t inferred_records_ = 0;
-    std::size_t prune_declined_ = 0;
     std::size_t verified_records_ = 0;
     /// Verify-sample mismatches ("job f<ordinal>: recorded X, simulated Y");
     /// reported as one util::Error at the end of run_all().

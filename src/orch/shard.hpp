@@ -135,7 +135,7 @@ std::uint64_t campaign_config_hash(const std::vector<ShardJobSpec>& jobs);
 struct ShardRunStats {
     std::size_t owned = 0;       ///< fault records this shard wrote
     std::size_t fault_space = 0; ///< total faults across all jobs
-    /// Records whose outcome was derived by equivalence pruning instead of
+    /// Records whose outcome was inferred by pruning instead of
     /// simulated (0 unless BatchOptions::prune was on). Actually-simulated
     /// runs = owned - inferred.
     std::size_t inferred = 0;

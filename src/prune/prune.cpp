@@ -1,11 +1,7 @@
 #include "prune/prune.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#ifdef PRUNE_TRACE
-#include <cstdio>
-#endif
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -69,324 +65,10 @@ constexpr std::uint64_t loc_byte(std::uint64_t l) noexcept {
     return l & ((std::uint64_t{1} << 60) - 1);
 }
 
-void append_hex(std::string& s, std::uint64_t v) {
-    char buf[17];
-    int n = 0;
-    do {
-        buf[n++] = "0123456789abcdef"[v & 0xF];
-        v >>= 4;
-    } while (v != 0);
-    while (n > 0) s += buf[--n];
-}
-
-// ---- static register liveness ---------------------------------------------
-//
-// May-read-before-overwrite analysis over the image's code, used to shrink
-// divergence fingerprints. When a conditional branch decision flips, the
-// faulty run continues at a *known* static pc; a register whose value is
-// provably never consumed as data from that pc onward (written on every
-// path before any read, call, indirect jump, or trap) cannot influence
-// control flow, addresses, stores, traps, output, or exit codes. Two faults
-// whose divergence diffs differ only in such registers therefore execute the
-// same faulty future and classify identically: the dead values ride along as
-// inert diffs that are either overwritten on every path or, when an
-// interrupt spills them through fixed PCB slots, leave kernel-memory residue
-// whose *presence* (what classification sees) is equal for both. Kernel
-// excursions are transparent to the analysis because context save/restore
-// moves register values without consuming them and scheduler decisions
-// depend on retire counts, never on user register contents.
-//
-// Bits 0..32 track the integer register slots, kFlagsBit the NZCV nibble.
-// Indirect control (BR/BLR/RET/ERET), traps (SVC/UDF), halt states, writes
-// to the V7 pc register, and out-of-image targets are sinks: everything is
-// conservatively live there.
-class StaticLiveness {
-public:
-    static constexpr std::uint64_t kFlagsBit = std::uint64_t{1} << 40;
-    static constexpr std::uint64_t kAllLive = ~std::uint64_t{0};
-
-    explicit StaticLiveness(const kasm::Image& img) : img_(img) {
-        const isa::ProfileInfo info = isa::profile_info(img.profile);
-        const std::size_t n = img.code.size();
-        use_.resize(n);
-        def_.resize(n);
-        succ_.resize(n);
-        for (std::size_t i = 0; i < n; ++i)
-            derive(i, info.pc_is_gpr, info.pc_index, info.lr_index);
-        live_.assign(n, 0);
-        // Backward fixpoint; reverse sweeps converge in a handful of passes
-        // on mostly-forward control flow, loops adding one pass per nest.
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (std::size_t i = n; i-- > 0;) {
-                std::uint64_t out = 0;
-                for (const std::size_t s : succ_[i]) {
-                    if (s == kSink) {
-                        out = kAllLive;
-                        break;
-                    }
-                    if (s != kNone) out |= live_[s];
-                }
-                const std::uint64_t in = use_[i] | (out & ~def_[i]);
-                if (in != live_[i]) {
-                    live_[i] = in;
-                    changed = true;
-                }
-            }
-        }
-    }
-
-    /// May-read set at code byte address `pc`; all-live outside the image.
-    std::uint64_t live_at(std::uint64_t pc) const {
-        return img_.contains_code(pc) ? live_[img_.instr_index(pc)] : kAllLive;
-    }
-
-private:
-    static constexpr std::size_t kSink = ~std::size_t{0};
-    static constexpr std::size_t kNone = kSink - 1;
-
-    void derive(std::size_t i, bool v7, unsigned pc_slot, unsigned lr_slot) {
-        const Instr& ins = img_.code[i];
-        std::uint64_t use = 0, def = 0;
-        const auto rd_of = [&](unsigned r) {
-            return r < 33 ? std::uint64_t{1} << r : 0;
-        };
-        const auto R = [&](unsigned r) { use |= rd_of(r); };
-        const auto D = [&](unsigned r) { def |= rd_of(r); };
-        std::size_t s0 = i + 1 < img_.code.size() ? i + 1 : kSink;
-        std::size_t s1 = kNone;
-        const auto target = [&](std::int64_t t) {
-            const std::uint64_t a = static_cast<std::uint64_t>(t);
-            return img_.contains_code(a) ? img_.instr_index(a) : kSink;
-        };
-        bool sink = false;
-        switch (ins.op) {
-            // moves / ALU
-            case Op::MOVI: D(ins.rd); break;
-            case Op::MOV:
-            case Op::MVN:
-            case Op::CLZ:
-                R(ins.rn);
-                D(ins.rd);
-                break;
-            case Op::ADD:
-            case Op::SUB:
-            case Op::AND:
-            case Op::ORR:
-            case Op::EOR:
-            case Op::MUL:
-            case Op::UMULH:
-            case Op::UDIV:
-            case Op::SDIV:
-            case Op::LSLV:
-            case Op::LSRV:
-            case Op::ASRV:
-                R(ins.rn);
-                R(ins.rm);
-                D(ins.rd);
-                break;
-            case Op::ADDI:
-            case Op::SUBI:
-            case Op::ANDI:
-            case Op::ORRI:
-            case Op::EORI:
-            case Op::LSLI:
-            case Op::LSRI:
-            case Op::ASRI:
-                R(ins.rn);
-                D(ins.rd);
-                break;
-            case Op::ADDS:
-            case Op::SUBS:
-                R(ins.rn);
-                R(ins.rm);
-                D(ins.rd);
-                def |= kFlagsBit;
-                break;
-            case Op::ADDSI:
-            case Op::SUBSI:
-            case Op::LSLSI:
-            case Op::LSRSI:
-                R(ins.rn);
-                D(ins.rd);
-                def |= kFlagsBit;
-                break;
-            case Op::ADCS:
-            case Op::SBCS:
-                R(ins.rn);
-                R(ins.rm);
-                use |= kFlagsBit;
-                D(ins.rd);
-                def |= kFlagsBit;
-                break;
-            case Op::UMULL:
-            case Op::SMULL:
-                R(ins.rn);
-                R(ins.rm);
-                D(ins.rd);
-                D(ins.ra);
-                break;
-            case Op::CMP:
-            case Op::CMN:
-            case Op::TST:
-                R(ins.rn);
-                R(ins.rm);
-                def |= kFlagsBit;
-                break;
-            case Op::CMPI:
-                R(ins.rn);
-                def |= kFlagsBit;
-                break;
-            case Op::CSEL:
-                if (ins.cond != isa::Cond::AL) use |= kFlagsBit;
-                R(ins.rn);
-                R(ins.rm);
-                D(ins.rd);
-                break;
-            case Op::CSET:
-                if (ins.cond != isa::Cond::AL) use |= kFlagsBit;
-                D(ins.rd);
-                break;
-            // branches
-            case Op::B: s0 = target(ins.imm); break;
-            case Op::BCOND:
-                use |= kFlagsBit;
-                s1 = target(ins.imm);
-                break;
-            case Op::BL:
-                D(lr_slot);
-                s0 = target(ins.imm);
-                break;
-            case Op::BLR:
-            case Op::BR:
-                R(ins.rn);
-                sink = true;
-                break;
-            case Op::RET:
-                R(lr_slot);
-                sink = true;
-                break;
-            case Op::CBZ:
-            case Op::CBNZ:
-                R(ins.rn);
-                s1 = target(ins.imm);
-                break;
-            // memory
-            case Op::LDR:
-            case Op::LDRW:
-            case Op::LDRB:
-                R(ins.rn);
-                R(ins.rm);
-                D(ins.rd);
-                break;
-            case Op::STR:
-            case Op::STRW:
-            case Op::STRB:
-                R(ins.rn);
-                R(ins.rm);
-                R(ins.rd);
-                break;
-            case Op::LDM:
-                R(ins.rn);
-                for (unsigned r = 0; r < 15; ++r)
-                    if (ins.regmask & (1u << r)) D(r);
-                if (ins.wb) D(ins.rn);
-                break;
-            case Op::STM:
-                R(ins.rn);
-                for (unsigned r = 0; r < 15; ++r)
-                    if (ins.regmask & (1u << r)) R(r);
-                if (ins.wb) D(ins.rn);
-                break;
-            case Op::LDP:
-                R(ins.rn);
-                D(ins.rd);
-                D(ins.ra);
-                break;
-            case Op::STP:
-                R(ins.rn);
-                R(ins.rd);
-                R(ins.ra);
-                break;
-            case Op::LDREX:
-                R(ins.rn);
-                D(ins.rd);
-                break;
-            case Op::STREX:
-                R(ins.rn);
-                R(ins.rm);
-                D(ins.rd);
-                break;
-            // FP: integer-visible pieces only (FP regs are never projected)
-            case Op::FCMP: def |= kFlagsBit; break;
-            case Op::FCVTZS:
-            case Op::FMOVVX:
-                D(ins.rd);
-                break;
-            case Op::SCVTF:
-            case Op::FMOVXV:
-                R(ins.rn);
-                break;
-            case Op::FLDR:
-            case Op::FSTR:
-                R(ins.rn);
-                R(ins.rm);
-                break;
-            case Op::FADD:
-            case Op::FSUB:
-            case Op::FMUL:
-            case Op::FDIV:
-            case Op::FSQRT:
-            case Op::FNEG:
-            case Op::FABS:
-            case Op::FMADD:
-            case Op::FMOV:
-            case Op::FMOVI:
-                break;
-            // system
-            case Op::SVC: sink = true; break; // kernel consumes syscall args
-            case Op::SYSRD: D(ins.rd); break;
-            case Op::SYSWR: R(ins.rn); break;
-            case Op::ERET:
-            case Op::WFI:
-            case Op::HLT:
-            case Op::UDF:
-                sink = true;
-                break;
-            case Op::NOP: break;
-        }
-        // V7 predication: a guarded write may not happen (no kill) and the
-        // guard itself reads the flags.
-        if (v7 && ins.cond != isa::Cond::AL && ins.op != Op::BCOND) {
-            use |= kFlagsBit;
-            def = 0;
-        }
-        // Writes to the V7 pc register are computed control transfers.
-        if (v7 && ((def >> pc_slot) & 1) != 0) {
-            def &= ~(std::uint64_t{1} << pc_slot);
-            sink = true;
-        }
-        if (sink) {
-            s0 = kSink;
-            s1 = kNone;
-        }
-        use_[i] = use;
-        def_[i] = def;
-        succ_[i] = {s0, s1};
-    }
-
-    const kasm::Image& img_;
-    std::vector<std::uint64_t> use_, def_;
-    std::vector<std::array<std::size_t, 2>> succ_;
-    std::vector<std::uint64_t> live_;
-};
-
 // ---- per-fault tracking state ---------------------------------------------
 
 struct FaultState {
-    /// Pending XOR diff per location (sorted map: key construction and the
-    /// at-rest classification both iterate deterministically).
+    /// Pending XOR diff per location.
     std::map<std::uint64_t, std::uint64_t> diff;
     /// Sticky, classification-visible deltas that no future state can undo:
     /// PROC_EXIT codes (overwrite semantics; zero entries erased),
@@ -395,10 +77,8 @@ struct FaultState {
     unsigned shutdown_xor = 0;
     /// and console output (append-only, so a single divergent byte latches).
     bool output_differs = false;
-    bool active = false;
-    bool resolved = false;
+    bool resolved = false;        ///< reached a real use: simulate it
     std::uint64_t cand_stamp = 0; ///< per-step candidate dedup
-    std::string key;              ///< class fingerprint (resolved only)
 };
 
 // ---- the walker -----------------------------------------------------------
@@ -406,7 +86,7 @@ struct FaultState {
 class Walker final : public sim::StepObserver {
 public:
     Walker(const Machine& m, const std::vector<Fault>& faults)
-        : faults_(faults), fs_(faults.size()), liveness_(m.image()) {
+        : faults_(faults), fs_(faults.size()) {
         const isa::ProfileInfo info =
             isa::profile_info(m.core(0).regs.profile());
         wbits_ = info.width_bits;
@@ -437,7 +117,6 @@ public:
 
     void on_step(const Machine& m, unsigned ci, const DecodedInstr& di,
                  std::uint64_t pc, bool executed) override {
-        ++seq_;
         activate_due(m);
         if (watchers_.empty() && text_watch_.empty()) return;
 
@@ -462,11 +141,10 @@ public:
 
         collect(m, ci, di);
         for (std::uint32_t fi : cands_)
-            if (!fs_[fi].resolved) transform(m, ci, di, pc, executed, fi);
+            if (!fs_[fi].resolved) transform(m, ci, di, executed, fi);
     }
 
     void on_trap(const Machine& m, unsigned ci, TrapCause cause) override {
-        ++seq_;
         activate_due(m);
         if (watchers_.empty()) return;
         // take_trap: EPC <- pc (pc+4 for SVC), SP <-> banked SP, pc <-
@@ -502,24 +180,14 @@ public:
         while (next_act_ < order_.size()) activate(order_[next_act_++]);
         PruneAnalysis out;
         out.plan.resize(fs_.size());
-        std::unordered_map<std::string, std::uint32_t> reps;
-        reps.reserve(fs_.size());
-        for (std::uint32_t i = 0; i < fs_.size(); ++i) {
+        for (std::size_t i = 0; i < fs_.size(); ++i) {
             FaultPlan& p = out.plan[i];
-            FaultState& f = fs_[i];
-            if (f.resolved) {
-                const auto ins = reps.emplace(f.key, i);
-                if (ins.second) {
-                    p.action = FaultPlan::Action::Simulate;
-                    ++out.n_simulate;
-                } else {
-                    p.action = FaultPlan::Action::Follow;
-                    p.rep = ins.first->second;
-                    ++out.n_follow;
-                }
+            if (fs_[i].resolved) {
+                p.action = FaultPlan::Action::Simulate;
+                ++out.n_simulate;
             } else {
                 p.action = FaultPlan::Action::Infer;
-                p.outcome = classify_at_rest(m, f);
+                p.outcome = classify_at_rest(m, fs_[i]);
                 p.retired = m.total_retired();
                 ++out.n_infer;
             }
@@ -537,12 +205,6 @@ private:
     void set(std::uint32_t fi, std::uint64_t l, std::uint64_t mask) {
         FaultState& f = fs_[fi];
         if (f.resolved) return;
-#ifdef PRUNE_TRACE
-        if (fi == PRUNE_TRACE)
-            std::fprintf(stderr, "W seq=%llu set loc=%llx mask=%llx\n",
-                         (unsigned long long)seq_, (unsigned long long)l,
-                         (unsigned long long)mask);
-#endif
         const auto it = f.diff.find(l);
         if (it == f.diff.end()) {
             if (mask == 0) return;
@@ -556,22 +218,6 @@ private:
         }
     }
 
-    /// Is this diff component part of the class fingerprint, given the
-    /// faulty path's static live set? Only integer registers and flags are
-    /// ever projected; everything else is conservatively kept.
-    bool loc_live(std::uint64_t l, std::uint64_t live) const {
-        if (live == StaticLiveness::kAllLive) return true;
-        const std::uint64_t kind = loc_kind(l);
-        if (kind == kLGpr) {
-            const unsigned slot = static_cast<unsigned>(l & 0xFF);
-            if (slot >= 33 || slot == pc_slot_) return true;
-            return ((live >> slot) & 1) != 0;
-        }
-        if (kind == kLFlags)
-            return (live & StaticLiveness::kFlagsBit) != 0;
-        return true;
-    }
-
     void unwatch(std::uint64_t l, std::uint32_t fi) {
         const auto w = watchers_.find(l);
         if (w == watchers_.end()) return;
@@ -580,68 +226,11 @@ private:
         if (v.empty()) watchers_.erase(w);
     }
 
-    /// The corrupted state influenced execution: freeze the fault's diff
-    /// signature. Faults resolving at the same instant with identical diffs
-    /// and sticky deltas have bit-identical faulty machine states, hence
-    /// bit-identical futures — one simulation covers the whole class.
-    ///
-    /// When the divergence is a conditional-branch decision flip, the faulty
-    /// run's continuation pc is known statically; pass it as `faulty_pc` and
-    /// diff components in registers that are provably dead-as-data from
-    /// there onward are projected out of the fingerprint, merging faults
-    /// that differ only in inert temporaries (see StaticLiveness).
-    static constexpr std::uint64_t kNoPc = ~std::uint64_t{0};
-
-    void real_use(std::uint32_t fi, std::uint64_t faulty_pc = kNoPc) {
+    /// The corrupted state influenced execution: the fault is simulated.
+    /// Stop walking its diff.
+    void real_use(std::uint32_t fi) {
         FaultState& f = fs_[fi];
         if (f.resolved) return;
-#ifdef PRUNE_TRACE
-        std::fprintf(stderr, "W f=%u seq=%llu REAL USE\n", fi,
-                     (unsigned long long)seq_);
-#endif
-        std::uint64_t live = StaticLiveness::kAllLive;
-        if (faulty_pc != kNoPc) {
-            live = liveness_.live_at(faulty_pc);
-            // A corrupted text-mirror record could decode into anything —
-            // the static code no longer describes the faulty path.
-            for (const auto& d : f.diff)
-                if (loc_kind(d.first) == kLMem && has_text_ &&
-                    loc_byte(d.first) >= text_base_ &&
-                    loc_byte(d.first) < text_base_ + text_size_) {
-                    live = StaticLiveness::kAllLive;
-                    break;
-                }
-        }
-        std::string key;
-        key.reserve(24 + f.diff.size() * 20);
-        append_hex(key, seq_);
-        for (const auto& d : f.diff) {
-            if (!loc_live(d.first, live)) continue;
-            key += ';';
-            append_hex(key, d.first);
-            key += ':';
-            append_hex(key, d.second);
-        }
-#ifdef PRUNE_TRACE
-        if (faulty_pc != kNoPc)
-            std::fprintf(stderr,
-                         "W f=%u seq=%llu PROJ fpc=%llx live=%llx diff=%zu key=%s\n",
-                         fi, (unsigned long long)seq_,
-                         (unsigned long long)faulty_pc, (unsigned long long)live,
-                         f.diff.size(), key.c_str());
-#endif
-        if (f.output_differs) key += "|o";
-        if (f.shutdown_xor != 0) {
-            key += "|s";
-            append_hex(key, f.shutdown_xor);
-        }
-        for (const auto& px : f.proc_xor) {
-            key += "|p";
-            append_hex(key, px.first);
-            key += ':';
-            append_hex(key, px.second);
-        }
-        f.key = std::move(key);
         f.resolved = true;
         ++resolved_;
         for (const auto& d : f.diff) unwatch(d.first, fi);
@@ -667,7 +256,6 @@ private:
 
     void activate(std::uint32_t fi) {
         const FaultTarget& t = faults_[fi].target;
-        fs_[fi].active = true;
         switch (t.kind) {
             case FaultTarget::Kind::GPR: {
                 // flip_gpr_bit masks: flipping past the width is a no-op.
@@ -688,8 +276,8 @@ private:
             case FaultTarget::Kind::CacheTag:
             case FaultTarget::Kind::CacheData:
             case FaultTarget::Kind::Bus:
-                // Unreachable: uncore jobs are declined before analysis
-                // (orch::BatchRunner) — the def-use walk cannot model them.
+                // Unreachable: orch::BatchRunner refuses uncore jobs in a
+                // pruned batch — the def-use walk cannot model them.
                 util::check(false, "prune: uncore fault kind in analyzer");
                 break;
         }
@@ -836,7 +424,7 @@ private:
     // tripwire. Divergence points — addresses, branch decisions, jump
     // targets, behavioral sysreg writes — end the walk via real_use().
     void transform(const Machine& m, unsigned ci, const DecodedInstr& di,
-                   std::uint64_t pc, bool executed, std::uint32_t fi) {
+                   bool executed, std::uint32_t fi) {
         FaultState& f = fs_[fi];
         const sim::CoreState& k = m.core(ci);
         const Instr& ins = di.ins;
@@ -974,13 +562,11 @@ private:
         switch (ins.op) {
             // ---- branches ----
             case Op::B: break; // immediate target, clean either way
-            case Op::BCOND: {
-                const bool gdec = isa::cond_holds(ins.cond, gflags);
-                if (gdec != isa::cond_holds(ins.cond, fflags))
-                    real_use(fi, gdec ? pc + isa::kInstrBytes
-                                      : static_cast<std::uint64_t>(ins.imm));
+            case Op::BCOND:
+                if (isa::cond_holds(ins.cond, gflags) !=
+                    isa::cond_holds(ins.cond, fflags))
+                    real_use(fi);
                 break;
-            }
             case Op::BL:
                 set(fi, loc_gpr(ci, lr_slot_), 0); // pc+4 is clean
                 break;
@@ -998,15 +584,9 @@ private:
                 if (get(f, loc_gpr(ci, lr_slot_)) != 0) real_use(fi);
                 break;
             case Op::CBZ:
-            case Op::CBNZ: {
-                const bool fzero = fx(ins.rn) == 0;
-                if ((gx(ins.rn) == 0) != fzero) {
-                    const bool ftaken = fzero == (ins.op == Op::CBZ);
-                    real_use(fi, ftaken ? static_cast<std::uint64_t>(ins.imm)
-                                        : pc + isa::kInstrBytes);
-                }
+            case Op::CBNZ:
+                if ((gx(ins.rn) == 0) != (fx(ins.rn) == 0)) real_use(fi);
                 break;
-            }
 
             // ---- memory ----
             case Op::LDR:
@@ -1309,12 +889,10 @@ private:
     std::vector<std::uint32_t> order_; ///< fault indices by at_retired
     std::size_t next_act_ = 0;
     std::size_t resolved_ = 0;
-    std::uint64_t seq_ = 0;   ///< callback counter — identifies the instant
     std::uint64_t stamp_ = 0; ///< candidate-dedup generation
     std::vector<std::uint32_t> cands_;
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> watchers_;
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> text_watch_;
-    StaticLiveness liveness_;
 
     unsigned wbits_ = 0;
     std::uint64_t wmask_ = 0;
@@ -1328,14 +906,6 @@ private:
 };
 
 } // namespace
-
-std::uint64_t static_live_mask(const kasm::Image& img, std::uint64_t pc) {
-    return StaticLiveness(img).live_at(pc);
-}
-
-std::uint64_t static_live_flags_bit() noexcept {
-    return StaticLiveness::kFlagsBit;
-}
 
 PruneAnalysis analyze(const npb::Scenario& s, sim::Engine engine,
                       const std::vector<core::Fault>& faults) {

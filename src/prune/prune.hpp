@@ -1,4 +1,4 @@
-// Fault-equivalence pruning (dynamic def-use analysis over the golden run).
+// Fault pruning by inference (dynamic def-use analysis over the golden run).
 //
 // A single-bit fault only matters once the corrupted state is *used* in a way
 // that can change the machine's future: fetched as a jump/branch decision,
@@ -12,10 +12,9 @@
 // attached and walks every fault's diff through it:
 //  * faults whose diff dies (overwritten) or lies at rest when the run ends
 //    are classified directly from the final diff — no simulation (Infer),
-//  * faults that reach a real use are fingerprinted by (instant, diff,
-//    sticky output/exit deltas); faults with identical fingerprints have
-//    bit-identical faulty futures, so one representative per class is
-//    simulated (Simulate) and the rest inherit its outcome (Follow).
+//  * faults whose diff reaches a real use are simulated (Simulate).
+// Each fault is planned on its own: its plan depends only on the golden run
+// and the fault itself, never on the other faults of the list.
 //
 // Soundness rests on the same determinism contract the execution engines
 // already share: timing, cache and scheduler evolution depend only on
@@ -35,21 +34,15 @@
 #include "core/campaign.hpp"
 #include "npb/npb.hpp"
 
-namespace serep::kasm {
-struct Image;
-} // namespace serep::kasm
-
 namespace serep::prune {
 
 /// What to do for one fault of a job's fault list.
 struct FaultPlan {
     enum class Action : std::uint8_t {
-        Simulate, ///< class representative — run the real injection
-        Follow,   ///< same class as `rep`; copy its simulated record
+        Simulate, ///< the diff reaches a real use — run the real injection
         Infer,    ///< outcome known from the diff walk; `outcome`/`retired` set
     };
     Action action = Action::Simulate;
-    std::uint32_t rep = 0;       ///< fault-list index of the class rep (Follow)
     core::Outcome outcome = core::Outcome::Vanished; ///< Infer only
     std::uint64_t retired = 0;   ///< Infer only: retired == golden total
 };
@@ -57,25 +50,19 @@ struct FaultPlan {
 struct PruneAnalysis {
     std::vector<FaultPlan> plan; ///< parallel to the input fault list
     std::size_t n_simulate = 0;
-    std::size_t n_follow = 0;
     std::size_t n_infer = 0;
+    /// Always 0: no fault takes another fault's record. The campaign
+    /// benchmark's harness (bench/campaign/bench_campaign.cpp) still reads
+    /// it; it goes when a change to the benchmark drops that read.
+    std::size_t n_follow = 0;
 };
 
-/// Replay the scenario's golden execution once (instrumented) and classify
-/// every fault of `faults`. Deterministic: same scenario + faults + engine
-/// always yields the same plan. The fault list is the job's *post-filter*
-/// list, so shards compute their equivalence classes independently and the
-/// merged record array is identical however the space was sharded.
+/// Replay the scenario's golden execution once (instrumented) and plan
+/// every fault of `faults` on its own. Deterministic: same scenario + fault
+/// + engine always yields the same plan, whatever else the list holds — so
+/// a shard, which passes its job's post-filter list, plans each fault as
+/// the unsharded run does.
 PruneAnalysis analyze(const npb::Scenario& s, sim::Engine engine,
                       const std::vector<core::Fault>& faults);
-
-/// Test hook: the analyzer's *static* backward may-use liveness mask for the
-/// instruction at `pc` (bit r = GPR r may be read before being overwritten on
-/// some path from pc; static_live_flags_bit() = NZCV may be consumed).
-/// Returns all-ones for a pc outside the image's code (conservative).
-std::uint64_t static_live_mask(const kasm::Image& img, std::uint64_t pc);
-
-/// Test hook: the bit static_live_mask() uses for the flags register.
-std::uint64_t static_live_flags_bit() noexcept;
 
 } // namespace serep::prune

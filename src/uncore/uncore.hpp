@@ -91,8 +91,8 @@
 // Determinism: injection and every subsequent model decision depend only on
 // (machine state, hook event stream), both of which are bit-identical across
 // engines, shard layouts, and hosts — uncore campaigns inherit the full
-// byte-identity contract. Pruning cannot reason about these kinds and
-// declines them (src/orch/batch_runner.cpp).
+// byte-identity contract. Pruning cannot reason about these kinds, so a
+// pruned batch refuses them (orch::BatchRunner::add).
 #pragma once
 
 #include <cstdint>

@@ -15,8 +15,9 @@
 //  * campaigns over the uncore kinds are byte-identical across both
 //    engines, and shard databases (plain and zstd-framed mixed) merge
 //    byte-identically to the unsharded run.
-//  * equivalence pruning DECLINES uncore jobs: outcomes equal the unpruned
-//    run, nothing is inferred, and the declined-run counter reports it.
+//  * a pruned batch REFUSES an uncore job (util::ValidationError naming the
+//    kind) when it is queued; a GPR job alone still prunes, and its bytes
+//    equal the unpruned run's.
 //  * a dead-on-arrival strike (empty cell, out-of-range tag alias) reports
 //    itself not live and touches nothing, and the batch records closed at
 //    injection equal a full from-reset simulation under every engine.
@@ -33,6 +34,7 @@
 #include "orch/shard.hpp"
 #include "telemetry/telemetry.hpp"
 #include "uncore/uncore.hpp"
+#include "util/check.hpp"
 #include "util/zframe.hpp"
 
 using namespace serep;
@@ -792,30 +794,42 @@ TEST(UncoreCampaign, AnsweredAtInjectionRecordsEqualFullSimulation) {
     EXPECT_EQ(converged[1], converged[0]);
 }
 
-TEST(UncoreCampaign, PruningDeclinesUncoreJobsButStillSimulatesThem) {
-    const auto run = [&](bool prune, std::size_t* declined,
-                         std::size_t* inferred) {
-        orch::BatchOptions opts;
-        opts.prune = prune;
+TEST(UncoreCampaign, PruningRefusesUncoreJobsButStillPrunesGprJobs) {
+    orch::BatchOptions opts;
+    opts.prune = true;
+    for (const auto kind : {core::FaultTarget::Kind::CacheTag,
+                            core::FaultTarget::Kind::CacheData,
+                            core::FaultTarget::Kind::Bus}) {
         orch::BatchRunner runner(opts);
-        runner.add(kV7EP, uncore_cfg(core::FaultTarget::Kind::CacheData, 25,
-                                     0xD0D0));
-        core::CampaignConfig gpr;
-        gpr.n_faults = 25;
-        gpr.seed = 0xD0D0;
+        try {
+            runner.add(kV7EP, uncore_cfg(kind, 25, 0xD0D0));
+            ADD_FAILURE() << "a pruned batch queued a "
+                          << core::fault_kind_name(kind) << " job";
+        } catch (const util::ValidationError& e) {
+            EXPECT_NE(std::string(e.what()).find(core::fault_kind_name(kind)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // The GPR job alone still prunes, with the unpruned run's bytes: the
+    // per-fault CSV carries no provenance column and pruning is exact.
+    core::CampaignConfig gpr;
+    gpr.n_faults = 25;
+    gpr.seed = 0xD0D0;
+    const auto run = [&](bool prune, std::size_t* inferred) {
+        orch::BatchOptions o;
+        o.prune = prune;
+        orch::BatchRunner runner(o);
         runner.add(kV7EP, gpr);
         const std::string csv = campaign_streams(runner.run_all()).csv;
-        if (declined) *declined = runner.prune_declined();
-        if (inferred) *inferred = runner.inferred_records();
+        *inferred = runner.inferred_records();
         return csv;
     };
-    const std::string plain = run(false, nullptr, nullptr);
-    std::size_t declined = 0, inferred = 0;
-    const std::string pruned = run(true, &declined, &inferred);
-    EXPECT_EQ(declined, 25u) << "every uncore fault run must be declined";
+    std::size_t plain_inferred = 0, inferred = 0;
+    const std::string plain = run(false, &plain_inferred);
+    const std::string pruned = run(true, &inferred);
+    EXPECT_EQ(plain_inferred, 0u);
     EXPECT_GT(inferred, 0u) << "the GPR job must still prune";
-    // Per-fault CSV carries no provenance column, so the bytes must be
-    // identical either way: declined jobs simulate everything, and pruning
-    // itself is exact.
     EXPECT_EQ(pruned, plain);
 }

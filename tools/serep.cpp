@@ -342,7 +342,7 @@ int cmd_report(const util::Cli& cli) {
             (cli.has("no-inferred") ? tally.inferred_records() : 0);
         std::fprintf(stderr,
                      "report: %llu of %llu records carry inferred outcomes "
-                     "(equivalence pruning)%s\n",
+                     "(pruning)%s\n",
                      static_cast<unsigned long long>(tally.inferred_records()),
                      static_cast<unsigned long long>(ingested),
                      cli.has("no-inferred") ? " — excluded (--no-inferred)"
@@ -528,10 +528,10 @@ int usage(std::FILE* to) {
         "                      hash are skipped, mismatches refused\n"
         "  run SPEC --shard=K/N   run one shard of the spec (remote worker);\n"
         "                      re-running `run SPEC` merges gathered shards\n"
-        "  run SPEC --prune=off|on|verify   override the spec's equivalence-\n"
-        "                      pruning block: on simulates one representative\n"
-        "                      per fault-equivalence class and infers the\n"
-        "                      rest (records flagged \"inferred\"); verify\n"
+        "  run SPEC --prune=off|on|verify   override the spec's pruning\n"
+        "                      block: on infers each fault whose corruption\n"
+        "                      never reaches a real use (records flagged\n"
+        "                      \"inferred\") and simulates the rest; verify\n"
         "                      additionally re-simulates a seeded sample of\n"
         "                      inferred faults and fails on any mismatch\n"
         "  plan SPEC.json      dry run: spec hash, job ids, shard layout,\n"
