@@ -368,14 +368,6 @@ std::vector<double> probe_job_weights(const std::vector<ShardJobSpec>& jobs) {
 
 namespace {
 
-/// Narrow a u64 member to 32 bits; a forged 2^32 + k must never alias k.
-std::uint32_t u32_member(const util::JsonValue& v, const char* key) {
-    const std::uint64_t x = v.at(key).as_u64();
-    util::check_valid(x <= UINT32_MAX,
-                      std::string("'") + key + "' does not fit 32 bits");
-    return static_cast<std::uint32_t>(x);
-}
-
 ShardDb::Job parse_job(const util::JsonValue& v) {
     ShardDb::Job s;
     s.scenario.isa = from_name({isa::Profile::V7, isa::Profile::V8},
@@ -384,12 +376,12 @@ ShardDb::Job parse_job(const util::JsonValue& v) {
                                v.at("app").as_string(), "application");
     s.scenario.api = from_name({npb::Api::Serial, npb::Api::OMP, npb::Api::MPI},
                                npb::api_name, v.at("api").as_string(), "API");
-    s.scenario.cores = u32_member(v, "cores");
+    s.scenario.cores = v.u32_at("cores");
     s.scenario.klass = klass_from_name(v.at("class").as_string());
     s.scenario.contract_fma = v.at("fma").as_bool();
     // make_fault_list draws exactly n_faults faults for every job.
-    s.fault_space = u32_member(v, "fault_space");
-    util::check_valid(s.fault_space == u32_member(v, "n_faults"),
+    s.fault_space = v.u32_at("fault_space");
+    util::check_valid(s.fault_space == v.u32_at("n_faults"),
                       "job fault_space " + std::to_string(s.fault_space) +
                           " differs from its n_faults");
     const util::JsonValue& g = v.at("golden");
@@ -437,8 +429,8 @@ std::optional<std::uint64_t> parse_manifest(const util::JsonValue& m,
 ShardDb::Record parse_record(const util::JsonValue& v,
                              const std::vector<ShardDb::Job>& jobs) {
     ShardDb::Record r;
-    r.job = u32_member(v, "job");
-    r.ord = u32_member(v, "ord");
+    r.job = v.u32_at("job");
+    r.ord = v.u32_at("ord");
     util::check_valid(r.job < jobs.size() && r.ord < jobs[r.job].fault_space,
                       "record (job " + std::to_string(r.job) + ", ord " +
                           std::to_string(r.ord) + ") is out of range");
@@ -447,9 +439,9 @@ ShardDb::Record parse_record(const util::JsonValue& v,
     const std::string& kind = v.at("kind").as_string();
     util::check_valid(core::fault_kind_from_name(kind, rec.fault.target.kind),
                       "unknown fault kind '" + kind + "'");
-    rec.fault.target.core = u32_member(v, "core");
-    rec.fault.target.reg = u32_member(v, "reg");
-    rec.fault.target.bit = u32_member(v, "bit");
+    rec.fault.target.core = v.u32_at("core");
+    rec.fault.target.reg = v.u32_at("reg");
+    rec.fault.target.bit = v.u32_at("bit");
     rec.fault.target.phys = v.at("phys").as_u64();
     const std::string& outcome = v.at("outcome").as_string();
     util::check_valid(core::outcome_from_name(outcome, rec.outcome),

@@ -1,15 +1,15 @@
 #include "prune/prune.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "isa/alu.hpp"
 #include "isa/encode.hpp"
 #include "isa/flags.hpp"
+#include "isa/semantics.hpp"
 #include "sim/machine.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/bitops.hpp"
@@ -139,9 +139,13 @@ public:
         }
         if (watchers_.empty()) return;
 
-        collect(m, ci, di);
+        // A memory op runs on the golden side once per step: its accesses
+        // and writes feed both the candidate set and every transform.
+        Side gold(*this, m, ci, nullptr);
+        if (isa::is_mem_op(di.ins.op)) isa::eval_mem(di.ins.op, di.ins, wbits_, gold);
+        collect(ci, di, gold);
         for (std::uint32_t fi : cands_)
-            if (!fs_[fi].resolved) transform(m, ci, di, executed, fi);
+            if (!fs_[fi].resolved) transform(m, ci, di, executed, gold, fi);
     }
 
     void on_trap(const Machine& m, unsigned ci, TrapCause cause) override {
@@ -283,6 +287,105 @@ private:
         }
     }
 
+    // ---- one side of a step ----
+    /// The golden machine, or the golden machine XOR one fault's diffs, as
+    /// the access port of the shared memory evaluator (isa/semantics.hpp).
+    /// It never mutates the machine: it records every data access and every
+    /// write, and a register read sees this step's earlier writes (but for
+    /// the pc: a V7 write to R15 is a jump). Loads read memory as it was
+    /// before the step; no op loads what it has stored.
+    struct Side {
+        enum class To : std::uint8_t { Gpr, Fp, Mem };
+        struct Access {
+            std::uint64_t vaddr;
+            unsigned size;
+            bool ok;
+            std::uint64_t phys;
+        };
+        struct Write {
+            To to;
+            unsigned size;      ///< bytes (Mem)
+            std::uint64_t where; ///< register, or physical byte (Mem)
+            std::uint64_t value;
+        };
+
+        Side(const Walker& w, const Machine& m, unsigned ci, const FaultState* f)
+            : w(w), m(m), k(m.core(ci)), ci(ci), f(f) {}
+
+        std::uint64_t diff(std::uint64_t l) const { return f ? w.get(*f, l) : 0; }
+        std::uint64_t x(unsigned r) {
+            if (r != w.pc_slot_)
+                for (unsigned i = nwr; i-- > 0;)
+                    if (wr[i].to == To::Gpr && wr[i].where == r) return wr[i].value;
+            reads |= std::uint64_t{1} << r;
+            return k.regs.x(r) ^ diff(loc_gpr(ci, r));
+        }
+        std::uint64_t v(unsigned r) {
+            for (unsigned i = nwr; i-- > 0;)
+                if (wr[i].to == To::Fp && wr[i].where == r) return wr[i].value;
+            fp_reads |= std::uint64_t{1} << r;
+            return k.regs.v_bits(r) ^ diff(loc_fp(ci, r));
+        }
+        void set_x(unsigned r, std::uint64_t val) {
+            wr[nwr++] = {To::Gpr, 0, r, val & w.wmask_};
+        }
+        void set_v(unsigned r, std::uint64_t val) { wr[nwr++] = {To::Fp, 0, r, val}; }
+        bool resolve(std::uint64_t vaddr, unsigned size, std::uint64_t& phys) {
+            const sim::Translation t =
+                m.mem().translate(vaddr, size, k.mode == Mode::KERNEL, k.curproc);
+            acc[nacc++] = {vaddr, size, t.ok(), t.phys};
+            phys = t.phys;
+            return t.ok();
+        }
+        bool load(std::uint64_t vaddr, unsigned size, std::uint64_t& out) {
+            std::uint64_t phys = 0;
+            if (!resolve(vaddr, size, phys)) return false;
+            out = m.mem().load(phys, size);
+            for (unsigned b = 0; f && b < size; ++b)
+                out ^= diff(loc_mem(phys + b)) << (8 * b);
+            return true;
+        }
+        bool load_excl(std::uint64_t vaddr, unsigned size, std::uint64_t& out) {
+            return load(vaddr, size, out);
+        }
+        bool store(std::uint64_t vaddr, unsigned size, std::uint64_t val) {
+            std::uint64_t phys = 0;
+            if (!resolve(vaddr, size, phys)) return false;
+            wr[nwr++] = {To::Mem, size, phys, val};
+            return true;
+        }
+        /// Reservations are never tainted: both sides hold the golden one.
+        bool claim(std::uint64_t phys) const noexcept {
+            return k.excl_valid && k.excl_addr == phys;
+        }
+        void store_excl(std::uint64_t phys, unsigned size, std::uint64_t val) {
+            wr[nwr++] = {To::Mem, size, phys, val};
+        }
+
+        /// Did both sides access the same addresses? Then they took the same
+        /// path and made the same writes, in the same order.
+        bool same_accesses(const Side& o) const {
+            if (nacc != o.nacc || nwr != o.nwr) return false;
+            for (unsigned i = 0; i < nacc; ++i)
+                if (acc[i].vaddr != o.acc[i].vaddr || acc[i].size != o.acc[i].size)
+                    return false;
+            return true;
+        }
+
+        const Walker& w;
+        const Machine& m;
+        const sim::CoreState& k;
+        unsigned ci;
+        const FaultState* f; ///< nullptr: the golden side
+        std::uint64_t reads = 0, fp_reads = 0; ///< registers read, by bit
+        // LDM/STM move at most 15 registers, plus LDM's writeback. Nothing
+        // reads past nacc/nwr, and a Side is built on every traced memory
+        // step, so the arrays are left uninitialized.
+        std::array<Access, 16> acc;
+        std::array<Write, 16> wr;
+        unsigned nacc = 0, nwr = 0;
+    };
+
     // ---- per-step candidate collection ----
     void add_loc(std::uint64_t l) {
         const auto it = watchers_.find(l);
@@ -299,36 +402,46 @@ private:
     void add_fp(unsigned ci, unsigned r) {
         if (r < 32) add_loc(loc_fp(ci, r));
     }
-    void add_mem_range(const Machine& m, const sim::CoreState& k,
-                       std::uint64_t vaddr, unsigned size) {
-        const sim::Translation t =
-            m.mem().translate(vaddr, size, k.mode == Mode::KERNEL, k.curproc);
-        if (!t.ok()) return;
-        for (unsigned i = 0; i < size; ++i) add_loc(loc_mem(t.phys + i));
-    }
-
-    std::uint64_t golden_addr_of(const sim::CoreState& k, const Instr& ins) const {
-        const std::uint64_t off = ins.rm != isa::kNoReg
-                                      ? (k.regs.x(ins.rm) << ins.shift)
-                                      : static_cast<std::uint64_t>(ins.imm);
-        return (k.regs.x(ins.rn) + off) & wmask_;
-    }
 
     /// Conservative superset of the locations this step reads *or*
     /// overwrites. Over-collection is harmless — the transform of a fault
     /// whose diffs turn out irrelevant computes zero deltas and changes
     /// nothing — so candidates err on the broad side (flags always, every
-    /// operand field even when the op ignores it).
-    void collect(const Machine& m, unsigned ci, const DecodedInstr& di) {
+    /// operand field of a non-memory op even when the op ignores it). A
+    /// memory op contributes exactly what its golden side read, wrote and
+    /// accessed: a fault that moves its addresses must taint a register the
+    /// golden side read.
+    void collect(unsigned ci, const DecodedInstr& di, const Side& gold) {
         cands_.clear();
         ++stamp_;
         const Instr& ins = di.ins;
-        const sim::CoreState& k = m.core(ci);
+        add_loc(loc_flags(ci));
+        if (isa::is_mem_op(ins.op)) {
+            for (std::uint64_t b = gold.reads; b != 0; b &= b - 1)
+                add_reg(ci, util::ctz64(b));
+            for (std::uint64_t b = gold.fp_reads; b != 0; b &= b - 1)
+                add_fp(ci, util::ctz64(b));
+            for (unsigned i = 0; i < gold.nacc; ++i)
+                if (gold.acc[i].ok)
+                    for (unsigned b = 0; b < gold.acc[i].size; ++b)
+                        add_loc(loc_mem(gold.acc[i].phys + b));
+            for (unsigned i = 0; i < gold.nwr; ++i) {
+                const Side::Write& wr = gold.wr[i];
+                if (wr.to == Side::To::Gpr) add_reg(ci, static_cast<unsigned>(wr.where));
+                if (wr.to == Side::To::Fp) add_fp(ci, static_cast<unsigned>(wr.where));
+            }
+            return;
+        }
         add_reg(ci, ins.rd);
         add_reg(ci, ins.rn);
         add_reg(ci, ins.rm);
         add_reg(ci, ins.ra);
-        add_loc(loc_flags(ci));
+        if (has_fp_ && isa::is_fp_data(ins.op)) {
+            add_fp(ci, ins.rd);
+            add_fp(ci, ins.rn);
+            add_fp(ci, ins.rm);
+            add_fp(ci, ins.ra);
+        }
         switch (ins.op) {
             case Op::BL:
             case Op::BLR:
@@ -346,85 +459,24 @@ private:
                 add_loc(loc_usp(ci));
                 add_reg(ci, sp_slot_);
                 break;
-            case Op::LDR:
-            case Op::STR:
-            case Op::LDRW:
-            case Op::STRW:
-            case Op::LDRB:
-            case Op::STRB:
-                add_mem_range(m, k, golden_addr_of(k, ins), di.mem_size);
-                break;
-            case Op::FLDR:
-            case Op::FSTR:
-                add_fp(ci, ins.rd);
-                add_mem_range(m, k, golden_addr_of(k, ins), 8);
-                break;
-            case Op::LDP:
-            case Op::STP: {
-                const std::uint64_t a = golden_addr_of(k, ins);
-                add_mem_range(m, k, a, 8);
-                add_mem_range(m, k, a + 8, 8);
-                break;
-            }
-            case Op::LDM:
-            case Op::STM: {
-                const std::uint64_t a = k.regs.x(ins.rn) & wmask_;
-                unsigned n = 0;
-                for (unsigned r = 0; r < 15; ++r) {
-                    if (!(ins.regmask & (1u << r))) continue;
-                    add_reg(ci, r); // STM source / LDM overwritten dest
-                    add_mem_range(m, k, a + 4 * n, 4);
-                    ++n;
-                }
-                break;
-            }
-            case Op::LDREX:
-            case Op::STREX:
-                add_mem_range(m, k, k.regs.x(ins.rn) & wmask_, di.mem_size);
-                break;
             default:
                 break;
-        }
-        if (has_fp_) {
-            switch (ins.op) {
-                case Op::FADD:
-                case Op::FSUB:
-                case Op::FMUL:
-                case Op::FDIV:
-                case Op::FSQRT:
-                case Op::FNEG:
-                case Op::FABS:
-                case Op::FMADD:
-                case Op::FMOV:
-                case Op::FMOVI:
-                case Op::FCMP:
-                case Op::FCVTZS:
-                case Op::SCVTF:
-                case Op::FMOVVX:
-                case Op::FMOVXV:
-                    add_fp(ci, ins.rd);
-                    add_fp(ci, ins.rn);
-                    add_fp(ci, ins.rm);
-                    add_fp(ci, ins.ra);
-                    break;
-                default:
-                    break;
-            }
         }
     }
 
     // ---- the exact diff transform ----
     // Golden pre-step state plus this fault's diff map IS the faulty
-    // machine; every case below computes `golden_result ^ faulty_result`.
-    // Integer data ops and the FCMP/FCVTZS primitives run the engines' own
-    // code (isa/alu.hpp), so they cannot drift. Only the memory, FP and
-    // system cases below remain prune-side transcriptions of the handlers
-    // in sim/exec_ops.cpp: a semantic change there must be mirrored here,
-    // and prune_test's inferred-vs-simulated identity check is the
-    // tripwire. Divergence points — addresses, branch decisions, jump
-    // targets, behavioral sysreg writes — end the walk via real_use().
+    // machine. Every data and memory op runs the engine's own evaluators
+    // (isa/semantics.hpp) once per side, and the XOR of what the two sides
+    // write becomes the new diff; a memory op whose two sides access
+    // different addresses diverges. What remains here is control transfer,
+    // ERET and the trap bookkeeping, and the system registers: which diff
+    // location backs each one and the behavioral and device classes of a
+    // write (their permissions come from isa::kSysRegAccess). Divergence
+    // points — addresses, branch decisions, jump targets, behavioral sysreg
+    // writes — end the walk via real_use().
     void transform(const Machine& m, unsigned ci, const DecodedInstr& di,
-                   bool executed, std::uint32_t fi) {
+                   bool executed, const Side& gold, std::uint32_t fi) {
         FaultState& f = fs_[fi];
         const sim::CoreState& k = m.core(ci);
         const Instr& ins = di.ins;
@@ -432,6 +484,8 @@ private:
         const auto gx = [&](unsigned r) { return k.regs.x(r); };
         const auto dx = [&](unsigned r) { return get(f, loc_gpr(ci, r)); };
         const auto fx = [&](unsigned r) { return gx(r) ^ dx(r); };
+        const auto gv = [&](unsigned r) { return k.regs.v_bits(r); };
+        const auto fv = [&](unsigned r) { return gv(r) ^ get(f, loc_fp(ci, r)); };
         const auto setx = [&](unsigned r, std::uint64_t dmask) {
             dmask &= wmask_;
             if (v7_ && r == 15) {
@@ -449,7 +503,6 @@ private:
         const auto set_flags_diff = [&](std::uint64_t nibble) {
             set(fi, loc_flags(ci), nibble & 0xF);
         };
-        // The engines' integer evaluator (isa/alu.hpp), once per reader.
         const auto eval_int = [&](auto rx, Flags fl, DataEffect& e) {
             return isa::eval_int_data(ins.op, ins, wbits_, rx, fl, e);
         };
@@ -459,7 +512,8 @@ private:
         // stream and tick cost are identical whether the op executes or
         // retires as a bubble, so only the destination/flags differ and the
         // executing side's result is exactly computable. A flip on anything
-        // else (memory, control transfer, system) diverges.
+        // else (memory, control transfer, system) diverges; FP ops never
+        // qualify (they are V8-only and FDIV/FSQRT's cost is not flat).
         if (di.check_cond) {
             const bool fexec = isa::cond_holds(ins.cond, fflags);
             if (fexec != executed) {
@@ -498,70 +552,46 @@ private:
             if (!executed) return;
         }
 
-        // Both runs execute: integer data ops evaluate once per side.
+        // Both runs execute: a data op evaluates once per side.
         {
             DataEffect eg;
-            if (eval_int(gx, gflags, eg)) {
+            if (isa::eval_data(ins.op, ins, wbits_, gx, gv, gflags, eg)) {
                 DataEffect ef;
-                eval_int(fx, fflags, ef);
+                isa::eval_data(ins.op, ins, wbits_, fx, fv, fflags, ef);
                 if (eg.wr_rd) setx(ins.rd, eg.rd ^ ef.rd);
                 if (eg.wr_ra) setx(ins.ra, eg.ra ^ ef.ra);
+                if (eg.wr_vd) set(fi, loc_fp(ci, ins.rd), eg.vd ^ ef.vd);
                 if (eg.wr_flags) set_flags_diff(eg.flags.pack() ^ ef.flags.pack());
                 return;
             }
         }
 
-        const auto gvb = [&](unsigned r) { return k.regs.v_bits(r); };
-        const auto dvb = [&](unsigned r) { return get(f, loc_fp(ci, r)); };
-        const auto fvb = [&](unsigned r) { return gvb(r) ^ dvb(r); };
-        const auto gvd = [&](unsigned r) { return util::bits_f64(gvb(r)); };
-        const auto fvd = [&](unsigned r) { return util::bits_f64(fvb(r)); };
-        const auto setv = [&](unsigned r, std::uint64_t dmask) {
-            set(fi, loc_fp(ci, r), dmask);
-        };
-        const auto fp2 = [&](double g, double fv) {
-            setv(ins.rd, util::f64_bits(g) ^ util::f64_bits(fv));
-        };
-
-        const auto xlate = [&](std::uint64_t vaddr, unsigned size,
-                               std::uint64_t& phys) {
-            const sim::Translation t = m.mem().translate(
-                vaddr, size, k.mode == Mode::KERNEL, k.curproc);
-            phys = t.phys;
-            return t.ok();
-        };
-        const auto mem_diff = [&](std::uint64_t phys, unsigned size) {
-            std::uint64_t d = 0;
-            for (unsigned i = 0; i < size; ++i)
-                d |= get(f, loc_mem(phys + i)) << (8 * i);
-            return d;
-        };
-        const auto store_diff = [&](std::uint64_t phys, unsigned size,
-                                    std::uint64_t d) {
-            for (unsigned i = 0; i < size; ++i)
-                set(fi, loc_mem(phys + i), (d >> (8 * i)) & 0xFF);
-        };
-        // addr_of both ways, exactly: base and offset taints may cancel.
-        std::uint64_t ag = 0, af = 0;
-        const auto addr_diverges = [&]() {
-            const std::uint64_t offg = ins.rm != isa::kNoReg
-                                           ? (gx(ins.rm) << ins.shift)
-                                           : static_cast<std::uint64_t>(ins.imm);
-            const std::uint64_t offf = ins.rm != isa::kNoReg
-                                           ? (fx(ins.rm) << ins.shift)
-                                           : static_cast<std::uint64_t>(ins.imm);
-            ag = (gx(ins.rn) + offg) & wmask_;
-            af = (fx(ins.rn) + offf) & wmask_;
-            if (ag != af) {
+        // A memory op's golden side ran once for the step (on_step).
+        if (isa::is_mem_op(ins.op)) {
+            Side faulty(*this, m, ci, &f);
+            isa::eval_mem(ins.op, ins, wbits_, faulty);
+            if (!gold.same_accesses(faulty)) {
                 real_use(fi);
-                return true;
+                return;
             }
-            return false;
-        };
+            for (unsigned i = 0; i < gold.nwr; ++i) {
+                const Side::Write& w = gold.wr[i];
+                const std::uint64_t d = w.value ^ faulty.wr[i].value;
+                const unsigned r = static_cast<unsigned>(w.where);
+                switch (w.to) {
+                    case Side::To::Gpr: setx(r, d); break;
+                    case Side::To::Fp: set(fi, loc_fp(ci, r), d); break;
+                    case Side::To::Mem:
+                        for (unsigned b = 0; b < w.size; ++b)
+                            set(fi, loc_mem(w.where + b), (d >> (8 * b)) & 0xFF);
+                        break;
+                }
+            }
+            return;
+        }
 
         switch (ins.op) {
             // ---- branches ----
-            case Op::B: break; // immediate target, clean either way
             case Op::BCOND:
                 if (isa::cond_holds(ins.cond, gflags) !=
                     isa::cond_holds(ins.cond, fflags))
@@ -588,223 +618,25 @@ private:
                 if ((gx(ins.rn) == 0) != (fx(ins.rn) == 0)) real_use(fi);
                 break;
 
-            // ---- memory ----
-            case Op::LDR:
-            case Op::LDRW:
-            case Op::LDRB: {
-                if (addr_diverges()) break;
-                std::uint64_t phys;
-                if (!xlate(ag, di.mem_size, phys)) break; // aborts in both runs
-                setx(ins.rd, mem_diff(phys, di.mem_size));
-                break;
-            }
-            case Op::STR: {
-                if (addr_diverges()) break;
-                std::uint64_t phys;
-                if (!xlate(ag, di.mem_size, phys)) break;
-                store_diff(phys, di.mem_size, dx(ins.rd));
-                break;
-            }
-            case Op::STRW: {
-                if (addr_diverges()) break;
-                std::uint64_t phys;
-                if (!xlate(ag, 4, phys)) break;
-                store_diff(phys, 4, dx(ins.rd) & 0xFFFFFFFFu);
-                break;
-            }
-            case Op::STRB: {
-                if (addr_diverges()) break;
-                std::uint64_t phys;
-                if (!xlate(ag, 1, phys)) break;
-                store_diff(phys, 1, dx(ins.rd) & 0xFF);
-                break;
-            }
-            case Op::LDM: {
-                if (dx(ins.rn) != 0) { // a = x(rn) & mask: any taint diverges
-                    real_use(fi);
-                    break;
-                }
-                const std::uint64_t a = gx(ins.rn) & wmask_;
-                std::uint64_t rn_g = gx(ins.rn), rn_d = 0;
-                unsigned n = 0;
-                bool aborted = false;
-                for (unsigned r = 0; r < 15; ++r) {
-                    if (!(ins.regmask & (1u << r))) continue;
-                    std::uint64_t phys;
-                    if (!xlate(a + 4 * n, 4, phys)) {
-                        aborted = true;
-                        break;
-                    }
-                    const std::uint64_t vd = mem_diff(phys, 4);
-                    setx(r, vd);
-                    if (r == ins.rn) { // writeback reads the loaded value
-                        rn_g = m.mem().load(phys, 4);
-                        rn_d = vd;
-                    }
-                    ++n;
-                }
-                if (!aborted && ins.wb)
-                    setx(ins.rn, ((rn_g + 4 * n) & wmask_) ^
-                                     (((rn_g ^ rn_d) + 4 * n) & wmask_));
-                break;
-            }
-            case Op::STM: {
-                if (dx(ins.rn) != 0) {
-                    real_use(fi);
-                    break;
-                }
-                const std::uint64_t a = gx(ins.rn) & wmask_;
-                unsigned n = 0;
-                bool aborted = false;
-                for (unsigned r = 0; r < 15; ++r) {
-                    if (!(ins.regmask & (1u << r))) continue;
-                    std::uint64_t phys;
-                    if (!xlate(a + 4 * n, 4, phys)) {
-                        aborted = true;
-                        break;
-                    }
-                    store_diff(phys, 4, dx(r) & 0xFFFFFFFFu);
-                    ++n;
-                }
-                if (!aborted && ins.wb) setx(ins.rn, 0); // rn is clean here
-                break;
-            }
-            case Op::LDP: {
-                if (addr_diverges()) break;
-                std::uint64_t p1, p2;
-                if (!xlate(ag, 8, p1) || !xlate(ag + 8, 8, p2)) break;
-                const std::uint64_t d1 = mem_diff(p1, 8);
-                const std::uint64_t d2 = mem_diff(p2, 8);
-                setx(ins.rd, d1);
-                setx(ins.ra, d2);
-                break;
-            }
-            case Op::STP: {
-                if (addr_diverges()) break;
-                std::uint64_t p1, p2;
-                if (!xlate(ag, 8, p1)) break;
-                store_diff(p1, 8, dx(ins.rd)); // first store commits even if
-                if (!xlate(ag + 8, 8, p2)) break; // the second one faults
-                store_diff(p2, 8, dx(ins.ra));
-                break;
-            }
-            case Op::LDREX: {
-                if (dx(ins.rn) != 0) {
-                    real_use(fi);
-                    break;
-                }
-                std::uint64_t phys;
-                if (!xlate(gx(ins.rn) & wmask_, di.mem_size, phys)) break;
-                setx(ins.rd, mem_diff(phys, di.mem_size));
-                break;
-            }
-            case Op::STREX: {
-                if (dx(ins.rn) != 0) {
-                    real_use(fi);
-                    break;
-                }
-                std::uint64_t phys;
-                if (!xlate(gx(ins.rn) & wmask_, di.mem_size, phys)) break;
-                // identical reservation state in both runs: same branch
-                if (k.excl_valid && k.excl_addr == phys)
-                    store_diff(phys, di.mem_size, dx(ins.rm));
-                setx(ins.rd, 0); // 0/1 success flag, identical
-                break;
-            }
-
-            // ---- floating point ----
-            case Op::FADD: fp2(gvd(ins.rn) + gvd(ins.rm), fvd(ins.rn) + fvd(ins.rm)); break;
-            case Op::FSUB: fp2(gvd(ins.rn) - gvd(ins.rm), fvd(ins.rn) - fvd(ins.rm)); break;
-            case Op::FMUL: fp2(gvd(ins.rn) * gvd(ins.rm), fvd(ins.rn) * fvd(ins.rm)); break;
-            case Op::FDIV: fp2(gvd(ins.rn) / gvd(ins.rm), fvd(ins.rn) / fvd(ins.rm)); break;
-            case Op::FSQRT: fp2(std::sqrt(gvd(ins.rn)), std::sqrt(fvd(ins.rn))); break;
-            case Op::FNEG: fp2(-gvd(ins.rn), -fvd(ins.rn)); break;
-            case Op::FABS: fp2(std::fabs(gvd(ins.rn)), std::fabs(fvd(ins.rn))); break;
-            case Op::FMADD:
-                fp2(std::fma(gvd(ins.rn), gvd(ins.rm), gvd(ins.ra)),
-                    std::fma(fvd(ins.rn), fvd(ins.rm), fvd(ins.ra)));
-                break;
-            case Op::FMOV: setv(ins.rd, dvb(ins.rn)); break; // raw bit copy
-            case Op::FMOVI: setv(ins.rd, 0); break;
-            case Op::FCMP:
-                set_flags_diff(isa::fcmp_flags(gvd(ins.rn), gvd(ins.rm)).pack() ^
-                               isa::fcmp_flags(fvd(ins.rn), fvd(ins.rm)).pack());
-                break;
-            case Op::FCVTZS:
-                setx(ins.rd,
-                     static_cast<std::uint64_t>(isa::fcvtzs_result(gvd(ins.rn))) ^
-                         static_cast<std::uint64_t>(isa::fcvtzs_result(fvd(ins.rn))));
-                break;
-            case Op::SCVTF:
-                fp2(static_cast<double>(static_cast<std::int64_t>(gx(ins.rn))),
-                    static_cast<double>(static_cast<std::int64_t>(fx(ins.rn))));
-                break;
-            case Op::FMOVVX: setx(ins.rd, dvb(ins.rn)); break;
-            case Op::FMOVXV: setv(ins.rd, dx(ins.rn)); break;
-            case Op::FLDR: {
-                if (addr_diverges()) break;
-                std::uint64_t phys;
-                if (!xlate(ag, 8, phys)) break;
-                setv(ins.rd, mem_diff(phys, 8));
-                break;
-            }
-            case Op::FSTR: {
-                if (addr_diverges()) break;
-                std::uint64_t phys;
-                if (!xlate(ag, 8, phys)) break;
-                store_diff(phys, 8, dvb(ins.rd));
-                break;
-            }
-
             // ---- system ----
-            case Op::SVC:
-                break; // pure control; the trap transform runs via on_trap
             case Op::SYSRD: {
-                // Mirror sysreg_read's permission matrix: a privileged read
-                // from user mode takes UNDEF in both runs and writes nothing.
-                const bool kernel = k.mode == Mode::KERNEL;
-                switch (static_cast<SysReg>(ins.imm)) {
-                    case SysReg::CORE_ID:
-                    case SysReg::INSTRET:
-                    case SysReg::NCORES: setx(ins.rd, 0); break;
-                    case SysReg::TLS: setx(ins.rd, get(f, loc_tls(ci))); break;
-                    case SysReg::TIMER:
-                    case SysReg::CAUSE:
-                    case SysReg::BADADDR:
-                    case SysReg::CURPROC:
-                        if (kernel) setx(ins.rd, 0);
-                        break;
-                    case SysReg::EPC:
-                        if (kernel) setx(ins.rd, get(f, loc_epc(ci)));
-                        break;
-                    case SysReg::USP:
-                        if (kernel) setx(ins.rd, get(f, loc_usp(ci)));
-                        break;
-                    case SysReg::FLAGS:
-                        if (kernel) setx(ins.rd, dflags);
-                        break;
-                    default: break; // UNDEF in both runs
-                }
+                // A read the table refuses takes UNDEF in both runs and
+                // writes nothing.
+                const SysReg sr = static_cast<SysReg>(ins.imm);
+                if (!isa::sysreg_readable(sr, k.mode == Mode::KERNEL)) break;
+                const std::uint64_t l = sysreg_loc(ci, sr);
+                setx(ins.rd, l == 0 ? 0 : get(f, l));
                 break;
             }
             case Op::SYSWR: {
-                if (k.mode != Mode::KERNEL) break; // UNDEF in both runs
+                const SysReg sr = static_cast<SysReg>(ins.imm);
+                if (!isa::sysreg_writable(sr, k.mode == Mode::KERNEL)) break;
                 const std::uint64_t dv = dx(ins.rn);
-                const std::uint64_t vg = gx(ins.rn);
-                switch (static_cast<SysReg>(ins.imm)) {
-                    // Writes that change timing, scheduling, address
-                    // translation or the address space: a tainted value is
-                    // behavioral divergence.
-                    case SysReg::TIMER:
-                    case SysReg::IPI_SEND:
-                    case SysReg::MAP_BRK:
-                    case SysReg::CURPROC:
-                        if (dv != 0) real_use(fi);
-                        break;
-                    case SysReg::EPC: set(fi, loc_epc(ci), dv); break;
-                    case SysReg::USP: set(fi, loc_usp(ci), dv); break;
-                    case SysReg::TLS: set(fi, loc_tls(ci), dv); break;
-                    case SysReg::FLAGS: set_flags_diff(dv & 0xF); break;
+                if (const std::uint64_t l = sysreg_loc(ci, sr)) {
+                    set(fi, l, l == loc_flags(ci) ? dv & 0xF : dv);
+                    break;
+                }
+                switch (sr) {
                     case SysReg::CONSOLE:
                         // append-only device; classification only ever asks
                         // *whether* output differs, so one byte latches
@@ -818,7 +650,7 @@ private:
                             real_use(fi);
                             break;
                         }
-                        const std::uint64_t proc = vg >> 8;
+                        const std::uint64_t proc = gx(ins.rn) >> 8;
                         if (proc >= nprocs_) break; // UNDEF in both runs
                         const unsigned x = static_cast<unsigned>(dv & 0xFF);
                         if (x == 0)
@@ -827,7 +659,12 @@ private:
                             f.proc_xor[static_cast<unsigned>(proc)] = x;
                         break;
                     }
-                    default: break; // UNDEF in both runs
+                    default:
+                        // TIMER, IPI_SEND, MAP_BRK, CURPROC: a tainted value
+                        // changes timing, scheduling, address translation or
+                        // the address space — behavioral divergence.
+                        if (dv != 0) real_use(fi);
+                        break;
                 }
                 break;
             }
@@ -841,13 +678,25 @@ private:
                 if (get(f, loc_epc(ci)) != 0) real_use(fi); // jump target
                 break;
             }
-            case Op::WFI:
-            case Op::HLT:
-            case Op::NOP:
-            case Op::UDF:
-                break; // control / trap only; no tainted data can flow
             default:
-                break; // integer data ops: handled exactly by eval_int_data
+                // B (an immediate target), SVC (the trap transform runs via
+                // on_trap), WFI, HLT, NOP, UDF: control or trap only, no
+                // tainted data can flow.
+                break;
+        }
+    }
+
+    /// The diff location that holds a system register's state, or 0 for
+    /// one whose value is the same in both runs: CORE_ID, INSTRET and NCORES
+    /// are never tainted, and a tainted TIMER or CURPROC write or a diverging
+    /// trap (CAUSE, BADADDR) ends the walk before it can be read.
+    std::uint64_t sysreg_loc(unsigned ci, SysReg sr) const noexcept {
+        switch (sr) {
+            case SysReg::EPC: return loc_epc(ci);
+            case SysReg::USP: return loc_usp(ci);
+            case SysReg::TLS: return loc_tls(ci);
+            case SysReg::FLAGS: return loc_flags(ci);
+            default: return 0;
         }
     }
 

@@ -19,24 +19,6 @@ DecodedInstr ExecCache::make_decoded(const isa::Instr& ins, isa::Profile p,
     const isa::OpInfo& oi = isa::op_info(ins.op);
     d.cflags = static_cast<std::uint8_t>((oi.is_branch ? kDiBranch : 0) |
                                          (oi.is_call ? kDiCall : 0));
-    const unsigned w = p == isa::Profile::V7 ? 4 : 8;
-    switch (ins.op) {
-        case isa::Op::LDR:
-        case isa::Op::STR:
-        case isa::Op::LDREX:
-        case isa::Op::STREX: d.mem_size = static_cast<std::uint8_t>(w); break;
-        case isa::Op::LDRW:
-        case isa::Op::STRW:
-        case isa::Op::LDM:
-        case isa::Op::STM: d.mem_size = 4; break;
-        case isa::Op::LDRB:
-        case isa::Op::STRB: d.mem_size = 1; break;
-        case isa::Op::LDP:
-        case isa::Op::STP:
-        case isa::Op::FLDR:
-        case isa::Op::FSTR: d.mem_size = 8; break;
-        default: break;
-    }
     return d;
 }
 

@@ -2,14 +2,13 @@
 //
 // A campaign re-executes the same guest image for every one of its fault
 // runs; the interpreter used to re-inspect the structural instruction word
-// (opcode switch, profile-dependent access widths, OpInfo lookups, V7
-// predication tests) on every step of every run. The ExecCache performs
-// that work exactly once per image: each instruction becomes a DecodedInstr
-// holding a pre-resolved handler pointer (sim/exec_ops.cpp) plus the
-// precomputed per-instruction facts the hot loop needs. Caches are immutable
-// and shared — one per image process-wide, so every Machine, every clone a
-// checkpoint ladder materializes, and every shard worker reuses the same
-// decode.
+// (opcode switch, OpInfo lookups, V7 predication tests) on every step of
+// every run. The ExecCache performs that work exactly once per image: each
+// instruction becomes a DecodedInstr holding a pre-resolved handler pointer
+// (sim/exec_ops.cpp) plus the precomputed per-instruction facts the hot loop
+// needs. Caches are immutable and shared — one per image process-wide, so
+// every Machine, every clone a checkpoint ladder materializes, and every
+// shard worker reuses the same decode.
 //
 // Correctness under text corruption: guest code lives both in the image
 // (structural) and in the Memory text mirror (serialized records, see
@@ -44,7 +43,6 @@ inline constexpr std::uint8_t kDiCall = 1u << 1;
 struct DecodedInstr {
     isa::Instr ins;          ///< operands (also what the legacy switch executes)
     ExecHandler fn = nullptr;
-    std::uint8_t mem_size = 0; ///< profile-resolved access width (memory ops)
     std::uint8_t cflags = 0;   ///< kDiBranch / kDiCall
     bool check_cond = false;   ///< V7: predicate must be evaluated before fn
     bool user_ok = false;      ///< fetch from user mode is legal at this pc

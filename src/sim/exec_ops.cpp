@@ -1,11 +1,9 @@
 #include "sim/exec_ops.hpp"
 
 #include <array>
-#include <cmath>
 
-#include "isa/alu.hpp"
+#include "isa/semantics.hpp"
 #include "sim/machine.hpp"
-#include "util/bitops.hpp"
 
 namespace serep::sim {
 
@@ -31,13 +29,15 @@ struct ExecOps {
     static std::uint64_t x(StepCtx& cx, unsigned r) noexcept {
         return cx.core.regs.x(r);
     }
-    static std::uint64_t addr_of(Machine& m, StepCtx& cx) noexcept {
-        const Instr& i = cx.di.ins;
-        const std::uint64_t base = x(cx, i.rn);
-        const std::uint64_t off = i.rm != isa::kNoReg
-                                      ? (x(cx, i.rm) << i.shift)
-                                      : static_cast<std::uint64_t>(i.imm);
-        return (base + off) & m.width_mask_;
+    /// A data access faulted: kernel panic, or a user data-abort trap.
+    static void data_abort(Machine& m, StepCtx& cx, const Translation& t,
+                           std::uint64_t vaddr) {
+        if (cx.core.mode == Mode::KERNEL) {
+            m.panic(TrapCause::DATA_ABORT);
+        } else {
+            m.take_trap(cx.core, TrapCause::DATA_ABORT,
+                        static_cast<std::uint64_t>(t.fault), vaddr);
+        }
     }
 
     /// data_access with the one-entry translation filter and the MRU D-line
@@ -57,12 +57,7 @@ struct ExecOps {
             const Translation t =
                 m.mem_.translate(vaddr, size, kernel, cx.core.curproc);
             if (!t.ok()) {
-                if (kernel) {
-                    m.panic(TrapCause::DATA_ABORT);
-                } else {
-                    m.take_trap(cx.core, TrapCause::DATA_ABORT,
-                                static_cast<std::uint64_t>(t.fault), vaddr);
-                }
+                data_abort(m, cx, t, vaddr);
                 return false;
             }
             phys = t.phys;
@@ -89,23 +84,6 @@ struct ExecOps {
         return true;
     }
 
-    static bool ld(Machine& m, StepCtx& cx, std::uint64_t vaddr, unsigned size,
-                   std::uint64_t& out) {
-        std::uint64_t phys = 0;
-        if (!access_fast(m, cx, vaddr, size, false, phys)) return false;
-        out = m.mem_.load(phys, size);
-        ++cx.cnt.loads;
-        return true;
-    }
-    static bool st(Machine& m, StepCtx& cx, std::uint64_t vaddr, unsigned size,
-                   std::uint64_t val) {
-        std::uint64_t phys = 0;
-        if (!access_fast(m, cx, vaddr, size, true, phys)) return false;
-        m.mem_.store(phys, size, val);
-        ++cx.cnt.stores;
-        return true;
-    }
-
     static void undef(Machine& m, StepCtx& cx) {
         if (cx.core.mode == Mode::KERNEL) {
             m.panic(TrapCause::UNDEF);
@@ -116,26 +94,26 @@ struct ExecOps {
         cx.retire = false;
     }
 
-    static double vd(StepCtx& cx, unsigned r) noexcept {
-        return util::bits_f64(cx.core.regs.v_bits(r));
-    }
-    static void setv(StepCtx& cx, unsigned r, double d) noexcept {
-        cx.core.regs.set_v_bits(r, util::f64_bits(d));
-    }
-
-    // ---- integer data ops (MOVI..CSET) ---------------------------------
-    /// The shared evaluator (isa/alu.hpp) instantiated for one opcode, then
-    /// applied: flags first, then rd, then ra.
+    // ---- data ops (MOVI..CSET, FADD..FMOVXV) ----------------------------
+    /// The shared evaluator (isa/semantics.hpp) instantiated for one opcode,
+    /// then applied: flags first, then rd, ra and the FP destination. The FP
+    /// op count and FDIV/FSQRT's latency are the engine's own.
     template <Op kOp>
-    static void int_op(Machine& m, StepCtx& cx) {
+    static void data_op(Machine& m, StepCtx& cx) {
         const Instr& i = cx.di.ins;
+        isa::RegFile& regs = cx.core.regs;
         isa::DataEffect e;
-        isa::eval_int_data(
-            kOp, i, m.width_bits_, [&](unsigned r) { return x(cx, r); },
-            cx.core.regs.flags(), e);
-        if (e.wr_flags) cx.core.regs.flags() = e.flags;
+        isa::eval_data(
+            kOp, i, m.width_bits_, [&](unsigned r) { return regs.x(r); },
+            [&](unsigned r) { return regs.v_bits(r); }, regs.flags(), e);
+        if (e.wr_flags) regs.flags() = e.flags;
         if (e.wr_rd) m.write_gpr(cx.core, i.rd, e.rd);
         if (e.wr_ra) m.write_gpr(cx.core, i.ra, e.ra);
+        if (e.wr_vd) regs.set_v_bits(i.rd, e.vd);
+        if constexpr (isa::is_fp_data(kOp)) {
+            ++cx.cnt.fp_ops;
+            if constexpr (kOp == Op::FDIV || kOp == Op::FSQRT) cx.cost += 10;
+        }
     }
 
     // ---- branches -------------------------------------------------------
@@ -189,224 +167,77 @@ struct ExecOps {
         }
     }
 
-    // ---- memory ---------------------------------------------------------
-    static void load_gpr(Machine& m, StepCtx& cx) { // LDR / LDRW / LDRB
-        std::uint64_t v;
-        if (!ld(m, cx, addr_of(m, cx), cx.di.mem_size, v)) {
-            cx.retire = false;
-            return;
+    // ---- memory (LDR..STREX, FLDR/FSTR) -------------------------------
+    /// The engine's access port for isa::eval_mem: the core's live
+    /// registers, the filtered data path, the reservation and the uncore
+    /// hook.
+    struct Port {
+        Machine& m;
+        StepCtx& cx;
+        std::uint64_t x(unsigned r) const noexcept { return cx.core.regs.x(r); }
+        std::uint64_t v(unsigned r) const noexcept {
+            return cx.core.regs.v_bits(r);
         }
-        m.write_gpr(cx.core, cx.di.ins.rd, v);
-    }
-    static void strw(Machine& m, StepCtx& cx) {
-        if (!st(m, cx, addr_of(m, cx), 4, x(cx, cx.di.ins.rd) & 0xFFFFFFFFu))
-            cx.retire = false;
-    }
-    static void strb(Machine& m, StepCtx& cx) {
-        if (!st(m, cx, addr_of(m, cx), 1, x(cx, cx.di.ins.rd) & 0xFF))
-            cx.retire = false;
-    }
-    static void str(Machine& m, StepCtx& cx) {
-        if (!st(m, cx, addr_of(m, cx), cx.di.mem_size, x(cx, cx.di.ins.rd)))
-            cx.retire = false;
-    }
-    static void ldm(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        const std::uint64_t a = x(cx, i.rn) & m.width_mask_;
-        unsigned n = 0;
-        for (unsigned r = 0; r < 15 && cx.retire; ++r) {
-            if (!(i.regmask & (1u << r))) continue;
-            std::uint64_t v;
-            if (!ld(m, cx, a + 4 * n, 4, v)) {
-                cx.retire = false;
-                break;
-            }
-            m.write_gpr(cx.core, r, v);
-            ++n;
+        void set_x(unsigned r, std::uint64_t val) { m.write_gpr(cx.core, r, val); }
+        void set_v(unsigned r, std::uint64_t val) noexcept {
+            cx.core.regs.set_v_bits(r, val);
         }
-        if (cx.retire && i.wb)
-            m.write_gpr(cx.core, i.rn, (x(cx, i.rn) + 4 * n) & m.width_mask_);
-    }
-    static void stm(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        const std::uint64_t a = x(cx, i.rn) & m.width_mask_;
-        unsigned n = 0;
-        for (unsigned r = 0; r < 15 && cx.retire; ++r) {
-            if (!(i.regmask & (1u << r))) continue;
-            if (!st(m, cx, a + 4 * n, 4, x(cx, r))) {
-                cx.retire = false;
-                break;
-            }
-            ++n;
+        bool load(std::uint64_t vaddr, unsigned size, std::uint64_t& out,
+                  std::uint64_t& phys) {
+            if (!access_fast(m, cx, vaddr, size, false, phys)) return false;
+            out = m.mem_.load(phys, size);
+            ++cx.cnt.loads;
+            return true;
         }
-        if (cx.retire && i.wb)
-            m.write_gpr(cx.core, i.rn, (x(cx, i.rn) + 4 * n) & m.width_mask_);
-    }
-    static void ldp(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        const std::uint64_t a = addr_of(m, cx);
-        std::uint64_t v1, v2;
-        if (!ld(m, cx, a, 8, v1) || !ld(m, cx, a + 8, 8, v2)) {
-            cx.retire = false;
-            return;
+        bool load(std::uint64_t vaddr, unsigned size, std::uint64_t& out) {
+            std::uint64_t phys = 0;
+            return load(vaddr, size, out, phys);
         }
-        m.write_gpr(cx.core, i.rd, v1);
-        m.write_gpr(cx.core, i.ra, v2);
-    }
-    static void stp(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        const std::uint64_t a = addr_of(m, cx);
-        if (!st(m, cx, a, 8, x(cx, i.rd)) || !st(m, cx, a + 8, 8, x(cx, i.ra)))
-            cx.retire = false;
-    }
-    static void ldrex(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        const unsigned size = cx.di.mem_size;
-        std::uint64_t phys = 0;
-        if (!access_fast(m, cx, x(cx, i.rn) & m.width_mask_, size, false, phys)) {
-            cx.retire = false;
-            return;
-        }
-        m.write_gpr(cx.core, i.rd, m.mem_.load(phys, size));
-        ++cx.cnt.loads;
-        cx.core.excl_addr = phys;
-        cx.core.excl_valid = true;
-    }
-    static void strex(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        const unsigned size = cx.di.mem_size;
-        const std::uint64_t vaddr = x(cx, i.rn) & m.width_mask_;
-        const Translation t = m.mem_.translate(
-            vaddr, size, cx.core.mode == Mode::KERNEL, cx.core.curproc);
-        if (!t.ok()) {
-            if (cx.core.mode == Mode::KERNEL) {
-                m.panic(TrapCause::DATA_ABORT);
-            } else {
-                m.take_trap(cx.core, TrapCause::DATA_ABORT,
-                            static_cast<std::uint64_t>(t.fault), vaddr);
-            }
-            cx.retire = false;
-            return;
-        }
-        if (cx.core.excl_valid && cx.core.excl_addr == t.phys) {
-            if (m.uncore_.ptr)
-                m.uncore_.ptr->on_data_access(m, cx.ci, t.phys, size, true,
-                                              false, false, false);
-            m.mem_.store(t.phys, size, x(cx, i.rm));
+        bool store(std::uint64_t vaddr, unsigned size, std::uint64_t val) {
+            std::uint64_t phys = 0;
+            if (!access_fast(m, cx, vaddr, size, true, phys)) return false;
+            m.mem_.store(phys, size, val);
             ++cx.cnt.stores;
-            cx.core.excl_valid = false;
-            m.invalidate_reservations(t.phys, &cx.core);
-            m.write_gpr(cx.core, i.rd, 0);
-        } else {
-            cx.core.excl_valid = false;
-            m.write_gpr(cx.core, i.rd, 1);
+            return true;
         }
-    }
+        bool load_excl(std::uint64_t vaddr, unsigned size, std::uint64_t& out) {
+            std::uint64_t phys = 0;
+            if (!load(vaddr, size, out, phys)) return false;
+            cx.core.excl_addr = phys;
+            cx.core.excl_valid = true;
+            return true;
+        }
+        bool resolve(std::uint64_t vaddr, unsigned size, std::uint64_t& phys) {
+            const Translation t = m.mem_.translate(
+                vaddr, size, cx.core.mode == Mode::KERNEL, cx.core.curproc);
+            if (!t.ok()) {
+                data_abort(m, cx, t, vaddr);
+                return false;
+            }
+            phys = t.phys;
+            return true;
+        }
+        bool claim(std::uint64_t phys) noexcept {
+            const bool held = cx.core.excl_valid && cx.core.excl_addr == phys;
+            cx.core.excl_valid = false;
+            return held;
+        }
+        /// Exclusive stores bypass the cache model (the hook sees them
+        /// uncached) and break every other core's reservation.
+        void store_excl(std::uint64_t phys, unsigned size, std::uint64_t val) {
+            if (m.uncore_.ptr)
+                m.uncore_.ptr->on_data_access(m, cx.ci, phys, size, true, false,
+                                              false, false);
+            m.mem_.store(phys, size, val);
+            ++cx.cnt.stores;
+            m.invalidate_reservations(phys, &cx.core);
+        }
+    };
 
-    // ---- floating point -------------------------------------------------
-    static void fadd(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        setv(cx, i.rd, vd(cx, i.rn) + vd(cx, i.rm));
-        ++cx.cnt.fp_ops;
-        (void)m;
-    }
-    static void fsub(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        setv(cx, i.rd, vd(cx, i.rn) - vd(cx, i.rm));
-        ++cx.cnt.fp_ops;
-        (void)m;
-    }
-    static void fmul(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        setv(cx, i.rd, vd(cx, i.rn) * vd(cx, i.rm));
-        ++cx.cnt.fp_ops;
-        (void)m;
-    }
-    static void fdiv(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        setv(cx, i.rd, vd(cx, i.rn) / vd(cx, i.rm));
-        ++cx.cnt.fp_ops;
-        cx.cost += 10;
-        (void)m;
-    }
-    static void fsqrt(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        setv(cx, i.rd, std::sqrt(vd(cx, i.rn)));
-        ++cx.cnt.fp_ops;
-        cx.cost += 10;
-        (void)m;
-    }
-    static void fneg(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        setv(cx, i.rd, -vd(cx, i.rn));
-        ++cx.cnt.fp_ops;
-        (void)m;
-    }
-    static void fabs_(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        setv(cx, i.rd, std::fabs(vd(cx, i.rn)));
-        ++cx.cnt.fp_ops;
-        (void)m;
-    }
-    static void fmadd(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        setv(cx, i.rd, std::fma(vd(cx, i.rn), vd(cx, i.rm), vd(cx, i.ra)));
-        ++cx.cnt.fp_ops;
-        (void)m;
-    }
-    static void fmov(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        cx.core.regs.set_v_bits(i.rd, cx.core.regs.v_bits(i.rn));
-        ++cx.cnt.fp_ops;
-        (void)m;
-    }
-    static void fmovi(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        cx.core.regs.set_v_bits(i.rd, static_cast<std::uint64_t>(i.imm));
-        ++cx.cnt.fp_ops;
-        (void)m;
-    }
-    static void fcmp(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        cx.core.regs.flags() = isa::fcmp_flags(vd(cx, i.rn), vd(cx, i.rm));
-        ++cx.cnt.fp_ops;
-        (void)m;
-    }
-    static void fcvtzs(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        m.write_gpr(cx.core, i.rd,
-                    static_cast<std::uint64_t>(isa::fcvtzs_result(vd(cx, i.rn))));
-        ++cx.cnt.fp_ops;
-    }
-    static void scvtf(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        setv(cx, i.rd,
-             static_cast<double>(static_cast<std::int64_t>(x(cx, i.rn))));
-        ++cx.cnt.fp_ops;
-        (void)m;
-    }
-    static void fmovvx(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        m.write_gpr(cx.core, i.rd, cx.core.regs.v_bits(i.rn));
-        ++cx.cnt.fp_ops;
-    }
-    static void fmovxv(Machine& m, StepCtx& cx) {
-        const Instr& i = cx.di.ins;
-        cx.core.regs.set_v_bits(i.rd, x(cx, i.rn));
-        ++cx.cnt.fp_ops;
-        (void)m;
-    }
-    static void fldr(Machine& m, StepCtx& cx) {
-        std::uint64_t v;
-        if (!ld(m, cx, addr_of(m, cx), 8, v)) {
-            cx.retire = false;
-            return;
-        }
-        cx.core.regs.set_v_bits(cx.di.ins.rd, v);
-    }
-    static void fstr(Machine& m, StepCtx& cx) {
-        if (!st(m, cx, addr_of(m, cx), 8, cx.core.regs.v_bits(cx.di.ins.rd)))
-            cx.retire = false;
+    template <Op kOp>
+    static void mem_op(Machine& m, StepCtx& cx) {
+        Port p{m, cx};
+        if (!isa::eval_mem(kOp, cx.di.ins, m.width_bits_, p)) cx.retire = false;
     }
 
     // ---- system ---------------------------------------------------------
@@ -480,31 +311,33 @@ namespace {
 constexpr std::size_t kOpCount = static_cast<std::size_t>(Op::UDF) + 1;
 
 template <Op kOp>
-constexpr ExecHandler kInt = &ExecOps::int_op<kOp>;
+constexpr ExecHandler kData = &ExecOps::data_op<kOp>;
+template <Op kOp>
+constexpr ExecHandler kMem = &ExecOps::mem_op<kOp>;
 
 /// The dispatch table, in Op declaration order (see isa/op.hpp).
 constexpr std::array<ExecHandler, kOpCount> kHandlers = {{
-    kInt<Op::MOVI>,   kInt<Op::MOV>,    kInt<Op::MVN>,    kInt<Op::ADD>,
-    kInt<Op::SUB>,    kInt<Op::AND>,    kInt<Op::ORR>,    kInt<Op::EOR>,
-    kInt<Op::MUL>,    kInt<Op::ADDI>,   kInt<Op::SUBI>,   kInt<Op::ANDI>,
-    kInt<Op::ORRI>,   kInt<Op::EORI>,   kInt<Op::ADDS>,   kInt<Op::SUBS>,
-    kInt<Op::ADDSI>,  kInt<Op::SUBSI>,  kInt<Op::ADCS>,   kInt<Op::SBCS>,
-    kInt<Op::UMULL>,  kInt<Op::SMULL>,  kInt<Op::UMULH>,  kInt<Op::UDIV>,
-    kInt<Op::SDIV>,   kInt<Op::LSLI>,   kInt<Op::LSRI>,   kInt<Op::ASRI>,
-    kInt<Op::LSLV>,   kInt<Op::LSRV>,   kInt<Op::ASRV>,   kInt<Op::LSLSI>,
-    kInt<Op::LSRSI>,  kInt<Op::CLZ>,    kInt<Op::CMP>,    kInt<Op::CMPI>,
-    kInt<Op::CMN>,    kInt<Op::TST>,    kInt<Op::CSEL>,   kInt<Op::CSET>,
-    &ExecOps::b,      &ExecOps::bcond,  &ExecOps::bl,     &ExecOps::blr,
-    &ExecOps::br,     &ExecOps::ret,    &ExecOps::cbz,    &ExecOps::cbnz,
-    &ExecOps::load_gpr, &ExecOps::str,  &ExecOps::load_gpr, &ExecOps::strw,
-    &ExecOps::load_gpr, &ExecOps::strb, &ExecOps::ldm,    &ExecOps::stm,
-    &ExecOps::ldp,    &ExecOps::stp,    &ExecOps::ldrex,  &ExecOps::strex,
-    &ExecOps::fadd,   &ExecOps::fsub,   &ExecOps::fmul,   &ExecOps::fdiv,
-    &ExecOps::fsqrt,  &ExecOps::fneg,   &ExecOps::fabs_,  &ExecOps::fmadd,
-    &ExecOps::fmov,   &ExecOps::fmovi,  &ExecOps::fcmp,   &ExecOps::fcvtzs,
-    &ExecOps::scvtf,  &ExecOps::fmovvx, &ExecOps::fmovxv, &ExecOps::fldr,
-    &ExecOps::fstr,   &ExecOps::svc,    &ExecOps::sysrd,  &ExecOps::syswr,
-    &ExecOps::eret,   &ExecOps::wfi,    &ExecOps::nop,    &ExecOps::hlt,
+    kData<Op::MOVI>,   kData<Op::MOV>,    kData<Op::MVN>,    kData<Op::ADD>,
+    kData<Op::SUB>,    kData<Op::AND>,    kData<Op::ORR>,    kData<Op::EOR>,
+    kData<Op::MUL>,    kData<Op::ADDI>,   kData<Op::SUBI>,   kData<Op::ANDI>,
+    kData<Op::ORRI>,   kData<Op::EORI>,   kData<Op::ADDS>,   kData<Op::SUBS>,
+    kData<Op::ADDSI>,  kData<Op::SUBSI>,  kData<Op::ADCS>,   kData<Op::SBCS>,
+    kData<Op::UMULL>,  kData<Op::SMULL>,  kData<Op::UMULH>,  kData<Op::UDIV>,
+    kData<Op::SDIV>,   kData<Op::LSLI>,   kData<Op::LSRI>,   kData<Op::ASRI>,
+    kData<Op::LSLV>,   kData<Op::LSRV>,   kData<Op::ASRV>,   kData<Op::LSLSI>,
+    kData<Op::LSRSI>,  kData<Op::CLZ>,    kData<Op::CMP>,    kData<Op::CMPI>,
+    kData<Op::CMN>,    kData<Op::TST>,    kData<Op::CSEL>,   kData<Op::CSET>,
+    &ExecOps::b,       &ExecOps::bcond,   &ExecOps::bl,      &ExecOps::blr,
+    &ExecOps::br,      &ExecOps::ret,     &ExecOps::cbz,     &ExecOps::cbnz,
+    kMem<Op::LDR>,     kMem<Op::STR>,     kMem<Op::LDRW>,    kMem<Op::STRW>,
+    kMem<Op::LDRB>,    kMem<Op::STRB>,    kMem<Op::LDM>,     kMem<Op::STM>,
+    kMem<Op::LDP>,     kMem<Op::STP>,     kMem<Op::LDREX>,   kMem<Op::STREX>,
+    kData<Op::FADD>,   kData<Op::FSUB>,   kData<Op::FMUL>,   kData<Op::FDIV>,
+    kData<Op::FSQRT>,  kData<Op::FNEG>,   kData<Op::FABS>,   kData<Op::FMADD>,
+    kData<Op::FMOV>,   kData<Op::FMOVI>,  kData<Op::FCMP>,   kData<Op::FCVTZS>,
+    kData<Op::SCVTF>,  kData<Op::FMOVVX>, kData<Op::FMOVXV>, kMem<Op::FLDR>,
+    kMem<Op::FSTR>,    &ExecOps::svc,     &ExecOps::sysrd,   &ExecOps::syswr,
+    &ExecOps::eret,    &ExecOps::wfi,     &ExecOps::nop,     &ExecOps::hlt,
     &ExecOps::udf,
 }};
 

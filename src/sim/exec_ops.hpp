@@ -4,11 +4,12 @@
 // case of the reference switch in sim/machine.cpp (kept behind
 // Machine::set_engine(Engine::Switch) as the independent oracle; the two
 // are cross-checked instruction-by-instruction and campaign-by-campaign in
-// tests/engine_test.cpp). The integer data ops (MOVI..CSET) are not
-// written here: each is an instance of the shared evaluator in isa/alu.hpp,
-// which the prune walker evaluates too. So the handlers are independent of
-// the switch — sharing with it would turn the differential tests into
-// tautologies — but not of prune, which cannot drift from them.
+// tests/engine_test.cpp). The data ops (MOVI..CSET, FADD..FMOVXV) and the
+// memory ops (LDR..STREX, FLDR/FSTR) are not written here: each is an
+// instance of a shared evaluator in isa/semantics.hpp, which the prune
+// walker evaluates too. So the handlers are independent of the switch —
+// sharing with it would turn the differential tests into tautologies — but
+// not of prune, which cannot drift from them.
 #pragma once
 
 #include "isa/op.hpp"

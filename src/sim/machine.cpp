@@ -288,27 +288,28 @@ bool Machine::data_access(CoreState& core, std::uint64_t vaddr, unsigned size,
 }
 
 bool Machine::sysreg_read(CoreState& core, SysReg sr, std::uint64_t& value) {
-    const bool kernel = core.mode == Mode::KERNEL;
+    if (!isa::sysreg_readable(sr, core.mode == Mode::KERNEL)) return false;
     switch (sr) {
         case SysReg::CORE_ID:
             value = static_cast<std::uint64_t>(&core - cores_.data());
-            return true;
-        case SysReg::TLS: value = core.tls; return true;
-        case SysReg::INSTRET: value = core.retired; return true;
-        case SysReg::NCORES: value = cores_.size(); return true;
-        case SysReg::TIMER: value = core.timer; return kernel;
-        case SysReg::EPC: value = core.epc; return kernel;
-        case SysReg::CAUSE: value = core.cause; return kernel;
-        case SysReg::BADADDR: value = core.badaddr; return kernel;
-        case SysReg::FLAGS: value = core.regs.flags().pack(); return kernel;
-        case SysReg::USP: value = core.banked_sp; return kernel;
-        case SysReg::CURPROC: value = core.curproc; return kernel;
+            break;
+        case SysReg::TLS: value = core.tls; break;
+        case SysReg::INSTRET: value = core.retired; break;
+        case SysReg::NCORES: value = cores_.size(); break;
+        case SysReg::TIMER: value = core.timer; break;
+        case SysReg::EPC: value = core.epc; break;
+        case SysReg::CAUSE: value = core.cause; break;
+        case SysReg::BADADDR: value = core.badaddr; break;
+        case SysReg::FLAGS: value = core.regs.flags().pack(); break;
+        case SysReg::USP: value = core.banked_sp; break;
+        case SysReg::CURPROC: value = core.curproc; break;
         default: return false;
     }
+    return true;
 }
 
 bool Machine::sysreg_write(CoreState& core, SysReg sr, std::uint64_t value) {
-    if (core.mode != Mode::KERNEL) return false;
+    if (!isa::sysreg_writable(sr, core.mode == Mode::KERNEL)) return false;
     switch (sr) {
         case SysReg::TIMER:
             core.timer = value;

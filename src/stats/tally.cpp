@@ -1,11 +1,14 @@
 #include "stats/tally.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <tuple>
 
 #include "orch/shard.hpp"
 #include "uncore/uncore.hpp"
 #include "util/check.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/json.hpp"
 #include "util/zframe.hpp"
@@ -93,12 +96,10 @@ GroupKey parse_scenario_name(const std::string& name) {
     for (char c : parts[3])
         util::check_valid(c >= '0' && c <= '9',
                           "malformed scenario core count in '" + name + "'");
-    try {
-        key.cores = static_cast<unsigned>(std::stoul(parts[3]));
-    } catch (const std::exception&) { // out_of_range on absurd digit runs
-        throw util::ValidationError("malformed scenario core count in '" +
-                                    name + "'");
-    }
+    const std::optional<std::uint64_t> cores = util::parse_u64(parts[3]);
+    util::check_valid(cores && *cores <= UINT32_MAX,
+                      "malformed scenario core count in '" + name + "'");
+    key.cores = static_cast<unsigned>(*cores);
     return key;
 }
 
@@ -245,7 +246,7 @@ void OutcomeTally::add_campaign_jsonl(const std::string& contents,
                 add_record_from(
                     key, outcome_or_throw(rv.at("outcome").as_string(), label),
                     core::fault_kind_has_reg(kind),
-                    static_cast<unsigned>(rv.at("reg").as_u64()),
+                    rv.u32_at("reg"),
                     inf && inf->as_bool(), Source::Plain, label);
             }
         } catch (const util::ValidationError&) {
@@ -278,18 +279,16 @@ void OutcomeTally::add_csv(const std::string& contents,
         GroupKey key = parse_scenario_name(row[c_scenario]);
         const core::FaultTarget::Kind kind = kind_or_throw(row[c_kind], label);
         key.kind = core::fault_kind_name(kind);
-        unsigned reg = 0;
-        try {
-            reg = static_cast<unsigned>(std::stoul(row[c_reg]));
-        } catch (const std::exception&) {
-            throw util::ValidationError(label + " row " + std::to_string(i) +
-                                        ": malformed reg '" + row[c_reg] + "'");
-        }
+        // The whole cell, bounded to 32 bits as a shard DB's "reg" is.
+        const std::optional<std::uint64_t> reg = util::parse_u64(row[c_reg]);
+        util::check_valid(reg && *reg <= UINT32_MAX,
+                          label + " row " + std::to_string(i) +
+                              ": malformed reg '" + row[c_reg] + "'");
         // The per-fault CSV carries no provenance column (its byte format
         // predates pruning and must stay stable); records fold as simulated.
         add_record_from(key, outcome_or_throw(row[c_outcome], label),
-                        core::fault_kind_has_reg(kind), reg, false,
-                        Source::Plain, label);
+                        core::fault_kind_has_reg(kind),
+                        static_cast<unsigned>(*reg), false, Source::Plain, label);
     }
 }
 

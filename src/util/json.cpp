@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -148,6 +149,13 @@ const std::string& JsonValue::as_string() const {
 std::uint64_t JsonValue::as_u64() const {
     check(type == Type::Number && is_integer, "json: not an integer");
     return u64;
+}
+
+std::uint32_t JsonValue::u32_at(const std::string& key) const {
+    const JsonValue& v = at(key);
+    check(v.type == Type::Number && v.is_integer && v.u64 <= UINT32_MAX,
+          "'" + key + "' is not a 32-bit unsigned integer");
+    return static_cast<std::uint32_t>(v.u64);
 }
 
 double JsonValue::as_double() const {
@@ -361,8 +369,9 @@ private:
         v.type = JsonValue::Type::Number;
         v.number = std::strtod(tok.c_str(), nullptr);
         if (integral && tok[0] != '-') {
-            v.is_integer = true;
-            v.u64 = std::strtoull(tok.c_str(), nullptr, 10);
+            const char* end = tok.data() + tok.size();
+            const std::from_chars_result r = std::from_chars(tok.data(), end, v.u64);
+            v.is_integer = r.ec == std::errc() && r.ptr == end;
         }
         return v;
     }

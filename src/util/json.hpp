@@ -5,7 +5,8 @@
 // json_parse() is the reader half: a small recursive-descent parser into a
 // JsonValue tree, used by the shard merger to read shard outcome databases
 // (manifest + record lines). Integer literals are kept exact as uint64 in
-// addition to the double view, so 64-bit ids and seeds round-trip.
+// addition to the double view, so 64-bit ids and seeds round-trip; one past
+// 2^64 - 1 is no integer at all, so as_u64 refuses it rather than clamp it.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +37,9 @@ struct JsonValue {
     /// Typed accessors; throw util::Error on a type mismatch.
     const std::string& as_string() const;
     std::uint64_t as_u64() const;
+    /// at(key).as_u64() narrowed to 32 bits: anything else throws
+    /// util::Error naming the key, so a forged 2^32 + k never aliases k.
+    std::uint32_t u32_at(const std::string& key) const;
     double as_double() const;
     bool as_bool() const;
 };

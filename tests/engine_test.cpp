@@ -7,10 +7,11 @@
 // to the switch interpreter in every observable: registers, memory, ticks,
 // counters, outcome databases, and the StepObserver callback stream. The
 // switch's op semantics are the independent oracle (the trace engine's
-// handlers evaluate isa/alu.hpp instead). This file cross-checks the two on
-// random programs, random faults, whole campaigns, fault-corrupted guest text
-// (the mirror/overlay re-decode path — including corruption landing *ahead*
-// of a parked mid-trace cursor), and IPI ping-pong scheduling.
+// handlers evaluate isa/semantics.hpp instead). This file cross-checks the
+// two on random programs, random faults, whole campaigns, fault-corrupted
+// guest text (the mirror/overlay re-decode path — including corruption
+// landing *ahead* of a parked mid-trace cursor), and IPI ping-pong
+// scheduling.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -103,11 +104,194 @@ struct CountingObserver final : sim::StepObserver {
     }
 };
 
+/// The sweeps' accumulator: fold(r) adds r, and mix() makes
+/// acc = acc * odd, then acc ^= acc >> 29. Both steps are bijections, so no
+/// wrong value can be overwritten unseen before the end-of-run fingerprint
+/// (without the shift, two differences in the top bit alone would cancel).
+struct Fold {
+    Assembler& a;
+    Reg acc, odd, t;
+    void mix() const {
+        a.mul(acc, acc, odd);
+        a.lsri(t, acc, 29);
+        a.eor(acc, acc, t);
+    }
+    void operator()(Reg r) const {
+        a.add(acc, acc, r);
+        mix();
+    }
+};
+
+/// V8: every FP data op (FADD..FMOVXV) over every ordered pair of FP edge
+/// operands — ±0, ±1, ±inf, NaN, ±2^63 (FCVTZS saturation) and the smallest
+/// denormal — with the FP result, the GPR result and the flags folded.
+void sweep_fp(Assembler& a, const Fold& fold) {
+    const std::uint64_t edges[] = {
+        0, 0x8000000000000000, 0x3FF0000000000000, 0xBFF0000000000000,
+        0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+        0x43E0000000000000, 0xC3E0000000000000, 1};
+    const Reg t0 = a.tmp(0), t1 = a.tmp(1), t2 = a.tmp(2);
+    const Reg v0 = 0, v1 = 1, v2 = 2;
+    for (unsigned o = static_cast<unsigned>(isa::Op::FADD);
+         o <= static_cast<unsigned>(isa::Op::FMOVXV); ++o)
+        for (const std::uint64_t x : edges)
+            for (const std::uint64_t y : edges) {
+                a.movi(t2, static_cast<std::int64_t>(y));
+                a.fmovxv(v2, t2);
+                a.movi(t2, static_cast<std::int64_t>(x)); // also SCVTF's source
+                a.fmovxv(v1, t2);
+                switch (static_cast<isa::Op>(o)) {
+                    case isa::Op::FADD: a.fadd(v0, v1, v2); break;
+                    case isa::Op::FSUB: a.fsub(v0, v1, v2); break;
+                    case isa::Op::FMUL: a.fmul(v0, v1, v2); break;
+                    case isa::Op::FDIV: a.fdiv(v0, v1, v2); break;
+                    case isa::Op::FSQRT: a.fsqrt(v0, v1); break;
+                    case isa::Op::FNEG: a.fneg(v0, v1); break;
+                    case isa::Op::FABS: a.fabs_(v0, v1); break;
+                    case isa::Op::FMADD: a.fmadd(v0, v1, v2, v1); break;
+                    case isa::Op::FMOV: a.fmov(v0, v1); break;
+                    case isa::Op::FMOVI: a.fmovi(v0, util::bits_f64(y)); break;
+                    case isa::Op::FCMP: a.fcmp(v1, v2); break;
+                    case isa::Op::FCVTZS: a.fcvtzs(t0, v1); break;
+                    case isa::Op::SCVTF: a.scvtf(v0, t2); break;
+                    case isa::Op::FMOVVX: a.fmovvx(t0, v1); break;
+                    case isa::Op::FMOVXV: a.fmovxv(v0, t2); break;
+                    default: FAIL() << "not an FP data op: " << o;
+                }
+                a.fmovvx(t1, v0);
+                fold(t1);
+                fold(t0);
+                a.sysrd(t1, isa::SysReg::FLAGS);
+                fold(t1);
+            }
+}
+
+/// Every memory form at edge values through the 8-aligned kernel buffer at
+/// `base`: byte, word (V8), pair (V8) and FP (V8) accesses, immediate and
+/// register-offset addressing, LDREX/STREX with the reservation held,
+/// broken by a store to its granule, absent, and held elsewhere, and on V7
+/// LDM/STM with and without writeback, the base in the list too. Each
+/// loaded value, status and written-back base is folded.
+void sweep_mem(Assembler& a, Reg base, const Fold& fold) {
+    const bool v7 = a.profile() == isa::Profile::V7;
+    const unsigned bits = a.wbytes() * 8;
+    const std::uint64_t mask = util::low_mask(bits);
+    const std::uint64_t sign = std::uint64_t{1} << (bits - 1);
+    const Reg t0 = a.tmp(0), t1 = a.tmp(1), t2 = a.tmp(2), t3 = a.tmp(3);
+    // A raw LDM/STM: the assembler refuses the base in a writeback list.
+    const auto multi = [&](isa::Op op, Reg rn, std::uint16_t regs, bool wb) {
+        isa::Instr i;
+        i.op = op;
+        i.rn = rn;
+        i.regmask = regs;
+        i.wb = wb;
+        a.emit(i);
+    };
+    const auto bit = [](Reg r) { return static_cast<std::uint16_t>(1u << r); };
+    const std::uint64_t values[] = {0, 1, mask, sign, sign - 1,
+                                    0x0123456789ABCDEF & mask, 0x80};
+    for (const std::uint64_t v : values) {
+        a.movi(t2, static_cast<std::int64_t>(v));
+        a.movi(t3, static_cast<std::int64_t>(~v & mask));
+        for (std::int64_t off = 0; off < 8; ++off) {
+            a.strb(t2, base, off);
+            a.ldrb(t0, base, off);
+            fold(t0);
+        }
+        a.ldr(t0, base, 0);
+        fold(t0);
+        a.movi(t1, 1);
+        a.str_idx(t3, base, t1, 3);
+        a.ldr_idx(t0, base, t1, 3);
+        fold(t0);
+        a.strb_idx(t2, base, t1);
+        a.ldrb_idx(t0, base, t1);
+        fold(t0);
+        if (v7) {
+            const Reg rn = a.sav(3);
+            a.mov(rn, base);
+            multi(isa::Op::STM, rn, bit(t2) | bit(t3), true);
+            fold(rn);
+            a.mov(rn, base);
+            multi(isa::Op::LDM, rn, bit(t0) | bit(t1), true);
+            fold(t0);
+            fold(t1);
+            fold(rn);
+            a.mov(rn, base); // writeback reads the loaded base (~v)
+            multi(isa::Op::LDM, rn, bit(t0) | bit(rn), true);
+            fold(t0);
+            fold(rn);
+            a.mov(rn, base); // stores the base itself, then writes back
+            multi(isa::Op::STM, rn, bit(t3) | bit(rn), true);
+            fold(rn);
+            a.mov(rn, base);
+            multi(isa::Op::STM, rn, bit(t1) | bit(t2) | bit(t3), false);
+            multi(isa::Op::LDM, rn, bit(t0) | bit(t1) | bit(t2), false);
+            fold(t0);
+            fold(t1);
+            fold(t2);
+            fold(rn);
+            a.movi(t2, static_cast<std::int64_t>(v));
+        } else {
+            a.strw(t2, base, 4);
+            a.ldrw(t0, base, 4);
+            fold(t0);
+            a.ldr(t0, base, 0);
+            fold(t0);
+            a.strw_idx(t3, base, t1, 2);
+            a.ldrw_idx(t0, base, t1, 2);
+            fold(t0);
+            a.stp(t2, t3, base, 16);
+            a.ldp(t0, t1, base, 16);
+            fold(t0);
+            fold(t1);
+            a.mov(t1, base); // LDP into its own base register
+            a.ldp(t1, t0, t1, 8);
+            fold(t0);
+            fold(t1);
+            a.fmovxv(3, t3);
+            a.fstr(3, base, 24);
+            a.fldr(4, base, 24);
+            a.fmovvx(t0, 4);
+            fold(t0);
+            a.movi(t1, 2);
+            a.fstr_idx(4, base, t1, 3);
+            a.ldr(t0, base, 16);
+            fold(t0);
+            a.fldr_idx(5, base, t1, 3);
+            a.fmovvx(t0, 5);
+            fold(t0);
+        }
+        a.ldrex(t0, base); // held: the store commits, status 0
+        a.strex(t1, base, t2);
+        fold(t0);
+        fold(t1);
+        a.ldr(t0, base, 0);
+        fold(t0);
+        a.ldrex(t0, base); // broken by a store to its granule: status 1
+        a.strb(t3, base, 5);
+        a.strex(t1, base, t2);
+        fold(t1);
+        a.strex(t1, base, t3); // no reservation at all: status 1
+        fold(t1);
+        a.addi(t0, base, 8); // held for another address: status 1
+        a.ldrex(t1, base);
+        a.strex(t1, t0, t2);
+        fold(t1);
+        a.ldr(t0, base, 0);
+        fold(t0);
+        a.ldr(t0, base, 8);
+        fold(t0);
+    }
+}
+
 /// Emit a terminating kernel program that drives every profile-valid
-/// integer data op (MOVI..CSET): first a directed sweep applying each op to
-/// every ordered pair of edge operands, then `len` random steps — those ops
-/// (a third V7-predicated) over scratch registers seeded with edge values,
-/// loads/stores into a kernel data buffer, and forward conditional branches.
+/// data and memory op: first directed sweeps — every integer data op
+/// (MOVI..CSET) over every ordered pair of edge operands, on V8 every FP
+/// data op over FP edge operands, and every memory form — then `len` random
+/// steps: the integer ops (a third V7-predicated) over scratch registers
+/// seeded with edge values, loads/stores into a kernel data buffer, and
+/// forward conditional branches.
 void random_program(Assembler& a, util::Rng& rng, unsigned len) {
     const isa::Profile p = a.profile();
     const bool v7 = p == isa::Profile::V7;
@@ -189,26 +373,27 @@ void random_program(Assembler& a, util::Rng& rng, unsigned len) {
         return a.tmp(static_cast<unsigned>(rng.below(nscratch)));
     };
 
-    // Directed sweep: rn/rm (and the immediate) range over every ordered
-    // pair of edges, so INT_MIN / -1, carries out of all-ones, and shifts by
-    // >= the width are exercised whatever the random steps draw. Each
-    // result (every scratch register plus the flags) is folded into an
-    // accumulator, acc = (acc + results) * odd, so no wrong value can be
-    // overwritten unseen before the end-of-run fingerprint.
-    const Reg acc = a.sav(1), odd = a.sav(2);
-    a.movi(acc, 0);
-    a.movi(odd, 0x9E3779B1);
+    // Directed integer sweep: rn/rm (and the immediate) range over every
+    // ordered pair of edges, so INT_MIN / -1, carries out of all-ones, and
+    // shifts by >= the width are exercised whatever the random steps draw.
+    // Each result (every scratch register plus the flags) is folded into
+    // the accumulator (see Fold). The FP and memory sweeps fold into the
+    // same accumulator.
+    const Fold fold{a, a.sav(1), a.sav(2), a.sav(4)};
+    a.movi(fold.acc, 0);
+    a.movi(fold.odd, 0x9E3779B1);
     for (const isa::Op op : ops)
         for (const std::uint64_t x : edges)
             for (const std::uint64_t y : edges) {
                 a.movi(a.tmp(2), static_cast<std::int64_t>(x));
                 a.movi(a.tmp(3), static_cast<std::int64_t>(y));
                 emit(op, a.tmp(0), a.tmp(2), a.tmp(3), static_cast<std::int64_t>(y));
-                for (unsigned r = 0; r < 4; ++r) a.add(acc, acc, a.tmp(r));
+                for (unsigned r = 0; r < 4; ++r) a.add(fold.acc, fold.acc, a.tmp(r));
                 a.sysrd(a.tmp(1), isa::SysReg::FLAGS);
-                a.add(acc, acc, a.tmp(1));
-                a.mul(acc, acc, odd);
+                fold(a.tmp(1));
             }
+    if (!v7) sweep_fp(a, fold);
+    sweep_mem(a, base, fold);
 
     for (unsigned i = 0; i < nscratch; ++i) a.movi(a.tmp(i), operand());
     for (unsigned i = 0; i < len; ++i) {

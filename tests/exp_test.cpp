@@ -218,6 +218,10 @@ TEST(ExperimentSpec, RejectsMalformedSpecsNamingTheOffender) {
     expect_reject(R"({"fault": {"faults": 4294967356}})", "out of range");
     expect_reject(R"({"shard": {"count": 4294967298}})", "out of range");
     expect_reject(R"({"matrix": {"cores": [4294967297]}})", "32-bit");
+    // A number literal past 2^64 - 1 is refused by key, not clamped into
+    // the seed 0xffffffffffffffff of some other experiment.
+    expect_reject(R"({"fault": {"seed": 99999999999999999999}})", "fault.seed");
+    expect_reject(R"({"fault": {"seed": 18446744073709551616}})", "fault.seed");
     // An out-less (in-memory) experiment cannot render reports — declared
     // report paths must be rejected, not silently dropped.
     expect_reject(R"({"out": "", "report": {"markdown": "lost.md"}})",

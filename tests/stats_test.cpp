@@ -215,6 +215,63 @@ TEST(Tally, ParseScenarioName) {
     EXPECT_THROW(stats::parse_scenario_name("ARMv8-CG-MPI-x"),
                  util::ValidationError);
     EXPECT_THROW(stats::parse_scenario_name(""), util::ValidationError);
+    // 2^32 + 1 cores must not narrow into a 1-core group.
+    EXPECT_THROW(stats::parse_scenario_name("ARMv8-CG-MPI-4294967297"),
+                 util::ValidationError);
+}
+
+namespace {
+
+/// Fold `db` into a fresh tally; the ValidationError message, or "" when
+/// the database folded.
+std::string fold_error(const std::string& db) {
+    stats::OutcomeTally t;
+    try {
+        t.add_database(db, "in");
+    } catch (const util::ValidationError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(Tally, RegisterCellsAreReadWholeAndBoundedTo32Bits) {
+    // A per-fault CSV's reg cell is read whole and a campaign JSONL's "reg"
+    // is bounded to 32 bits: a stray byte, a sign, a blank or 2^32 + 3 is
+    // refused naming the row or line (exit 3), never tallied as register 3.
+    const std::string head = "scenario,at,kind,core,reg,bit,phys,outcome,retired\n"
+                             "ARMv8-EP-SER-1,100,gpr,0,3,5,0,Vanished,900\n";
+    const auto csv = [&](const std::string& reg) {
+        return head + "ARMv8-EP-SER-1,200,gpr,0," + reg + ",5,0,OMM,900\n";
+    };
+    for (const char* bad : {"3abc", " 3", "+3", "-1", "4294967299",
+                            "99999999999999999999", "", "3.0"}) {
+        const std::string err = fold_error(csv(bad));
+        EXPECT_NE(err.find("in row 2: malformed reg '" + std::string(bad) + "'"),
+                  std::string::npos)
+            << bad << ": " << err;
+    }
+    stats::OutcomeTally good;
+    good.add_database(csv("4294967295"), "in");
+    good.add_database(csv("0x10"), "in2");
+    std::set<unsigned> regs;
+    for (const auto& [rk, rc] : good.registers()) regs.insert(rk.reg);
+    EXPECT_EQ(regs, (std::set<unsigned>{3, 16, 4294967295u}));
+
+    const auto jsonl = [](const std::string& reg) {
+        return std::string(R"({"scenario":"ARMv8-EP-SER-1","records":[)"
+                           R"({"kind":"gpr","reg":3,"outcome":"ONA"}]})") +
+               "\n" + R"({"scenario":"ARMv8-EP-SER-1","records":[)" +
+               R"({"kind":"gpr","reg":)" + reg + R"(,"outcome":"OMM"}]})" + "\n";
+    };
+    for (const char* bad : {"4294967299", "99999999999999999999", "-1", "3.5",
+                            "\"3\""}) {
+        const std::string err = fold_error(jsonl(bad));
+        EXPECT_NE(err.find("in line 2: 'reg'"), std::string::npos)
+            << bad << ": " << err;
+    }
+    EXPECT_EQ(fold_error(jsonl("4294967295")), "");
 }
 
 TEST(Tally, FoldsInProcessResults) {

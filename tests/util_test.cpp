@@ -12,6 +12,7 @@
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -334,5 +335,41 @@ TEST(Cli, FuzzMatchesReferenceParser) {
         for (const char* k : {"alpha", "beta", "gamma"})
             EXPECT_EQ(cli.has(k), kv.count(k) != 0) << "iter " << iter
                                                     << " key " << k;
+    }
+}
+
+TEST(Json, IntegerLiteralsPastUint64AreNotIntegers) {
+    // 2^64 - 1 is the last integer; one past it must not clamp to it (the
+    // same experiment's seed, or a shard DB's `at`), but stay a number that
+    // every as_u64 caller refuses.
+    const su::JsonValue max = su::json_parse("18446744073709551615");
+    EXPECT_TRUE(max.is_integer);
+    EXPECT_EQ(max.as_u64(), std::numeric_limits<std::uint64_t>::max());
+    for (const char* big : {"18446744073709551616", "99999999999999999999",
+                            "184467440737095516150"}) {
+        const su::JsonValue v = su::json_parse(big);
+        EXPECT_EQ(v.type, su::JsonValue::Type::Number) << big;
+        EXPECT_FALSE(v.is_integer) << big;
+        EXPECT_THROW(v.as_u64(), su::Error) << big;
+        EXPECT_GT(v.as_double(), 1.8e19) << big;
+    }
+    EXPECT_EQ(su::json_parse("0").as_u64(), 0u);
+    EXPECT_FALSE(su::json_parse("-1").is_integer);
+    EXPECT_FALSE(su::json_parse("1.0").is_integer);
+    EXPECT_FALSE(su::json_parse("1e3").is_integer);
+}
+
+TEST(Json, U32AtRefusesValuesPast32BitsNamingTheKey) {
+    const su::JsonValue v = su::json_parse(
+        R"({"ok": 4294967295, "wide": 4294967299, "big": 99999999999999999999})");
+    EXPECT_EQ(v.u32_at("ok"), 4294967295u);
+    for (const char* key : {"wide", "big", "absent"}) {
+        try {
+            v.u32_at(key);
+            ADD_FAILURE() << key << " accepted";
+        } catch (const su::Error& e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
     }
 }
